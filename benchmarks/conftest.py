@@ -10,8 +10,10 @@ measurements coexist:
   :mod:`repro.harness.experiments` and print the full reproduction table so
   the run's output can be compared side by side with the paper.
 
-Tables printed during the run are also appended to ``benchmarks/results.txt``
-so a benchmark run leaves a written record.
+Tables printed during the run are also merged into ``benchmarks/results.txt``
+when ``REPRO_BENCH_FULL=1`` is set (the switch that also guards
+``BENCH_substrate.json``), so a full benchmark run leaves a written record
+and a plain test run leaves the tracked file alone.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from typing import Callable, Dict, Optional
 from repro.harness.engine import ENGINE
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results.txt")
+
+#: Only full benchmark runs rewrite the tracked results file.
+WRITE_RESULTS = os.environ.get("REPRO_BENCH_FULL") == "1"
 
 _RESULTS_HEADER = "failure-oblivious computing reproduction: benchmark tables\n"
 _RULE = "=" * 72
@@ -62,7 +67,8 @@ def _load_sections() -> Dict[str, str]:
 
 
 def record_table(title: str, table_text: str) -> None:
-    """Print a reproduction table and merge it into the results file.
+    """Print a reproduction table and, under ``REPRO_BENCH_FULL=1``, merge
+    it into the results file.
 
     The file is rewritten with its sections in sorted title order, and
     sections this session did not regenerate (e.g. under a ``-k`` filter)
@@ -73,6 +79,8 @@ def record_table(title: str, table_text: str) -> None:
     global _results_sections
     banner = f"\n{_RULE}\n{title}\n{_RULE}\n"
     print(banner + table_text)
+    if not WRITE_RESULTS:
+        return
     try:
         if _results_sections is None:
             _results_sections = _load_sections()

@@ -17,7 +17,7 @@ def test_stability_run_failure_oblivious(benchmark, server_name):
         ),
         rounds=1,
         iterations=1,
-    )
+    ).instances[0]
     assert result.flawless
     assert result.attacks_survived == result.attack_requests
 

@@ -26,6 +26,7 @@ Environment knobs
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import os
@@ -38,11 +39,12 @@ from benchmarks.conftest import bench_workers
 from repro.core.policies import POLICY_NAMES
 from repro.fleet.scheduler import InstanceSpec, run_fleet
 from repro.harness.experiments import run_experiment
-from repro.harness.soak import run_soak_experiment
+from repro.harness.stability import run_stability_experiment
 from repro.memory import cstring
 from repro.memory.context import MemoryContext
 from repro.servers import SERVER_CLASSES
-from repro.servers.profile import get_profile
+from repro.servers.apache import ApacheServer
+from repro.servers.profile import get_profile, register_profile, unregister_profile
 from tests.reference_cstring import ref_strcpy
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_substrate.json")
@@ -118,9 +120,9 @@ RECOVERY_HEAP_BYTES = 16 * 1024 * 1024
 
 #: Soak shape for the end-to-end gate: the §4.3.2 bounds-check-under-attack
 #: flood, where every request kills the child and the monitor restarts it.
-#: ``use_checkpoints=False`` reproduces the pre-checkpoint cost model (every
-#: death pays a full reboot); the gate requires the checkpointed soak to beat
-#: it by an order of magnitude.
+#: The :class:`RebootApache` profile reproduces the pre-checkpoint cost model
+#: (every instance boots itself and every death pays a full reboot); the
+#: gate requires the checkpointed soak to beat it by an order of magnitude.
 SOAK_REQUESTS = 400 if FULL else 240
 SOAK_ATTACK_EVERY = 1
 SOAK_SHARDS = 8
@@ -328,19 +330,25 @@ def _measure_restart(server_name):
     }
 
 
+class RebootApache(ApacheServer):
+    """Apache without checkpoint restarts: the reboot-per-death baseline."""
+
+    checkpoint_restarts = False
+
+
 def _measure_soak():
     """End-to-end sharded-soak throughput per policy, plus the scratch baseline.
 
     Every policy gets a ``soak_requests_per_sec`` column (the attack flood
-    against Apache, restarts through the checkpoint); the bounds-check cell is
-    additionally measured with checkpoints disabled — the pre-checkpoint cost
-    model — to compute the gated speedup.
+    against Apache through ``run_fleet``, one instance per stream chunk,
+    restarts through the checkpoint); the bounds-check cell is additionally
+    measured on :class:`RebootApache` — the pre-checkpoint cost model — to
+    compute the gated speedup.
     """
-    def soak_once(policy_name, use_checkpoints=True):
-        return run_soak_experiment(
-            "apache", policy_name, total_requests=SOAK_REQUESTS,
+    def soak_once(policy_name, server_name="apache"):
+        return run_stability_experiment(
+            server_name, policy_name, total_requests=SOAK_REQUESTS,
             attack_every=SOAK_ATTACK_EVERY, shards=SOAK_SHARDS, workers=0,
-            use_checkpoints=use_checkpoints,
         )
 
     policies = {}
@@ -352,14 +360,22 @@ def _measure_soak():
         )
         policies[policy_name] = {
             "soak_requests_per_sec": round(result.requests_per_sec, 1),
-            "server_deaths": result.server_deaths,
+            "server_deaths": sum(
+                t.server_deaths + t.boot_deaths for t in result.instances
+            ),
             "restarts": result.restarts,
         }
-    scratch = max(
-        (soak_once("bounds-check", use_checkpoints=False)
-         for _ in range(SOAK_SCRATCH_ROUNDS)),
-        key=lambda r: r.requests_per_sec,
-    )
+    reboot = register_profile(dataclasses.replace(
+        get_profile("apache"), name="apache-reboot", server_cls=RebootApache,
+    ))
+    try:
+        scratch = max(
+            (soak_once("bounds-check", reboot.name)
+             for _ in range(SOAK_SCRATCH_ROUNDS)),
+            key=lambda r: r.requests_per_sec,
+        )
+    finally:
+        unregister_profile(reboot.name)
     checkpoint_rps = policies["bounds-check"]["soak_requests_per_sec"]
     scratch_rps = round(scratch.requests_per_sec, 1)
     return {

@@ -6,7 +6,8 @@ with the documented attack injected every N requests, under the
 failure-oblivious build, and reports whether service stayed flawless and what
 the administrator's memory-error log recorded — including the two benign
 errors the paper highlights (Sendmail's wake-up error and Midnight Commander's
-blank-configuration-line error).
+blank-configuration-line error).  Each run is a one-instance fleet: the
+result's ``instances[0]`` is the server's tally.
 
 Run with:  python examples/stability_run.py
 """
@@ -26,7 +27,7 @@ def main() -> None:
             total_requests=150,
             attack_every=20,
             scale=0.25,
-        )
+        ).instances[0]
         rows.append(
             (
                 server_name,
@@ -48,7 +49,7 @@ def main() -> None:
     print("\nAdministrator error-log highlights:")
     sendmail = run_stability_experiment(
         "sendmail", "failure-oblivious", total_requests=60, attack_every=15, scale=0.25
-    )
+    ).instances[0]
     wakeups = sendmail.error_sites.get("sendmail.daemon_wakeup", 0)
     print(f"  sendmail: {wakeups} wake-up errors logged — the benign error that makes the"
           " Bounds Check build unusable (§4.4.4)")
@@ -56,7 +57,7 @@ def main() -> None:
     mc = run_stability_experiment(
         "midnight-commander", "failure-oblivious", total_requests=60, attack_every=15,
         scale=0.25,
-    )
+    ).instances[0]
     print(f"  midnight-commander: symlink errors logged at"
           f" {sum(1 for site in mc.error_sites if 'symlink' in site)} site(s);"
           " with blank configuration lines the parser also logs one error per blank line"

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from repro.harness.stability import StabilityResult, run_stability_experiment
+from repro.fleet.scheduler import InstanceTally
+from repro.harness.stability import run_stability_experiment
 
 
 @dataclass
@@ -25,11 +26,16 @@ class AvailabilityReport:
     """Availability comparison across builds for one server."""
 
     server: str
-    results: Dict[str, StabilityResult]
+    results: Dict[str, InstanceTally]
 
     def service_rate(self, policy: str) -> float:
         """Fraction of legitimate requests served under the given build."""
-        return self.results[policy].legitimate_service_rate
+        return self.results[policy].availability
+
+    def deaths(self, policy: str) -> int:
+        """Process deaths under the given build, boot-time deaths included."""
+        result = self.results[policy]
+        return result.server_deaths + result.boot_deaths
 
     def best_policy(self) -> str:
         """The build with the best availability.
@@ -42,8 +48,8 @@ class AvailabilityReport:
         return max(
             self.results,
             key=lambda policy: (
-                self.results[policy].legitimate_service_rate,
-                -self.results[policy].server_deaths,
+                self.service_rate(policy),
+                -self.deaths(policy),
                 -self.results[policy].restarts,
             ),
         )
@@ -65,9 +71,9 @@ class AvailabilityReport:
                     policy,
                     result.legitimate_served,
                     result.legitimate_failed,
-                    result.server_deaths,
+                    self.deaths(policy),
                     result.restarts,
-                    f"{result.legitimate_service_rate:.3f}",
+                    f"{result.availability:.3f}",
                 )
             )
         return rows
@@ -83,7 +89,7 @@ def compare_availability(
     scale: float = 0.25,
 ) -> AvailabilityReport:
     """Run the same mixed workload under each build and compare service rates."""
-    results: Dict[str, StabilityResult] = {}
+    results: Dict[str, InstanceTally] = {}
     for policy_name in policies:
         results[policy_name] = run_stability_experiment(
             server_name,
@@ -93,5 +99,5 @@ def compare_availability(
             restart_on_death=restart_on_death,
             seed=seed,
             scale=scale,
-        )
+        ).instances[0]
     return AvailabilityReport(server=server_name, results=results)

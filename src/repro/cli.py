@@ -39,8 +39,8 @@ format is sniffed)::
 Soak a whole fleet — many server instances (any mix of profiles x builds)
 cloned from checkpoint images under seeded arrival processes — and rebuild
 the per-instance availability table from the streamed SQLite telemetry
-(``repro fleet`` is the scale path; the single-server ``exp-soak`` shards
-just one server's stream)::
+(``exp-stability`` and ``exp-soak`` run on the same scheduler: one server's
+stream served by one instance, or split across several)::
 
     python -m repro fleet run -i apache:failure-oblivious:4 -i pine:bounds-check \\
         --requests 100000 --workers 8 --sqlite-out fleet.sqlite

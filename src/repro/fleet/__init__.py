@@ -1,8 +1,9 @@
 """Fleet soak service: a heterogeneous multi-server traffic scheduler.
 
-The :mod:`repro.harness.soak` harness shards *one* server's stream; this
-package drives the paper's §4.x.4 stability story at its "millions of users"
-shape — many server instances (any mix of profiles x policies), each cloned
+This package is the one run path for long request streams: the §4.x.4
+stability runs and the sharded soak (:mod:`repro.harness.stability`) are
+small fleets, and the same scheduler drives the "millions of users" shape —
+many server instances (any mix of profiles x policies), each cloned
 from a post-boot checkpoint image, fed mixed benign/attack request streams
 whose arrival times come from seeded stochastic processes, with streaming
 telemetry sinks so runs are bounded by counters and SQLite batches instead of

@@ -1,19 +1,23 @@
 """The fleet scheduler: N cloned server instances under one traffic timeline.
 
-:func:`run_fleet` is the cluster-scale counterpart of
-:func:`~repro.harness.soak.run_soak_experiment`.  Where a soak shards one
-server's stream, a fleet instantiates *many* servers — any mix of the five
-profiles x five policies — and drives them with the
+:func:`run_fleet` is the one run path for every long request stream in the
+repository: the stability experiments are a one-instance fleet, and the
+sharded soak is a fleet of one (server, policy) whose instance *i* serves
+stream chunk *i* (see :func:`~repro.harness.stability.run_stability_experiment`).
+A fleet instantiates any mix of profiles x policies and drives them with the
 :class:`~repro.fleet.traffic.TrafficModel` timeline, interleaved by virtual
-arrival time.  The mechanics reuse the PR 5 substrate end to end:
+arrival time; an instance may instead carry its own request list
+(:attr:`InstanceSpec.requests`).  The mechanics reuse the checkpoint substrate end
+to end:
 
 * one **template** is booted per distinct ``(server, policy, config)`` group
   and its post-boot :class:`~repro.servers.base.ProcessImage` captured; every
   instance of the group is then cloned via
   :meth:`~repro.servers.base.Server.adopt_image` (boot cost paid once per
-  group, not per instance);
-* a dead instance is restored O(dirty-bytes) from its image by the monitor,
-  exactly like the soak's in-shard restarts;
+  group, not per instance).  A server class with ``checkpoint_restarts``
+  False has no image to clone, so each of its instances boots itself;
+* a dead instance is restored O(dirty-bytes) from its image by the monitor
+  (or rebooted from scratch, for the ``checkpoint_restarts`` False classes);
 * instances are partitioned into ``shards`` **contiguous groups of
   instances** and fanned over the same forked pool.  Instances are
   independent processes, so per-instance tallies cannot observe the
@@ -50,9 +54,10 @@ import os
 import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.errors import FATAL_OUTCOMES, RequestOutcome
 from repro.fleet.traffic import (
     FleetRequest,
     InstanceTraffic,
@@ -60,11 +65,11 @@ from repro.fleet.traffic import (
     derive_seed,
     make_arrival,
 )
-from repro.harness.stability import WorkloadTallySink
 from repro.memory.shared_image import SharedImageStore
 from repro.recovery.faults import FAULT_KINDS, FaultInjector
 from repro.recovery.supervisor import RecoveryPolicy, RecoverySupervisor
-from repro.servers.base import ProcessImage, Server, bounded_history_limit
+from repro.servers.base import ProcessImage, Request, Server, bounded_history_limit
+from repro.servers.profile import ServerProfile
 from repro.telemetry.events import (
     FaultInjected,
     RequestEnd,
@@ -73,6 +78,7 @@ from repro.telemetry.events import (
     SnapshotTaken,
 )
 from repro.telemetry.session import current_session
+from repro.telemetry.sinks import Sink
 from repro.telemetry.sqlite import SqliteSink, merge_sqlite
 from repro.telemetry.stats import StatsSink
 
@@ -85,6 +91,11 @@ DROPPED_OUTCOME = "dropped"
 #: (``max_seconds``) expired.  A distinct outcome so an export alone answers
 #: "did this run hit its deadline, and how much of the tail was cut?".
 DEADLINE_OUTCOME = "dropped-deadline"
+
+T = TypeVar("T")
+
+#: Outcome strings carried by RequestEnd events after which the process is gone.
+_FATAL_VALUES = frozenset(outcome.value for outcome in FATAL_OUTCOMES)
 
 #: State inherited by forked shard workers (set immediately before the pool
 #: is created, cleared after; never pickled).
@@ -108,14 +119,20 @@ def _share_process_image(store: SharedImageStore, image: ProcessImage) -> Proces
     return replace(image, ctx=shared_ctx)
 
 
-class FleetTallySink(WorkloadTallySink):
-    """The soak tally semantics, extended with the scheduler's drop events.
+class FleetTallySink(Sink):
+    """Tally one instance's event stream into the :class:`InstanceTally` counts.
 
-    A dropped legitimate request counts as failed service (the soak's
-    ``unserved_while_down`` accounting, now flowing through the event stream
-    instead of a side counter); a dropped attack counts as neither survived
-    nor fatal — the attack never ran.  Because drops are ordinary events,
-    re-feeding an export through this sink reproduces the live tallies.
+    Request outcomes come from :class:`~repro.telemetry.events.RequestEnd`
+    events, skipping startup traces (``__startup__``) so that restart boots
+    mid-run do not perturb the workload statistics.  A fatal outcome is a
+    server death; a non-fatal attack was survived; a legitimate request was
+    served or failed.
+
+    A dropped legitimate request (the scheduler's synthetic ``"dropped"``
+    RequestEnd for a request arriving while its instance is down) counts as
+    failed service; a dropped attack counts as neither survived nor fatal —
+    the attack never ran.  Because drops are ordinary events, re-feeding an
+    export through this sink reproduces the live tallies.
 
     The recovery events extend the same contract:
 
@@ -134,7 +151,12 @@ class FleetTallySink(WorkloadTallySink):
     """
 
     def __init__(self) -> None:
-        super().__init__()
+        self.legitimate_served = 0
+        self.legitimate_failed = 0
+        self.attacks_survived = 0
+        self.server_deaths = 0
+        self.memory_errors = 0
+        self.error_sites: Dict[str, int] = {}
         self.legitimate_dropped = 0
         self.attacks_dropped = 0
         self.deadline_dropped = 0
@@ -146,17 +168,31 @@ class FleetTallySink(WorkloadTallySink):
         self.faults_injected = 0
 
     def emit(self, event: object) -> None:
-        if isinstance(event, RequestEnd) and event.outcome in (
-            DROPPED_OUTCOME, DEADLINE_OUTCOME,
-        ):
-            if event.outcome == DEADLINE_OUTCOME:
-                self.deadline_dropped += 1
+        if isinstance(event, RequestEnd):
+            if event.kind == "__startup__":
+                return
+            if event.outcome in (DROPPED_OUTCOME, DEADLINE_OUTCOME):
+                if event.outcome == DEADLINE_OUTCOME:
+                    self.deadline_dropped += 1
+                if event.is_attack:
+                    self.attacks_dropped += 1
+                else:
+                    self.legitimate_dropped += 1
+                return
+            self.memory_errors += event.memory_errors
+            for site, count in event.error_sites:
+                self.error_sites[site] = self.error_sites.get(site, 0) + count
+            fatal = event.outcome in _FATAL_VALUES
+            if fatal:
+                self.server_deaths += 1
             if event.is_attack:
-                self.attacks_dropped += 1
+                if not fatal:
+                    self.attacks_survived += 1
+            elif event.outcome == RequestOutcome.SERVED.value:
+                self.legitimate_served += 1
             else:
-                self.legitimate_dropped += 1
-            return
-        if isinstance(event, RollbackPerformed):
+                self.legitimate_failed += 1
+        elif isinstance(event, RollbackPerformed):
             if event.to_boot_image:
                 self.boot_restarts += 1
             else:
@@ -166,20 +202,15 @@ class FleetTallySink(WorkloadTallySink):
                 # already counted legitimate_failed, but retry/quarantine is
                 # the terminal disposition for this request.
                 self.legitimate_failed -= 1
-            return
-        if isinstance(event, RequestQuarantined):
+        elif isinstance(event, RequestQuarantined):
             if event.is_attack:
                 self.quarantined_attacks += 1
             else:
                 self.quarantined += 1
-            return
-        if isinstance(event, SnapshotTaken):
+        elif isinstance(event, SnapshotTaken):
             self.snapshots += 1
-            return
-        if isinstance(event, FaultInjected):
+        elif isinstance(event, FaultInjected):
             self.faults_injected += 1
-            return
-        super().emit(event)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +226,10 @@ class InstanceSpec:
     ``arrival``/``rate`` pick its arrival process
     (:data:`~repro.fleet.traffic.ARRIVALS`); ``attack_every`` mixes the
     server's documented attack into its benign stream at that period
-    (0 disables attacks).
+    (0 disables attacks).  ``requests``, when given, is each instance's
+    whole request list: it replaces the generated stream (``weight`` and
+    ``attack_every`` then do not apply) and takes no share of the fleet's
+    ``total_requests``.
     """
 
     server: str
@@ -206,6 +240,7 @@ class InstanceSpec:
     arrival: str = "poisson"
     rate: float = 100.0
     config: Optional[Dict[str, object]] = None
+    requests: Optional[Sequence[Request]] = None
 
     def __post_init__(self) -> None:
         if self.count < 1:
@@ -226,6 +261,7 @@ class FleetInstance:
     arrival: str
     rate: float
     config: Optional[Dict[str, object]] = None
+    requests: Optional[Sequence[Request]] = None
 
     @property
     def group_key(self) -> Tuple[str, str, str]:
@@ -259,6 +295,7 @@ def expand_instances(specs: Sequence[InstanceSpec]) -> List[FleetInstance]:
                     arrival=spec.arrival,
                     rate=spec.rate,
                     config=dict(spec.config) if spec.config else None,
+                    requests=spec.requests,
                 )
             )
     return expanded
@@ -317,30 +354,21 @@ class InstanceTally:
             return 1.0
         return self.legitimate_served / eligible
 
+    @property
+    def flawless(self) -> bool:
+        """The paper's stability criterion: every legitimate request served,
+        and the server never went down (at boot or while serving)."""
+        return (
+            self.server_deaths == 0
+            and self.boot_deaths == 0
+            and self.legitimate_failed == 0
+        )
+
     def as_dict(self) -> Dict[str, object]:
         """Order-independent tally dict (what serial == pooled compares)."""
-        return {
-            "index": self.index,
-            "server": self.server,
-            "policy": self.policy,
-            "requests": self.requests,
-            "attack_requests": self.attack_requests,
-            "legitimate_served": self.legitimate_served,
-            "legitimate_failed": self.legitimate_failed,
-            "dropped": self.dropped,
-            "deadline_dropped": self.deadline_dropped,
-            "attacks_survived": self.attacks_survived,
-            "server_deaths": self.server_deaths,
-            "boot_deaths": self.boot_deaths,
-            "restarts": self.restarts,
-            "rollbacks": self.rollbacks,
-            "quarantined": self.quarantined,
-            "quarantined_attacks": self.quarantined_attacks,
-            "snapshots": self.snapshots,
-            "faults_injected": self.faults_injected,
-            "memory_errors_logged": self.memory_errors_logged,
-            "error_sites": dict(sorted(self.error_sites.items())),
-        }
+        tally = asdict(self)
+        tally["error_sites"] = dict(sorted(self.error_sites.items()))
+        return tally
 
 
 @dataclass
@@ -447,7 +475,11 @@ class FleetResult:
 
 @dataclass
 class _FleetGroup:
-    """One booted template: its image plus whether the boot was fatal."""
+    """One booted template: its image plus whether the boot was fatal.
+
+    ``image`` is None for server classes with ``checkpoint_restarts`` False,
+    whose instances boot themselves.
+    """
 
     image: object
     boot_fatal: bool
@@ -485,7 +517,13 @@ class _FleetRun:
             plant_attack=True, scale=self.scale,
         )
         server.limit_history(self.history_limit)
-        server.adopt_image(self.groups[instance.group_key].image)
+        image = self.groups[instance.group_key].image
+        if image is None:
+            # No image to clone (checkpoint_restarts False): the instance
+            # boots itself, and its monitor restarts reboot from scratch.
+            _boot_for_service(server, ENGINE.profile(instance.server))
+        else:
+            server.adopt_image(image)
         return server
 
 
@@ -501,26 +539,43 @@ class _FleetShardOutcome:
     wall_seconds: float
 
 
-def split_instances(instances: Sequence[FleetInstance], shards: int) -> List[List[FleetInstance]]:
-    """Partition instances into ``shards`` contiguous, near-equal groups.
+def split_contiguous(items: Sequence[T], parts: int) -> List[List[T]]:
+    """Split ``items`` into ``parts`` contiguous, near-equal chunks.
 
-    The shard is the scheduler's unit of parallelism *and* of determinism:
-    boundaries depend only on ``shards``, never on ``workers``, and because
-    instances are independent processes the partition cannot change any
-    per-instance tally.
+    Used for the scheduler's shards (groups of instances) and the sharded
+    soak's stream chunks.  Boundaries depend only on ``parts`` — never on
+    ``workers`` — which is what keeps pooled tallies identical to serial;
+    because instances are independent processes, the instance partition
+    cannot change any per-instance tally.  ``parts`` is capped at the item
+    count, so no chunk is empty (unless ``items`` is).
     """
-    if shards <= 0:
-        raise ValueError("shards must be positive")
-    instances = list(instances)
-    shards = min(shards, max(len(instances), 1))
-    base, extra = divmod(len(instances), shards)
-    groups: List[List[FleetInstance]] = []
+    if parts <= 0:
+        raise ValueError("parts must be positive")
+    items = list(items)
+    parts = min(parts, max(len(items), 1))
+    base, extra = divmod(len(items), parts)
+    chunks: List[List[T]] = []
     position = 0
-    for index in range(shards):
+    for index in range(parts):
         size = base + (1 if index < extra else 0)
-        groups.append(instances[position:position + size])
+        chunks.append(items[position:position + size])
         position += size
-    return groups
+    return chunks
+
+
+def _boot_for_service(server: Server, profile: ServerProfile) -> bool:
+    """Boot ``server`` and run the profile's session setup; True if the boot
+    was fatal.
+
+    The setup requests (e.g. Mutt re-opening the INBOX after the planted
+    startup folder was rejected) bring the server to its serving state; no
+    tally sink is attached yet, so they are not counted.
+    """
+    fatal = server.start().fatal
+    if not fatal:
+        for setup_request in profile.make_follow_ups():
+            server.process(setup_request)
+    return fatal
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +629,9 @@ def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
         boot_deaths[instance.index] = 0
         restarts[instance.index] = 0
         if not server.alive:
-            # Fatal boot image (Pine/Mutt style persistent triggers): mirror
-            # the soak accounting — the failed boot is a death, the monitor
-            # retries once up front, and the request loop retries per request.
+            # Fatal boot image (Pine/Mutt style persistent triggers): the
+            # failed boot is a death, the monitor retries once up front, and
+            # the request loop retries per request.
             boot_deaths[instance.index] += 1
             if run.restart_on_death:
                 server.restart()
@@ -609,6 +664,10 @@ def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
         servers[instance.index] = server
 
     session = current_session()
+    if session is not None and session.scenario_id is not None:
+        # Inside an engine scenario (e.g. a ``stability`` spec) every event
+        # keeps that scenario's id; only a top-level fleet stamps instances.
+        session = None
     deadline_hit = False
 
     def dispatch(server: Server, fleet_request: FleetRequest) -> None:
@@ -789,6 +848,7 @@ def run_fleet(
                 arrival=make_arrival(instance.arrival, instance.rate),
                 weight=instance.weight,
                 attack_every=instance.attack_every,
+                requests=instance.requests,
             )
             for instance in instances
         ],
@@ -798,7 +858,7 @@ def run_fleet(
     timeline = model.timeline()
 
     shard_count = len(instances) if shards is None else shards
-    shard_groups = split_instances(instances, shard_count)
+    shard_groups = split_contiguous(instances, shard_count)
     shard_of = {
         instance.index: shard_index
         for shard_index, group in enumerate(shard_groups)
@@ -825,21 +885,17 @@ def run_fleet(
             plant_attack=True, scale=scale,
         )
         template.limit_history(history_limit)
-        fatal = template.start().fatal
-        image = template.boot_image
-        if not fatal:
-            # Session setup (the stability experiments' follow-up requests,
-            # e.g. Mutt re-opening the INBOX after the planted startup folder
-            # was rejected), then re-checkpoint: every clone AND every
-            # monitor restart restores the serving state, paid once per group.
-            for setup_request in ENGINE.profile(instance.server).make_follow_ups():
-                template.process(setup_request)
-            image = template.recheckpoint()
-        # One shared copy of the template bytes per group: clones (serial or
-        # across the fork) restore straight out of the shared block.
-        groups[key] = _FleetGroup(
-            image=_share_process_image(store, image), boot_fatal=fatal
-        )
+        fatal = _boot_for_service(template, ENGINE.profile(instance.server))
+        image = None
+        if template.checkpoint_restarts:
+            # Re-checkpoint after session setup: every clone AND every
+            # monitor restart restores the serving state, paid once per
+            # group.  One shared copy of the template bytes per group:
+            # clones (serial or across the fork) restore straight out of the
+            # shared block.
+            image = template.boot_image if fatal else template.recheckpoint()
+            image = _share_process_image(store, image)
+        groups[key] = _FleetGroup(image=image, boot_fatal=fatal)
         boot_fatal[instance.label] = fatal
         template.stop()
 
@@ -936,5 +992,5 @@ __all__ = [
     "InstanceTally",
     "expand_instances",
     "run_fleet",
-    "split_instances",
+    "split_contiguous",
 ]

@@ -9,8 +9,10 @@ paired with virtual arrival times drawn from that instance's arrival process
 
 Everything is deterministic in ``(seed, instance index)`` alone:
 
-* each instance's request content comes from
-  ``random.Random(derive_seed(seed, "traffic", index))``,
+* each instance's request content is the
+  :func:`~repro.workloads.streams.mixed_stream` seeded with
+  ``derive_seed(seed, "traffic", index)`` (or the instance's own request
+  list, when it carries one),
 * each instance's arrival times from
   ``random.Random(derive_seed(seed, "arrival", index))``,
 
@@ -26,11 +28,10 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.servers.base import Request
-from repro.workloads.attacks import attack_request_for
-from repro.workloads.benign import random_legitimate_request
+from repro.workloads.streams import mixed_stream
 
 
 def derive_seed(*parts: object) -> int:
@@ -211,12 +212,18 @@ class FleetRequest:
 
 @dataclass
 class InstanceTraffic:
-    """The traffic recipe for one fleet instance (content + arrival shape)."""
+    """The traffic recipe for one fleet instance (content + arrival shape).
+
+    ``requests``, when given, is the instance's whole request content: it
+    replaces the generated mixed stream and takes no share of the fleet's
+    ``total_requests``.
+    """
 
     server: str
     arrival: ArrivalProcess = field(default_factory=PoissonArrivals)
     weight: float = 1.0
     attack_every: int = 10
+    requests: Optional[Sequence[Request]] = None
 
     def __post_init__(self) -> None:
         if self.weight < 0:
@@ -256,7 +263,8 @@ class TrafficModel:
     instances:
         One :class:`InstanceTraffic` per fleet instance, in instance order.
     total_requests:
-        Requests across the whole fleet, apportioned by instance weight.
+        Requests across the whole fleet, apportioned by instance weight among
+        the instances that carry no request list of their own.
     seed:
         Root seed; all per-instance randomness derives from it via
         :func:`derive_seed`, never from global state.
@@ -275,22 +283,28 @@ class TrafficModel:
         self.instances = list(instances)
         self.total_requests = total_requests
         self.seed = seed
-        self.counts = split_by_weight(
-            total_requests, [traffic.weight for traffic in self.instances]
-        )
+        shares = iter(split_by_weight(total_requests, [
+            traffic.weight for traffic in self.instances if traffic.requests is None
+        ]))
+        self.counts = [
+            len(traffic.requests) if traffic.requests is not None else next(shares)
+            for traffic in self.instances
+        ]
 
     def instance_requests(self, index: int) -> List[Request]:
         """The request content for one instance (mixed benign/attack)."""
         traffic = self.instances[index]
-        rng = random.Random(derive_seed(self.seed, "traffic", index))
-        requests: List[Request] = []
-        attack_every = traffic.attack_every
-        for seq in range(self.counts[index]):
-            if attack_every > 0 and seq > 0 and seq % attack_every == 0:
-                requests.append(attack_request_for(traffic.server))
-            else:
-                requests.append(random_legitimate_request(traffic.server, rng))
-        return requests
+        if traffic.requests is not None:
+            return list(traffic.requests)
+        if self.counts[index] == 0:
+            # A small fleet's weight split can leave an instance no requests.
+            return []
+        return mixed_stream(
+            traffic.server,
+            total_requests=self.counts[index],
+            attack_every=traffic.attack_every,
+            seed=derive_seed(self.seed, "traffic", index),
+        ).requests
 
     def instance_arrivals(self, index: int) -> List[float]:
         """The virtual arrival times for one instance's requests."""

@@ -10,7 +10,8 @@
 * :mod:`repro.harness.throughput` — the Apache throughput-under-attack
   experiment (§4.3.2).
 * :mod:`repro.harness.stability` — long mixed-workload runs with periodic
-  attack injection (the §4.x.4 stability sections).
+  attack injection (the §4.x.4 stability sections and the sharded soak),
+  served by the fleet scheduler.
 * :mod:`repro.harness.report` — plain-text tables shaped like the paper's
   figures.
 * :mod:`repro.harness.experiments` — the experiment registry keyed by the ids
@@ -34,7 +35,7 @@ from repro.harness.runner import (
 )
 from repro.harness.report import format_figure_table, format_security_matrix
 from repro.harness.throughput import ThroughputResult, run_throughput_experiment
-from repro.harness.stability import StabilityResult, run_stability_experiment
+from repro.harness.stability import run_stability_experiment
 from repro.harness.experiments import EXPERIMENTS, register_experiment, run_experiment
 
 __all__ = [
@@ -55,7 +56,6 @@ __all__ = [
     "format_security_matrix",
     "ThroughputResult",
     "run_throughput_experiment",
-    "StabilityResult",
     "run_stability_experiment",
     "EXPERIMENTS",
     "register_experiment",

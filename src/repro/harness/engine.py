@@ -15,13 +15,14 @@ every workload shape against any profile:
     documented error trigger planted, deliver the attack, then check that
     legitimate follow-up requests are still served.
 ``stability``
-    A long mixed workload with periodic attack injection (§4.x.4).
+    A long mixed workload with periodic attack injection (§4.x.4), served
+    by a one-instance fleet (see :mod:`repro.harness.stability`).
 ``throughput``
     The Apache-style throughput-under-attack experiment (§4.3.2).
 ``soak``
-    A restart-heavy sharded soak: the stream is chunked deterministically,
-    every chunk runs against a clone of one post-boot process image, and the
-    chunks fan out over the fork pool (see :mod:`repro.harness.soak`).
+    A restart-heavy sharded soak: the same stream recipe split into
+    ``shards`` contiguous chunks, one fleet instance (a clone of one
+    post-boot process image) per chunk, fanned over the fork pool.
 
 New servers participate in every shape by registering a profile (zero engine
 edits); new workload shapes plug in with
@@ -478,19 +479,12 @@ class ExperimentEngine:
         )
 
     def _run_soak(self, spec: ScenarioSpec) -> object:
-        """Sharded in-scenario soak: boot once, fan stream chunks over workers.
-
-        The long mixed stream is split into deterministic chunks; every chunk
-        runs against a clone of the same post-boot process image, serially or
-        over the fork pool (``params["workers"]``), with identical tallies
-        either way.  See :mod:`repro.harness.soak`.
+        """Sharded in-scenario soak: the stability run split over ``shards``
+        cloned instances, serially or over the fork pool
+        (``params["workers"]``), with identical tallies either way.
         """
-        from repro.harness.soak import run_soak_experiment
-
-        return run_soak_experiment(
-            spec.server, spec.policy, scale=spec.scale, config=spec.config,
-            **dict(spec.params)
-        )
+        defaults = {"total_requests": 400, "attack_every": 10, "shards": 8}
+        return self._run_stability(spec.with_(params={**defaults, **spec.params}))
 
     def _run_throughput(self, spec: ScenarioSpec) -> object:
         """Throughput of legitimate requests while under attack (§4.3.2).

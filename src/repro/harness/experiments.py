@@ -19,8 +19,9 @@ Experiment ids
 ``exp-stability``
     Long mixed workloads with periodic attacks for every server (§4.x.4).
 ``exp-soak``
-    Restart-heavy sharded soak per build: deaths restore the post-boot
-    checkpoint, the stream fans out over the fork pool (``workers``).
+    Restart-heavy sharded soak per build: one fleet instance per stream
+    chunk, deaths restore the post-boot checkpoint, the instances fan out
+    over the fork pool (``workers``).
 ``exp-fleet``
     Heterogeneous fleet soak: a mix of profiles x builds cloned from
     checkpoint images under seeded arrival processes (``repro fleet`` is
@@ -44,7 +45,6 @@ from repro.harness.report import (
     format_security_matrix,
     format_simple_table,
 )
-from repro.harness.soak import run_soak_experiment
 from repro.harness.stability import run_stability_experiment
 from repro.harness.throughput import run_throughput_experiment, throughput_ratio
 from repro.harness.timing import wall_clock
@@ -204,7 +204,7 @@ def _run_stability(
             total_requests=total_requests,
             attack_every=attack_every,
             scale=scale,
-        )
+        ).instances[0]
         results[server_name] = result
         rows.append(
             (
@@ -213,7 +213,7 @@ def _run_stability(
                 result.legitimate_failed,
                 result.attacks_survived,
                 result.attack_requests,
-                result.server_deaths,
+                result.server_deaths + result.boot_deaths,
                 result.memory_errors_logged,
                 "yes" if result.flawless else "NO",
             )
@@ -263,7 +263,7 @@ def _run_soak(
     results = {}
     rows = []
     for policy_name in policies:
-        result = run_soak_experiment(
+        result = run_stability_experiment(
             server, policy_name, total_requests=total_requests,
             attack_every=attack_every, shards=shards, workers=workers,
             scale=scale,
@@ -273,7 +273,7 @@ def _run_soak(
             (
                 policy_name,
                 result.legitimate_served,
-                result.server_deaths,
+                sum(t.server_deaths + t.boot_deaths for t in result.instances),
                 result.restarts,
                 f"{result.wall_seconds:.3f}s",
                 f"{result.requests_per_sec:.0f}",

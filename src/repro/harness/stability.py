@@ -9,91 +9,19 @@ error).
 
 :func:`run_stability_experiment` reproduces the shape of those experiments: a
 long, seeded, mostly-legitimate request stream with attacks injected every N
-requests, run under a chosen build, reporting how many legitimate requests
-were served, whether the server ever went down, how often it had to be
-restarted, and what the error log recorded.
+requests, served by :func:`~repro.fleet.scheduler.run_fleet` — which boots
+the server, runs the session setup, restarts it on death and tallies every
+outcome.  With ``shards=K`` the same stream is split into K contiguous
+chunks, each served by its own clone of the boot image: the §4.3.2-style
+restart-under-attack soak.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.errors import FATAL_OUTCOMES, RequestOutcome
-from repro.harness.engine import ENGINE
-from repro.servers.base import Server
-from repro.telemetry.events import RequestEnd
-from repro.telemetry.sinks import Sink
-from repro.workloads.streams import RequestStream, mixed_stream
-
-#: Outcome strings carried by RequestEnd events after which the process is gone.
-_FATAL_VALUES = frozenset(outcome.value for outcome in FATAL_OUTCOMES)
-
-
-class WorkloadTallySink(Sink):
-    """Aggregate the stability statistics from the server's event stream.
-
-    Consumes :class:`~repro.telemetry.events.RequestEnd` events only, skipping
-    startup traces (``__startup__``) so that restart boots mid-run do not
-    perturb the workload statistics — the same scoping the pre-telemetry
-    hand-rolled tallies had.  Attach it after session setup, run the workload,
-    then read the totals.
-    """
-
-    def __init__(self) -> None:
-        self.legitimate_served = 0
-        self.legitimate_failed = 0
-        self.attacks_survived = 0
-        self.server_deaths = 0
-        self.memory_errors = 0
-        self.error_sites: Dict[str, int] = {}
-
-    def emit(self, event: object) -> None:
-        if not isinstance(event, RequestEnd) or event.kind == "__startup__":
-            return
-        self.memory_errors += event.memory_errors
-        for site, count in event.error_sites:
-            self.error_sites[site] = self.error_sites.get(site, 0) + count
-        fatal = event.outcome in _FATAL_VALUES
-        if fatal:
-            self.server_deaths += 1
-        if event.is_attack:
-            if not fatal:
-                self.attacks_survived += 1
-        elif event.outcome == RequestOutcome.SERVED.value:
-            self.legitimate_served += 1
-        else:
-            self.legitimate_failed += 1
-
-
-@dataclass
-class StabilityResult:
-    """Summary of one long-running stability experiment."""
-
-    server: str
-    policy: str
-    total_requests: int
-    attack_requests: int
-    legitimate_requests: int
-    legitimate_served: int
-    legitimate_failed: int
-    attacks_survived: int
-    server_deaths: int
-    restarts: int
-    memory_errors_logged: int
-    error_sites: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def legitimate_service_rate(self) -> float:
-        """Fraction of legitimate requests served successfully (availability)."""
-        if self.legitimate_requests == 0:
-            return 0.0
-        return self.legitimate_served / self.legitimate_requests
-
-    @property
-    def flawless(self) -> bool:
-        """The paper's criterion: every legitimate request served, no downtime."""
-        return self.server_deaths == 0 and self.legitimate_failed == 0
+from repro.fleet.scheduler import FleetResult, InstanceSpec, run_fleet, split_contiguous
+from repro.workloads.streams import mixed_stream
 
 
 def run_stability_experiment(
@@ -101,77 +29,25 @@ def run_stability_experiment(
     policy_name: str,
     total_requests: int = 200,
     attack_every: int = 25,
-    restart_on_death: bool = True,
     seed: int = 20040101,
     scale: float = 0.25,
-    stream: Optional[RequestStream] = None,
     config: Optional[Dict[str, object]] = None,
-) -> StabilityResult:
-    """Run a long mixed workload against one build of one server.
+    shards: int = 1,
+    **fleet_options: object,
+) -> FleetResult:
+    """Serve one server's mixed stream through a fleet of ``shards`` instances.
 
-    ``restart_on_death`` models the obvious operational response for the
-    Standard and Bounds Check builds (a monitor that restarts the server);
-    the failure-oblivious build should never need it.  ``config`` entries are
-    merged over the benchmark and attack configuration, as everywhere else.
+    Instance *i* serves stream chunk *i*; the default single shard is the
+    paper's stability run, read as ``result.instances[0]``.  A "death" in
+    the paper's sense is ``server_deaths + boot_deaths``.  ``fleet_options``
+    pass through to :func:`~repro.fleet.scheduler.run_fleet` (e.g.
+    ``restart_on_death``, ``workers``, ``history_limit``).
     """
-    workload = stream if stream is not None else mixed_stream(
+    stream = mixed_stream(
         server_name, total_requests=total_requests, attack_every=attack_every, seed=seed
     )
-    server: Server = ENGINE.build_server(
-        server_name, policy_name, config=config, plant_attack=True, scale=scale
-    )
-    boot = server.start()
-    server_deaths = 1 if boot.fatal else 0
-    restarts = 0
-    if boot.fatal and restart_on_death:
-        # A restart with the same environment hits the same startup error for
-        # Pine/Mutt (the trigger persists in the mailbox/configuration), which
-        # is exactly the paper's point about restart-based recovery; we retry
-        # once to model the monitor and then give up.
-        server.restart()
-        restarts += 1
-        if not server.alive:
-            server_deaths += 1
-
-    # Session setup: bring the user interface back to a normal working state
-    # (e.g. Mutt re-opens the INBOX after the startup folder was rejected).
-    # These requests are not counted in the workload statistics.
-    if server.alive:
-        for setup_request in ENGINE.profile(server_name).make_follow_ups():
-            server.process(setup_request)
-
-    # Every workload statistic below is aggregated from the server's event
-    # stream; the loop only drives requests and models the restart monitor.
-    tally = server.add_telemetry_sink(WorkloadTallySink())
-    unserved_while_down = 0
-
-    for request in workload:
-        if not server.alive:
-            if restart_on_death:
-                server.restart()
-                restarts += 1
-                if not server.alive:
-                    # A restart that dies during boot is a server death, the
-                    # same as a failed boot-time restart above; previously
-                    # only the boot path counted it.
-                    server_deaths += 1
-            if not server.alive:
-                if not request.is_attack:
-                    unserved_while_down += 1
-                continue
-        server.process(request)
-
-    return StabilityResult(
-        server=server_name,
-        policy=policy_name,
-        total_requests=len(workload),
-        attack_requests=workload.attack_count,
-        legitimate_requests=workload.legitimate_count,
-        legitimate_served=tally.legitimate_served,
-        legitimate_failed=tally.legitimate_failed + unserved_while_down,
-        attacks_survived=tally.attacks_survived,
-        server_deaths=server_deaths + tally.server_deaths,
-        restarts=restarts,
-        memory_errors_logged=tally.memory_errors,
-        error_sites=tally.error_sites,
-    )
+    specs = [
+        InstanceSpec(server_name, policy_name, config=config, requests=chunk)
+        for chunk in split_contiguous(stream.requests, shards)
+    ]
+    return run_fleet(specs, seed=seed, scale=scale, **fleet_options)

@@ -109,15 +109,20 @@ class TelemetrySession:
         """Stop stamping events with the current scenario id."""
         self._scenario_id = None
 
+    @property
+    def scenario_id(self) -> Optional[int]:
+        """The id events are currently stamped with (None outside scenarios)."""
+        return self._scenario_id
+
     @contextlib.contextmanager
     def scenario_scope(self, scenario_id: int) -> Iterator[int]:
         """Stamp events with ``scenario_id`` for the duration of the block,
         then restore the previous stamp.
 
         Unlike :meth:`begin_scenario`/:meth:`end_scenario` (which clear the
-        stamp), this nests: sub-scopes inside an engine-managed scenario — the
-        soak workload stamping each shard with its index — leave the outer
-        scenario's stamp intact for the events that follow.
+        stamp), this nests: a sub-scope — a fleet stamping each instance
+        with its index — restores the previous stamp for the events that
+        follow.
         """
         previous = self._scenario_id
         self._scenario_id = scenario_id

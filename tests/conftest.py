@@ -11,7 +11,10 @@ from repro.core.policies import (
     RedirectPolicy,
     StandardPolicy,
 )
+from repro.errors import SegmentationFault
 from repro.memory.context import MemoryContext
+from repro.servers.base import Request, Response, Server
+from repro.servers.profile import ServerProfile, register_profile, unregister_profile
 
 
 @pytest.fixture
@@ -45,3 +48,39 @@ POLICY_CLASSES = {
     "boundless": BoundlessPolicy,
     "redirect": RedirectPolicy,
 }
+
+
+class FragileServer(Server):
+    """Toy server: one "crash" request kills it, and every restart dies at boot.
+
+    Models a persistent trigger (Pine's poisoned mailbox): the first boot
+    succeeds, but once crashed, the monitor's restarts keep hitting the same
+    startup fault.
+    """
+
+    name = "toy-fragile"
+    # Boot mutates the shared config (the boots counter), so consecutive
+    # boots differ and the image-replay restart model does not apply.
+    checkpoint_restarts = False
+
+    def startup(self) -> None:
+        boots = self.config.setdefault("boots", [])
+        boots.append(1)
+        if len(boots) > 1:
+            raise SegmentationFault(0, "persistent trigger hit during restart boot")
+
+    def handle(self, request: Request) -> Response:
+        if request.kind == "crash":
+            raise SegmentationFault(0, "request smashed the heap")
+        return Response.ok(body=b"ok")
+
+
+@pytest.fixture
+def fragile_profile():
+    profile = register_profile(ServerProfile(
+        name="toy-fragile",
+        server_cls=FragileServer,
+        description="toy server whose restarts fail (stability regression test)",
+    ))
+    yield profile
+    unregister_profile(profile.name)

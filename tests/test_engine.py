@@ -193,7 +193,7 @@ class TestToySixthServer:
         result = ENGINE.run(
             ScenarioSpec(server=toy_profile.name, workload="stability", scale=0.5,
                          params={"total_requests": 12, "attack_every": 4})
-        )
+        ).instances[0]
         assert result.flawless
         assert result.attacks_survived == result.attack_requests
 
@@ -220,7 +220,7 @@ class TestServerStop:
     def test_stability_shim_matches_direct_call(self, toy_profile):
         direct = run_stability_experiment(
             toy_profile.name, "failure-oblivious", total_requests=8, attack_every=4
-        )
+        ).instances[0]
         assert direct.flawless
 
 

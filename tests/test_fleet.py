@@ -25,7 +25,7 @@ from repro.fleet.scheduler import (
     FleetTallySink,
     InstanceSpec,
     run_fleet,
-    split_instances,
+    split_contiguous,
     expand_instances,
 )
 from repro.fleet.traffic import (
@@ -41,7 +41,7 @@ from repro.fleet.traffic import (
     split_by_weight,
 )
 from repro.harness.experiments import EXPERIMENTS, run_experiment
-from repro.harness.soak import run_soak_experiment
+from repro.harness.stability import run_stability_experiment
 from repro.servers.base import bounded_history_limit
 from repro.telemetry.events import RequestEnd
 from repro.telemetry.stats import StatsSink
@@ -194,13 +194,13 @@ FLEET_KW = dict(total_requests=240, seed=13)
 class TestSplitInstances:
     def test_contiguous_and_complete(self):
         instances = expand_instances([InstanceSpec("apache", "standard", count=7)])
-        groups = split_instances(instances, 3)
+        groups = split_contiguous(instances, 3)
         assert [len(g) for g in groups] == [3, 2, 2]
         assert [i.index for g in groups for i in g] == list(range(7))
 
     def test_more_shards_than_instances(self):
         instances = expand_instances([InstanceSpec("apache", "standard", count=2)])
-        assert [len(g) for g in split_instances(instances, 9)] == [1, 1]
+        assert [len(g) for g in split_contiguous(instances, 9)] == [1, 1]
 
 
 class TestFleetScheduler:
@@ -305,13 +305,13 @@ class TestHistoryGuard:
 
     def test_soak_refuses_unbounded_history(self):
         with pytest.raises(ValueError, match="unbounded"):
-            run_soak_experiment(
-                "apache", "failure-oblivious", total_requests=20,
+            run_stability_experiment(
+                "apache", "failure-oblivious", total_requests=20, shards=8,
                 history_limit=None,
             )
 
     def test_explicit_opt_in_is_honored(self):
-        result = run_soak_experiment(
+        result = run_stability_experiment(
             "apache", "failure-oblivious", total_requests=12, shards=2,
             history_limit=None, allow_unbounded_history=True,
         )

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.errors import SegmentationFault
+from repro.fleet.scheduler import InstanceSpec, run_fleet
 from repro.harness.stability import run_stability_experiment
 from repro.harness.throughput import run_throughput_experiment, throughput_ratio
-from repro.servers.base import Request, Response, Server
-from repro.servers.profile import ServerProfile, register_profile, unregister_profile
-from repro.workloads.streams import RequestStream, mixed_stream
+from repro.servers.base import Request
+from repro.workloads.streams import mixed_stream
 
 
 class TestThroughput:
@@ -52,29 +51,29 @@ class TestStability:
     def test_failure_oblivious_apache_is_flawless(self):
         result = run_stability_experiment(
             "apache", "failure-oblivious", total_requests=60, attack_every=10, scale=0.1
-        )
+        ).instances[0]
         assert result.flawless
         assert result.attacks_survived == result.attack_requests
-        assert result.server_deaths == 0
+        assert result.server_deaths + result.boot_deaths == 0
 
     def test_failure_oblivious_sendmail_logs_wakeup_errors(self):
         result = run_stability_experiment(
             "sendmail", "failure-oblivious", total_requests=40, attack_every=8, scale=0.1
-        )
+        ).instances[0]
         assert result.flawless
         assert "sendmail.daemon_wakeup" in result.error_sites
 
     def test_standard_apache_needs_restarts(self):
         result = run_stability_experiment(
             "apache", "standard", total_requests=60, attack_every=10, scale=0.1
-        )
-        assert result.server_deaths > 0
+        ).instances[0]
+        assert result.server_deaths + result.boot_deaths > 0
         assert result.restarts > 0
 
     def test_bounds_check_pine_cannot_start(self):
         result = run_stability_experiment(
             "pine", "bounds-check", total_requests=30, attack_every=10, scale=0.1
-        )
+        ).instances[0]
         assert result.legitimate_served == 0
         assert not result.flawless
 
@@ -82,84 +81,54 @@ class TestStability:
         result = run_stability_experiment(
             "apache", "standard", total_requests=40, attack_every=10,
             restart_on_death=False, scale=0.1,
-        )
+        ).instances[0]
         assert result.restarts == 0
         assert result.legitimate_failed > 0
 
     def test_custom_stream_is_respected(self):
         stream = mixed_stream("apache", total_requests=25, attack_every=5)
-        result = run_stability_experiment("apache", "failure-oblivious", stream=stream, scale=0.1)
-        assert result.total_requests == 25
+        result = run_fleet(
+            [InstanceSpec("apache", "failure-oblivious", requests=stream.requests)],
+            scale=0.1,
+        ).instances[0]
+        assert result.requests == 25
+        assert result.attack_requests == stream.attack_count
 
     def test_service_rate_bounds(self):
         result = run_stability_experiment(
             "mutt", "failure-oblivious", total_requests=30, attack_every=6, scale=0.1
-        )
-        assert 0.0 <= result.legitimate_service_rate <= 1.0
+        ).instances[0]
+        assert 0.0 <= result.availability <= 1.0
 
 
-class FragileServer(Server):
-    """Toy server: one "crash" request kills it, and every restart dies at boot.
-
-    Models a persistent trigger (Pine's poisoned mailbox): the first boot
-    succeeds, but once crashed, the monitor's restarts keep hitting the same
-    startup fault.
-    """
-
-    name = "toy-fragile"
-    # Boot mutates the shared config (the boots counter), so consecutive
-    # boots differ and the image-replay restart model does not apply.
-    checkpoint_restarts = False
-
-    def startup(self) -> None:
-        boots = self.config.setdefault("boots", [])
-        boots.append(1)
-        if len(boots) > 1:
-            raise SegmentationFault(0, "persistent trigger hit during restart boot")
-
-    def handle(self, request: Request) -> Response:
-        if request.kind == "crash":
-            raise SegmentationFault(0, "request smashed the heap")
-        return Response.ok(body=b"ok")
-
-
-@pytest.fixture
-def fragile_profile():
-    profile = register_profile(ServerProfile(
-        name="toy-fragile",
-        server_cls=FragileServer,
-        description="toy server whose restarts fail (stability regression test)",
-    ))
-    yield profile
-    unregister_profile(profile.name)
+def run_fragile(kinds):
+    """Serve ``kinds`` on one toy-fragile instance (which boots itself and
+    reboots from scratch: its class has ``checkpoint_restarts`` False)."""
+    requests = [Request(kind=kind) for kind in kinds]
+    return run_fleet(
+        [InstanceSpec("toy-fragile", "standard", requests=requests)]
+    ).instances[0]
 
 
 class TestRestartDeathAccounting:
     """Regression: a restart that dies at boot is a server death on BOTH paths.
 
-    The boot-time path always counted it; the in-loop path (stability.py's
-    request loop) silently dropped it, understating server_deaths for every
-    persistent-trigger scenario.
+    The boot-time path always counted it; the in-loop path (the monitor's
+    per-request restart) once silently dropped it, understating deaths for
+    every persistent-trigger scenario.
     """
 
     def test_failed_in_loop_restarts_count_as_deaths(self, fragile_profile):
-        stream = RequestStream(requests=[
-            Request(kind="ok"),
-            Request(kind="crash"),
-            Request(kind="ok"),
-            Request(kind="ok"),
-        ])
-        result = run_stability_experiment("toy-fragile", "standard", stream=stream)
+        result = run_fragile(["ok", "crash", "ok", "ok"])
         # One death from the crashing request, plus one per failed restart
         # attempt (the monitor retries before each remaining request).
         assert result.restarts == 2
-        assert result.server_deaths == 3
+        assert result.server_deaths + result.boot_deaths == 3
         assert result.legitimate_served == 1
         # The crashing request plus the two requests arriving while down.
         assert result.legitimate_failed == 3
 
     def test_successful_restarts_still_count_no_extra_deaths(self, fragile_profile):
-        stream = RequestStream(requests=[Request(kind="ok"), Request(kind="ok")])
-        result = run_stability_experiment("toy-fragile", "standard", stream=stream)
-        assert result.server_deaths == 0
+        result = run_fragile(["ok", "ok"])
+        assert result.server_deaths + result.boot_deaths == 0
         assert result.restarts == 0

@@ -88,7 +88,7 @@ class TestAvailabilityClaims:
     def test_failure_oblivious_stability_is_flawless(self, server_name):
         result = run_stability_experiment(
             server_name, "failure-oblivious", total_requests=40, attack_every=8, scale=0.1
-        )
+        ).instances[0]
         assert result.flawless
         assert result.attacks_survived == result.attack_requests
 
@@ -99,7 +99,7 @@ class TestAvailabilityClaims:
         result = run_stability_experiment(
             server_name, "bounds-check", total_requests=20, attack_every=5,
             restart_on_death=True, scale=0.1,
-        )
+        ).instances[0]
         assert result.legitimate_served == 0
 
 
