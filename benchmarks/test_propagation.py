@@ -33,11 +33,11 @@ def test_propagation_table(benchmark):
 
 def test_checking_overhead_counters(benchmark):
     """Measure the raw number of bounds checks per request — the §4.7 overhead knob."""
-    from repro.harness.runner import build_server
+    from repro.harness.engine import ENGINE
     from repro.workloads.benign import benign_requests_for
 
     def count_checks():
-        server = build_server("sendmail", "failure-oblivious", scale=0.2)
+        server = ENGINE.build_server("sendmail", "failure-oblivious", scale=0.2)
         server.start()
         before = server.policy.stats.checks_performed
         server.process(benign_requests_for("sendmail", "recv_large", 1)[0])

@@ -15,11 +15,10 @@ from repro.workloads.benign import midnight_commander_vfs_files
 @pytest.mark.parametrize("policy", ["failure-oblivious", "boundless", "redirect"])
 def test_variant_attack_scenario_cost(benchmark, policy):
     """Time the Mutt attack scenario under each §5.1 continuation-code variant."""
-    from repro.harness.runner import run_attack_scenario
+    from repro.harness.engine import ENGINE, ScenarioSpec
 
-    result = benchmark.pedantic(
-        lambda: run_attack_scenario("mutt", policy, scale=0.2), rounds=3, iterations=1
-    )
+    spec = ScenarioSpec(server="mutt", policy=policy, workload="attack", scale=0.2)
+    result = benchmark.pedantic(lambda: ENGINE.run(spec), rounds=3, iterations=1)
     assert result.continued_service
 
 

@@ -9,43 +9,34 @@ Two entry points, one semantics:
 * :func:`fleet_report_from_trace` re-derives those tallies from an exported
   trace (SQLite or JSONL — sniffed), by replaying each instance's events
   through the *same* :class:`~repro.fleet.scheduler.FleetTallySink` the live
-  scheduler attaches.  Because the scheduler also routes drops through the
-  event stream, every stream-derived column matches the live run exactly.
-  Recovery extends the replay: a
-  :class:`~repro.telemetry.events.RollbackPerformed` carrying a request id
-  cancels that attempt's request count (retry or quarantine is the terminal
-  disposition), a :class:`~repro.telemetry.events.RequestQuarantined` *is*
-  the terminal disposition, and monitor restarts appear as boot-image
-  rollbacks with no request id.  Only boot deaths and the clone-time boot
+  scheduler attaches and reading its :meth:`~repro.fleet.scheduler.FleetTallySink.tally`.
+  Because the scheduler also routes drops, rollbacks, quarantines and
+  monitor restarts through the event stream, every stream-derived column
+  matches the live run exactly.  Only boot deaths and the clone-time boot
   retry remain live-only (they happen before any sink is attached) — the
   ``restarts`` column here counts the stream-visible restart work.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.fleet.scheduler import FleetResult, FleetTallySink, InstanceTally
 from repro.harness.report import format_simple_table
-from repro.telemetry.events import (
-    RequestEnd,
-    RequestQuarantined,
-    RollbackPerformed,
-    from_record,
-)
+from repro.telemetry.events import from_record
 from repro.telemetry.summary import iter_trace_records
 
 
 def fleet_report_from_trace(path: str) -> List[InstanceTally]:
     """Rebuild per-instance tallies from an exported fleet trace.
 
-    Records are grouped by their ``scenario`` stamp (the scheduler uses the
-    instance index as the scenario id) and each group's events replay through
-    a fresh :class:`~repro.fleet.scheduler.FleetTallySink`.  Unscoped records
+    Records are grouped by their ``scenario`` stamp (every fleet instance has
+    its own scenario id) and each group's events replay through a fresh
+    :class:`~repro.fleet.scheduler.FleetTallySink`.  Unscoped records
     (scenario ``None`` — e.g. engine-level bookkeeping) are ignored.
     """
     sinks: Dict[int, FleetTallySink] = {}
-    tallies: Dict[int, InstanceTally] = {}
+    labels: Dict[int, Tuple[str, str]] = {}
     for record in iter_trace_records(path):
         scenario = record.get("scenario")
         if not isinstance(scenario, int):
@@ -57,43 +48,11 @@ def fleet_report_from_trace(path: str) -> List[InstanceTally]:
         if scenario not in sinks:
             scope = record.get("scope") or {}
             sinks[scenario] = FleetTallySink()
-            tallies[scenario] = InstanceTally(
-                index=scenario,
-                server=str(scope.get("server", "?")),
-                policy=str(scope.get("policy", "?")),
-            )
+            labels[scenario] = (str(scope.get("server", "?")), str(scope.get("policy", "?")))
         sinks[scenario].emit(event)
-        if isinstance(event, RequestEnd) and event.kind != "__startup__":
-            tallies[scenario].requests += 1
-            if event.is_attack:
-                tallies[scenario].attack_requests += 1
-        elif isinstance(event, RollbackPerformed) and event.request_id is not None:
-            # A rolled-back attempt is not a request: the supervisor retried
-            # or quarantined it, and that terminal event carries the count.
-            tallies[scenario].requests -= 1
-            if event.is_attack:
-                tallies[scenario].attack_requests -= 1
-        elif isinstance(event, RequestQuarantined):
-            tallies[scenario].requests += 1
-            if event.is_attack:
-                tallies[scenario].attack_requests += 1
-    for scenario, sink in sinks.items():
-        tally = tallies[scenario]
-        tally.legitimate_served = sink.legitimate_served
-        tally.legitimate_failed = sink.legitimate_failed + sink.legitimate_dropped
-        tally.dropped = sink.legitimate_dropped + sink.attacks_dropped
-        tally.deadline_dropped = sink.deadline_dropped
-        tally.attacks_survived = sink.attacks_survived
-        tally.server_deaths = sink.server_deaths
-        tally.restarts = sink.boot_restarts
-        tally.rollbacks = sink.rollbacks
-        tally.quarantined = sink.quarantined
-        tally.quarantined_attacks = sink.quarantined_attacks
-        tally.snapshots = sink.snapshots
-        tally.faults_injected = sink.faults_injected
-        tally.memory_errors_logged = sink.memory_errors
-        tally.error_sites = dict(sink.error_sites)
-    return [tallies[scenario] for scenario in sorted(tallies)]
+    return [
+        sinks[scenario].tally(scenario, *labels[scenario]) for scenario in sorted(sinks)
+    ]
 
 
 def _rows(tallies: Iterable[InstanceTally]) -> List[Sequence[object]]:

@@ -31,12 +31,15 @@ budget expires) are **dropped**: the scheduler emits a synthetic
 instance's bus.  That one decision is what makes ``repro fleet report``
 exact — the live tallies and any streaming export (SQLite spills merged in
 shard order, JSONL session spills) see the *same* event stream, so counts
-re-derived from an export equal the live ones by construction.  Monitor
-restarts flow through the stream too
+re-derived from an export equal the live ones by construction (both come
+from :meth:`FleetTallySink.tally`).  Monitor restarts flow through the stream too
 (:class:`~repro.telemetry.events.RollbackPerformed` with
 ``to_boot_image=True`` and no request id); only boot failures and the
 clone-time boot retry remain live-only bookkeeping (no sink is attached
-yet when they happen).
+yet when they happen).  Under a JSONL
+:class:`~repro.telemetry.session.TelemetrySession` every fleet reserves a
+block of scenario ids, one per instance, so several fleets in one session
+(the stability table, the per-build soaks) export as distinct instances.
 
 PR 10 adds the self-healing mode: ``run_fleet(recovery=...)`` wraps every
 live instance in a
@@ -148,9 +151,16 @@ class FleetTallySink(Sink):
     * deadline drops (:data:`DEADLINE_OUTCOME`) count as drops *and* feed a
       ``deadline_dropped`` counter, so a wall-clock-budget run is
       interpretable from its export alone.
+
+    The request count follows the same terminal-disposition rule: every
+    non-startup ``RequestEnd`` (drops included) and every
+    ``RequestQuarantined`` adds one, and a ``RollbackPerformed`` with a
+    request id takes its attempt back out.
     """
 
     def __init__(self) -> None:
+        self.requests = 0
+        self.attack_requests = 0
         self.legitimate_served = 0
         self.legitimate_failed = 0
         self.attacks_survived = 0
@@ -167,10 +177,16 @@ class FleetTallySink(Sink):
         self.snapshots = 0
         self.faults_injected = 0
 
+    def _count_request(self, is_attack: bool, step: int) -> None:
+        self.requests += step
+        if is_attack:
+            self.attack_requests += step
+
     def emit(self, event: object) -> None:
         if isinstance(event, RequestEnd):
             if event.kind == "__startup__":
                 return
+            self._count_request(event.is_attack, 1)
             if event.outcome in (DROPPED_OUTCOME, DEADLINE_OUTCOME):
                 if event.outcome == DEADLINE_OUTCOME:
                     self.deadline_dropped += 1
@@ -197,12 +213,15 @@ class FleetTallySink(Sink):
                 self.boot_restarts += 1
             else:
                 self.rollbacks += 1
-            if event.request_id is not None and not event.is_attack:
-                # Cancel the rolled-back attempt's failure: its RequestEnd
-                # already counted legitimate_failed, but retry/quarantine is
-                # the terminal disposition for this request.
-                self.legitimate_failed -= 1
+            if event.request_id is not None:
+                # A rolled-back attempt is not a request, and a legitimate
+                # one's failure is cancelled: its RequestEnd already counted
+                # both, but retry/quarantine is the terminal disposition.
+                self._count_request(event.is_attack, -1)
+                if not event.is_attack:
+                    self.legitimate_failed -= 1
         elif isinstance(event, RequestQuarantined):
+            self._count_request(event.is_attack, 1)
             if event.is_attack:
                 self.quarantined_attacks += 1
             else:
@@ -211,6 +230,35 @@ class FleetTallySink(Sink):
             self.snapshots += 1
         elif isinstance(event, FaultInjected):
             self.faults_injected += 1
+
+    def tally(self, index: int, server: str, policy: str) -> "InstanceTally":
+        """The stream-derived :class:`InstanceTally` of one instance.
+
+        ``boot_deaths`` is left at zero and ``restarts`` counts only the
+        stream's boot-image rollbacks; the scheduler adds its live-only
+        bookkeeping on top.
+        """
+        return InstanceTally(
+            index=index,
+            server=server,
+            policy=policy,
+            requests=self.requests,
+            attack_requests=self.attack_requests,
+            legitimate_served=self.legitimate_served,
+            legitimate_failed=self.legitimate_failed + self.legitimate_dropped,
+            dropped=self.legitimate_dropped + self.attacks_dropped,
+            deadline_dropped=self.deadline_dropped,
+            attacks_survived=self.attacks_survived,
+            server_deaths=self.server_deaths,
+            restarts=self.boot_restarts,
+            rollbacks=self.rollbacks,
+            quarantined=self.quarantined,
+            quarantined_attacks=self.quarantined_attacks,
+            snapshots=self.snapshots,
+            faults_injected=self.faults_injected,
+            memory_errors_logged=self.memory_errors,
+            error_sites=dict(self.error_sites),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +325,9 @@ class FleetInstance:
 def expand_instances(specs: Sequence[InstanceSpec]) -> List[FleetInstance]:
     """Expand spec lines into concrete instances, indexed in spec order.
 
-    The index doubles as the instance's scenario id in telemetry exports, so
-    spec order is the export order.
+    The index is the instance's scenario id in SQLite exports (offset by the
+    fleet's reserved block in a JSONL session), so spec order is the export
+    order.
     """
     if not specs:
         raise ValueError("a fleet needs at least one InstanceSpec")
@@ -310,9 +359,10 @@ def expand_instances(specs: Sequence[InstanceSpec]) -> List[FleetInstance]:
 class InstanceTally:
     """Per-instance counts (the rows of ``repro fleet report``).
 
-    All fields except ``boot_deaths`` and ``restarts`` are derived from the
-    instance's event stream, so an export re-derives them exactly; the two
-    live-only fields track monitor work no request event can carry.
+    Every count comes from the instance's event stream
+    (:meth:`FleetTallySink.tally`), so an export re-derives it exactly,
+    except ``boot_deaths`` and the clone-time boot retry in ``restarts``:
+    the scheduler tracks those live.
     """
 
     index: int
@@ -504,6 +554,10 @@ class _FleetRun:
     fault_rate: float = 0.0
     fault_every: Optional[int] = None
     fault_kinds: Tuple[str, ...] = FAULT_KINDS
+    #: First of the scenario ids reserved for this fleet's instances in the
+    #: active telemetry session (instance *i* stamps ``scenario_base + i``);
+    #: None when no session is active.
+    scenario_base: Optional[int] = None
 
     @property
     def inject_faults(self) -> bool:
@@ -623,11 +677,11 @@ def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
     sinks: Dict[int, FleetTallySink] = {}
     supervisors: Dict[int, RecoverySupervisor] = {}
     boot_deaths: Dict[int, int] = {}
-    restarts: Dict[int, int] = {}
+    boot_retries: Dict[int, int] = {}
     for instance in instances:
         server = run.build_clone(instance)
         boot_deaths[instance.index] = 0
-        restarts[instance.index] = 0
+        boot_retries[instance.index] = 0
         if not server.alive:
             # Fatal boot image (Pine/Mutt style persistent triggers): the
             # failed boot is a death, the monitor retries once up front, and
@@ -635,7 +689,7 @@ def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
             boot_deaths[instance.index] += 1
             if run.restart_on_death:
                 server.restart()
-                restarts[instance.index] += 1
+                boot_retries[instance.index] += 1
                 if not server.alive:
                     boot_deaths[instance.index] += 1
         sinks[instance.index] = server.add_telemetry_sink(FleetTallySink())
@@ -663,11 +717,7 @@ def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
             )
         servers[instance.index] = server
 
-    session = current_session()
-    if session is not None and session.scenario_id is not None:
-        # Inside an engine scenario (e.g. a ``stability`` spec) every event
-        # keeps that scenario's id; only a top-level fleet stamps instances.
-        session = None
+    session = current_session() if run.scenario_base is not None else None
     deadline_hit = False
 
     def dispatch(server: Server, fleet_request: FleetRequest) -> None:
@@ -691,10 +741,9 @@ def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
         if not server.alive:
             if run.restart_on_death:
                 server.restart()
-                restarts[fleet_request.instance] += 1
-                # Monitor restarts also flow through the event stream (boot
+                # Monitor restarts flow through the event stream (boot
                 # retries at clone time stay live-only: no sink is attached
-                # yet), so exports can count restart work.
+                # yet), so the sink and exports count restart work.
                 server.ctx.bus.emit(RollbackPerformed(
                     snapshot_index=0, request_id=None, to_boot_image=True,
                 ))
@@ -720,10 +769,10 @@ def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
             end += 1
         server = servers[instance_index]
         if session is not None:
-            # Stamp each instance's events with its index as the scenario id,
-            # so JSONL session exports merge in instance order like the
-            # engine's scenarios do.
-            with session.scenario_scope(instance_index):
+            # Stamp each instance's events with its reserved scenario id, so
+            # JSONL session exports merge in instance order and several
+            # fleets in one session never share an id.
+            with session.scenario_scope(run.scenario_base + instance_index):
                 for offset in range(position, end):
                     dispatch(server, timeline[offset])
         else:
@@ -733,40 +782,11 @@ def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
 
     tallies: List[InstanceTally] = []
     for instance in instances:
-        server = servers[instance.index]
-        server.stop()
-        sink = sinks[instance.index]
-        instance_requests = [
-            fr for fr in timeline if fr.instance == instance.index
-        ]
-        supervisor = supervisors.get(instance.index)
-        tallies.append(
-            InstanceTally(
-                index=instance.index,
-                server=instance.server,
-                policy=instance.policy,
-                requests=len(instance_requests),
-                attack_requests=sum(
-                    1 for fr in instance_requests if fr.request.is_attack
-                ),
-                legitimate_served=sink.legitimate_served,
-                legitimate_failed=sink.legitimate_failed + sink.legitimate_dropped,
-                dropped=sink.legitimate_dropped + sink.attacks_dropped,
-                deadline_dropped=sink.deadline_dropped,
-                attacks_survived=sink.attacks_survived,
-                server_deaths=sink.server_deaths,
-                boot_deaths=boot_deaths[instance.index],
-                restarts=restarts[instance.index]
-                + (supervisor.boot_restarts if supervisor is not None else 0),
-                rollbacks=sink.rollbacks,
-                quarantined=sink.quarantined,
-                quarantined_attacks=sink.quarantined_attacks,
-                snapshots=sink.snapshots,
-                faults_injected=sink.faults_injected,
-                memory_errors_logged=sink.memory_errors,
-                error_sites=dict(sink.error_sites),
-            )
-        )
+        servers[instance.index].stop()
+        tally = sinks[instance.index].tally(instance.index, instance.server, instance.policy)
+        tally.boot_deaths = boot_deaths[instance.index]
+        tally.restarts += boot_retries[instance.index]
+        tallies.append(tally)
     stats.flush()
     if sqlite_sink is not None:
         sqlite_sink.close()
@@ -841,6 +861,10 @@ def run_fleet(
         history_limit, allow_unbounded=allow_unbounded_history, harness="run_fleet"
     )
     instances = expand_instances(specs)
+    session = current_session()
+    # Reserved in the parent, before any fork: every worker stamps the same
+    # ids, and a later fleet in the same session continues past this block.
+    scenario_base = session.reserve_scenarios(len(instances)) if session is not None else None
     model = TrafficModel(
         [
             InstanceTraffic(
@@ -920,6 +944,7 @@ def run_fleet(
         fault_rate=fault_rate,
         fault_every=fault_every,
         fault_kinds=tuple(fault_kinds),
+        scenario_base=scenario_base,
     )
 
     count = 0 if workers is None else int(workers)

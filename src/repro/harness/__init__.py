@@ -5,8 +5,6 @@
   :class:`~repro.servers.profile.ServerProfile`\\ s.
 * :mod:`repro.harness.timing` — request-time measurement (means, standard
   deviations, slowdowns) in the style of Figures 2-6.
-* :mod:`repro.harness.runner` — backwards-compatible shims over the engine
-  (``run_performance_figure``, ``run_attack_scenario``, ...).
 * :mod:`repro.harness.throughput` — the Apache throughput-under-attack
   experiment (§4.3.2).
 * :mod:`repro.harness.stability` — long mixed-workload runs with periodic
@@ -27,12 +25,6 @@ from repro.harness.engine import (
     ScenarioSpec,
     SecurityCell,
 )
-from repro.harness.runner import (
-    build_server,
-    run_attack_scenario,
-    run_performance_figure,
-    run_security_matrix,
-)
 from repro.harness.report import format_figure_table, format_security_matrix
 from repro.harness.throughput import ThroughputResult, run_throughput_experiment
 from repro.harness.stability import run_stability_experiment
@@ -48,10 +40,6 @@ __all__ = [
     "ScenarioResult",
     "FigureRow",
     "SecurityCell",
-    "build_server",
-    "run_attack_scenario",
-    "run_performance_figure",
-    "run_security_matrix",
     "format_figure_table",
     "format_security_matrix",
     "ThroughputResult",

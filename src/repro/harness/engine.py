@@ -14,21 +14,17 @@ every workload shape against any profile:
     The security/resilience scenario of §4.2.2-§4.6.2: boot with the
     documented error trigger planted, deliver the attack, then check that
     legitimate follow-up requests are still served.
-``stability``
-    A long mixed workload with periodic attack injection (§4.x.4), served
-    by a one-instance fleet (see :mod:`repro.harness.stability`).
-``throughput``
-    The Apache-style throughput-under-attack experiment (§4.3.2).
-``soak``
-    A restart-heavy sharded soak: the same stream recipe split into
-    ``shards`` contiguous chunks, one fleet instance (a clone of one
-    post-boot process image) per chunk, fanned over the fork pool.
+
+The long-stream experiments are not engine shapes: the stability runs and
+the sharded soak call
+:func:`~repro.harness.stability.run_stability_experiment`, and §4.3.2's
+throughput under attack calls
+:func:`~repro.harness.throughput.run_throughput_experiment`.
 
 New servers participate in every shape by registering a profile (zero engine
 edits); new workload shapes plug in with
 :meth:`ExperimentEngine.register_workload`.  The module-level :data:`ENGINE`
-is the default engine used by the shims in :mod:`repro.harness.runner` and by
-the experiment registry.
+is the default engine used by the experiment registry.
 """
 
 from __future__ import annotations
@@ -95,9 +91,7 @@ class ScenarioSpec:
     Only ``server`` is mandatory.  The defaults are those of the performance
     figures (full-size workload, twenty repetitions, Standard vs Failure
     Oblivious); the attack-shaped experiments conventionally pass
-    ``scale=0.25`` as the shims in :mod:`repro.harness.runner` do.  ``params``
-    carries workload-specific knobs (e.g. ``total_requests`` for the
-    stability shape) so new workload shapes do not require new spec fields.
+    ``scale=0.25``.
     """
 
     #: Registered profile name (e.g. ``"pine"``).
@@ -116,8 +110,6 @@ class ScenarioSpec:
     repetitions: int = 20
     #: Extra configuration merged over the profile's benchmark configuration.
     config: Optional[Mapping[str, object]] = None
-    #: Workload-specific keyword arguments.
-    params: Mapping[str, object] = field(default_factory=dict)
 
     def with_(self, **changes: object) -> "ScenarioSpec":
         """A copy of the spec with the given fields replaced."""
@@ -236,9 +228,6 @@ class ExperimentEngine:
         self._workloads: Dict[str, WorkloadRunner] = {
             "performance": ExperimentEngine._run_performance,
             "attack": ExperimentEngine._run_attack,
-            "stability": ExperimentEngine._run_stability,
-            "throughput": ExperimentEngine._run_throughput,
-            "soak": ExperimentEngine._run_soak,
         }
 
     # -- registry access -----------------------------------------------------------
@@ -468,38 +457,6 @@ class ExperimentEngine:
             attack=attack,
             follow_ups=follow_ups,
         )
-
-    def _run_stability(self, spec: ScenarioSpec) -> object:
-        """Long mixed workload with periodic attacks (§4.x.4)."""
-        from repro.harness.stability import run_stability_experiment
-
-        return run_stability_experiment(
-            spec.server, spec.policy, scale=spec.scale, config=spec.config,
-            **dict(spec.params)
-        )
-
-    def _run_soak(self, spec: ScenarioSpec) -> object:
-        """Sharded in-scenario soak: the stability run split over ``shards``
-        cloned instances, serially or over the fork pool
-        (``params["workers"]``), with identical tallies either way.
-        """
-        defaults = {"total_requests": 400, "attack_every": 10, "shards": 8}
-        return self._run_stability(spec.with_(params={**defaults, **spec.params}))
-
-    def _run_throughput(self, spec: ScenarioSpec) -> object:
-        """Throughput of legitimate requests while under attack (§4.3.2).
-
-        This shape is tied to Apache's pre-fork child pool, so it refuses any
-        other server rather than silently mislabelling Apache numbers.
-        """
-        from repro.harness.throughput import run_throughput_experiment
-
-        if spec.server != "apache":
-            raise ValueError(
-                f"the throughput workload models Apache's pre-fork child pool "
-                f"and cannot run against {spec.server!r}"
-            )
-        return run_throughput_experiment(policies=(spec.policy,), **dict(spec.params))
 
     # -- sweeps --------------------------------------------------------------------
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 from repro.errors import RequestOutcome
-from repro.harness.runner import FigureRow, SecurityCell, FIGURE_NUMBERS
+from repro.harness.engine import FigureRow, SecurityCell
+from repro.servers.profile import PROFILES
 from repro.telemetry.summary import TraceSummary
 
 
@@ -34,8 +35,9 @@ def format_figure_table(rows: Sequence[FigureRow], title: str = "") -> str:
     if not rows:
         return "(no rows)"
     server = rows[0].server
+    figure_number = getattr(PROFILES.get(server), "figure_number", None) or "?"
     heading = title or (
-        f"Figure {FIGURE_NUMBERS.get(server, '?')}: Request Processing Times for "
+        f"Figure {figure_number}: Request Processing Times for "
         f"{server} (reproduction)"
     )
     lines = [heading, ""]

@@ -243,11 +243,9 @@ class ChildProcessPool:
     Like the real pre-fork MPM, the pool boots *one* template process and
     forks every worker from it: the first child runs ``startup()`` and its
     post-boot :class:`~repro.servers.base.ProcessImage` seeds all siblings
-    and every replacement child (``use_checkpoints=False`` restores the
-    boot-every-child behaviour, kept for the restart benchmark's baseline).
-    A cloned child is observably identical to a booted one — the restart
-    equivalence suite proves it — but costs a memory restore instead of a
-    full configuration parse.
+    and every replacement child.  A cloned child is observably identical to
+    a booted one — the restart equivalence suite proves it — but costs a
+    memory restore instead of a full configuration parse.
     """
 
     def __init__(
@@ -255,12 +253,10 @@ class ChildProcessPool:
         policy_factory: Callable[[], AccessPolicy],
         pool_size: int = 4,
         config: Optional[Dict[str, object]] = None,
-        use_checkpoints: bool = True,
     ) -> None:
         self.policy_factory = policy_factory
         self.pool_size = pool_size
         self.config = dict(config or {})
-        self.use_checkpoints = use_checkpoints
         self.children: List[ApacheServer] = []
         self.child_deaths = 0
         self.restart_seconds = 0.0
@@ -275,11 +271,7 @@ class ChildProcessPool:
 
     def _fork_child(self) -> ApacheServer:
         child = ApacheServer(self.policy_factory, config=self.config)
-        if not self.use_checkpoints:
-            # Pre-checkpoint cost model: boot every child, capture nothing.
-            child.checkpoint_restarts = False
-            child.start()
-        elif self._template_image is None:
+        if self._template_image is None:
             child.start()
             image = child.boot_image
             shared_ctx = self._image_store.share_image(image.ctx)

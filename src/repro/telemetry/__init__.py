@@ -58,7 +58,6 @@ from repro.telemetry.summary import (
     iter_records,
     iter_trace_records,
     request_traces,
-    summarize_jsonl,
     summarize_records,
     summarize_trace,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "iter_records",
     "iter_trace_records",
     "request_traces",
-    "summarize_jsonl",
     "summarize_records",
     "summarize_trace",
 ]

@@ -13,7 +13,6 @@ file ``repro trace`` consumes.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
 import tempfile
@@ -49,7 +48,7 @@ class TelemetrySession:
         os.makedirs(self.directory, exist_ok=True)
         self._files: Dict[int, IO[str]] = {}
         self._scenario_id: Optional[int] = None
-        self._next_scenario = itertools.count()
+        self._next_scenario = 0
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -101,9 +100,19 @@ class TelemetrySession:
         ids are globally consistent across pool workers; direct ``run`` calls
         draw from this process's counter.
         """
-        sid = scenario_id if scenario_id is not None else next(self._next_scenario)
+        sid = scenario_id if scenario_id is not None else self.reserve_scenarios(1)
         self._scenario_id = sid
         return sid
+
+    def reserve_scenarios(self, count: int) -> int:
+        """Take ``count`` consecutive ids from the counter; returns the first.
+
+        A fleet reserves one id per instance before it forks, so its workers
+        stamp ids no other run in this session uses.
+        """
+        base = self._next_scenario
+        self._next_scenario += count
+        return base
 
     def end_scenario(self) -> None:
         """Stop stamping events with the current scenario id."""
@@ -121,7 +130,7 @@ class TelemetrySession:
 
         Unlike :meth:`begin_scenario`/:meth:`end_scenario` (which clear the
         stamp), this nests: a sub-scope — a fleet stamping each instance
-        with its index — restores the previous stamp for the events that
+        with its reserved id — restores the previous stamp for the events that
         follow.
         """
         previous = self._scenario_id

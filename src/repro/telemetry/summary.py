@@ -225,10 +225,6 @@ def summarize_trace(
     )
 
 
-#: Backwards-compatible name (pre-SQLite callers); sniffs the format too.
-summarize_jsonl = summarize_trace
-
-
 def request_traces(records: Iterable[Dict[str, object]]) -> List[Dict[str, object]]:
     """Group access-level events under their request (trace) ids.
 

@@ -113,6 +113,9 @@ class TestRegistryRoundTrip:
 
 
 class TestEngineDispatch:
+    def test_engine_shapes_are_performance_and_attack(self):
+        assert ENGINE.workload_names() == ["attack", "performance"]
+
     def test_unknown_workload_rejected(self):
         with pytest.raises(KeyError, match="performance"):
             ENGINE.run(ScenarioSpec(server="pine", workload="chaos"))
@@ -189,23 +192,6 @@ class TestToySixthServer:
         assert cells[0].server == toy_profile.name
         assert cells[0].continued_service
 
-    def test_stability_workload(self, toy_profile):
-        result = ENGINE.run(
-            ScenarioSpec(server=toy_profile.name, workload="stability", scale=0.5,
-                         params={"total_requests": 12, "attack_every": 4})
-        ).instances[0]
-        assert result.flawless
-        assert result.attacks_survived == result.attack_requests
-
-    def test_old_entry_points_see_the_plugin_too(self, toy_profile):
-        # The deprecation shims route through the same registry.
-        from repro.harness.runner import build_server, run_attack_scenario
-
-        server = build_server(toy_profile.name, "failure-oblivious")
-        assert not server.start().fatal
-        scenario = run_attack_scenario(toy_profile.name, "failure-oblivious")
-        assert scenario.continued_service
-
 
 class TestServerStop:
     def test_stop_refuses_further_requests_but_keeps_introspection(self):
@@ -219,9 +205,12 @@ class TestServerStop:
 
     def test_stability_shim_matches_direct_call(self, toy_profile):
         direct = run_stability_experiment(
-            toy_profile.name, "failure-oblivious", total_requests=8, attack_every=4
+            toy_profile.name, "failure-oblivious", total_requests=12, attack_every=4,
+            scale=0.5,
         ).instances[0]
         assert direct.flawless
+        assert direct.attack_requests > 0
+        assert direct.attacks_survived == direct.attack_requests
 
 
 class TestRunMany:

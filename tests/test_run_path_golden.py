@@ -25,11 +25,9 @@ import pytest
 
 from repro.core.policies import POLICY_NAMES
 from repro.fleet.scheduler import InstanceSpec, InstanceTally, run_fleet
-from repro.harness.engine import ENGINE, ScenarioSpec
 from repro.harness.stability import run_stability_experiment
 from repro.servers.base import Request
 from repro.servers.profile import PROFILES
-from repro.telemetry.session import TelemetrySession
 
 with open(os.path.join(os.path.dirname(__file__), "data", "run_path_golden.json"),
           encoding="utf-8") as _handle:
@@ -126,18 +124,3 @@ def test_fragile_accounting_matches_golden(fragile_profile, case, kinds):
     result = run_fleet([InstanceSpec(fragile_profile.name, "standard", requests=requests)])
     assert stability_fields(result.instances[0]) == GOLDEN["fragile"][case]
 
-
-def test_engine_stability_keeps_its_scenario_id(tmp_path):
-    """A fleet run inside an engine scenario exports its request events
-    under that scenario's id, not under the instance index."""
-    out = os.path.join(tmp_path, "stability.jsonl")
-    spec = ScenarioSpec(server="apache", policy="bounds-check", workload="stability",
-                        scale=0.1, params={"total_requests": 20, "attack_every": 5})
-    with TelemetrySession(directory=os.path.join(tmp_path, "spill")) as session:
-        ENGINE.run(spec, scenario_id=7)
-        session.merge(out)
-    with open(out, encoding="utf-8") as handle:
-        records = [json.loads(line) for line in handle]
-    request_ends = [r for r in records if r.get("event") == "request-end"]
-    assert len(request_ends) >= 20
-    assert {r.get("scenario") for r in request_ends} == {7}

@@ -16,15 +16,16 @@ import os
 
 import pytest
 
+from repro.fleet.report import fleet_report_from_trace
 from repro.fleet.scheduler import FleetResult, split_contiguous
-from repro.harness.engine import ENGINE, ScenarioSpec
+from repro.harness.experiments import run_experiment
 from repro.harness.stability import run_stability_experiment
 from repro.servers.apache import PROFILE as APACHE_PROFILE
 from repro.servers.apache import ApacheServer
 from repro.servers.base import Request
 from repro.servers.profile import register_profile, unregister_profile
 from repro.telemetry.session import TelemetrySession
-from repro.telemetry.summary import summarize_jsonl
+from repro.telemetry.summary import summarize_trace
 
 
 class TestSplitStream:
@@ -114,15 +115,6 @@ class TestShardedSoak:
         assert result.restarts == result.shard_count + result.total_requests
         assert result.legitimate_failed == result.legitimate_requests
 
-    def test_engine_workload_dispatch(self):
-        spec = ScenarioSpec(server="apache", policy="bounds-check", workload="soak",
-                            params={"total_requests": 30, "attack_every": 3,
-                                    "shards": 2, "workers": 0, "seed": 7})
-        result = ENGINE.run(spec)
-        assert isinstance(result, FleetResult)
-        assert result.total_requests == 30
-        assert result.shard_count == 2
-
     def test_throughput_is_reported(self):
         result = soak("apache", "bounds-check")
         assert result.requests_per_sec > 0
@@ -155,7 +147,7 @@ class TestSoakTelemetry:
             with open(out, "r", encoding="utf-8") as handle:
                 for line in handle:
                     scenario_ids.add(json.loads(line).get("scenario"))
-            summary = summarize_jsonl(out)
+            summary = summarize_trace(out)
             summaries[label] = (
                 summary.by_type,
                 summary.counters.invalid_total,
@@ -182,3 +174,36 @@ class TestSoakTelemetry:
         shard_ids = [sid for sid in scenario_of_request_start if sid >= 0]
         assert shard_ids == sorted(shard_ids)
         assert set(shard_ids) == {0, 1, 2, 3}
+
+
+def _stream_fields(tally):
+    """Every tally field an export re-derives (the index aside)."""
+    fields = tally.as_dict()
+    for live_only in ("index", "boot_deaths", "restarts"):
+        del fields[live_only]
+    return fields
+
+
+class TestMultiFleetExport:
+    """Several fleets in one session export as distinct instances: each fleet
+    reserves its own block of scenario ids."""
+
+    def _export(self, tmp_path, experiment_id, **kwargs):
+        out = os.path.join(tmp_path, f"{experiment_id}.jsonl")
+        with TelemetrySession(directory=os.path.join(tmp_path, "spill")) as session:
+            output = run_experiment(experiment_id, **kwargs)
+            session.merge(out)
+        return output, fleet_report_from_trace(out)
+
+    def test_soak_export_reports_every_build_separately(self, tmp_path):
+        output, reported = self._export(tmp_path, "exp-soak", total_requests=48, shards=4)
+        live = [tally for result in output.data.values() for tally in result.instances]
+        assert len(live) == len(reported) == 12
+        assert [_stream_fields(t) for t in reported] == [_stream_fields(t) for t in live]
+        assert [t.index for t in reported] == list(range(12))
+
+    def test_stability_export_reports_every_server_separately(self, tmp_path):
+        output, reported = self._export(tmp_path, "exp-stability", total_requests=20)
+        live = list(output.data.values())
+        assert [t.server for t in reported] == sorted(output.data)
+        assert [_stream_fields(t) for t in reported] == [_stream_fields(t) for t in live]

@@ -26,7 +26,7 @@ from repro.telemetry import (
     event_name,
     from_record,
     iter_records,
-    summarize_jsonl,
+    summarize_trace,
     to_record,
 )
 
@@ -183,7 +183,7 @@ class TestSessionSpillMerge:
         """Acceptance: a --workers > 1 export re-summarizes identically."""
         serial = self._export(tmp_path, "serial", workers=None)
         forked = self._export(tmp_path, "forked", workers=2)
-        assert summarize_jsonl(str(serial)) == summarize_jsonl(str(forked))
+        assert summarize_trace(str(serial)) == summarize_trace(str(forked))
 
     def test_merge_orders_events_by_scenario(self, tmp_path):
         out = self._export(tmp_path, "ordered", workers=2)

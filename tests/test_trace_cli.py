@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.telemetry.summary import iter_records, summarize_jsonl
+from repro.telemetry.summary import iter_records, summarize_trace
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ class TestExport:
 
     def test_offline_summary_matches_export_counts(self, exported_figure, capsys):
         """Acceptance: re-summarizing the export reproduces its aggregate counts."""
-        summary = summarize_jsonl(str(exported_figure))
+        summary = summarize_trace(str(exported_figure))
         assert summary.total_events == len(list(iter_records(str(exported_figure))))
         assert main(["trace", "summary", str(exported_figure)]) == 0
         out = capsys.readouterr().out
@@ -41,7 +41,7 @@ class TestExport:
         code = main(["trace", "export", "fig6", "--repetitions", "2",
                      "--scale", "0.1", "--workers", "2", "--out", str(out)])
         assert code == 0
-        assert summarize_jsonl(str(out)) == summarize_jsonl(str(exported_figure))
+        assert summarize_trace(str(out)) == summarize_trace(str(exported_figure))
 
     def test_unknown_experiment_is_an_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -50,8 +50,8 @@ class TestExport:
 
 class TestSummaryFilters:
     def test_server_filter_keeps_scoped_events_only(self, exported_figure):
-        everything = summarize_jsonl(str(exported_figure))
-        mutt_only = summarize_jsonl(str(exported_figure), server="mutt")
+        everything = summarize_trace(str(exported_figure))
+        mutt_only = summarize_trace(str(exported_figure), server="mutt")
         assert mutt_only.total_events > 0
         assert set(mutt_only.servers) == {"mutt"}
         assert mutt_only.total_events <= everything.total_events
@@ -60,12 +60,12 @@ class TestSummaryFilters:
         records = list(iter_records(str(exported_figure)))
         request_kinds = {r["kind"] for r in records if r["event"] == "request-end"}
         kind = next(k for k in request_kinds if k != "__startup__")
-        filtered = summarize_jsonl(str(exported_figure), kind=kind)
+        filtered = summarize_trace(str(exported_figure), kind=kind)
         assert filtered.total_events > 0
         assert set(filtered.by_type) <= {"request-start", "request-end"}
 
     def test_policy_filter(self, exported_figure):
-        standard = summarize_jsonl(str(exported_figure), policy="standard")
+        standard = summarize_trace(str(exported_figure), policy="standard")
         assert set(standard.policies) == {"standard"}
 
 
@@ -83,5 +83,5 @@ class TestFilterCommand:
         subset = tmp_path / "subset.jsonl"
         assert main(["trace", "filter", str(exported_figure),
                      "--server", "mutt", "--out", str(subset)]) == 0
-        direct = summarize_jsonl(str(exported_figure), server="mutt")
-        assert summarize_jsonl(str(subset)) == direct
+        direct = summarize_trace(str(exported_figure), server="mutt")
+        assert summarize_trace(str(subset)) == direct
