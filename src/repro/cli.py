@@ -28,23 +28,22 @@ Compile and run a mini-C source file under any build (the paper's
     python -m repro minic run prog.c --call main --trace minic.jsonl
 
 Export a run's telemetry stream as JSONL and query it offline (``summary``
-and ``filter`` accept SQLite exports from ``repro fleet run`` too — the
-format is sniffed)::
+and ``filter`` read any export, including ``repro fleet run --trace``)::
 
     python -m repro trace export tab-security --out matrix.jsonl --workers 4
     python -m repro trace summary matrix.jsonl --server pine
     python -m repro trace filter matrix.jsonl --site quote --out pine-quote.jsonl
-    python -m repro trace summary fleet.sqlite --policy failure-oblivious
+    python -m repro trace summary fleet.jsonl --policy failure-oblivious
 
 Soak a whole fleet — many server instances (any mix of profiles x builds)
 cloned from checkpoint images under seeded arrival processes — and rebuild
-the per-instance availability table from the streamed SQLite telemetry
+the per-instance availability table from the exported JSONL telemetry
 (``exp-stability`` and ``exp-soak`` run on the same scheduler: one server's
 stream served by one instance, or split across several)::
 
     python -m repro fleet run -i apache:failure-oblivious:4 -i pine:bounds-check \\
-        --requests 100000 --workers 8 --sqlite-out fleet.sqlite
-    python -m repro fleet report fleet.sqlite
+        --requests 100000 --workers 8 --trace fleet.jsonl
+    python -m repro fleet report fleet.jsonl
 
 Self-healing mode: supervise every instance with incremental snapshots and
 rollback recovery, optionally under seeded fault injection::
@@ -64,10 +63,11 @@ error counts from an exported trace)::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.policies import POLICY_NAMES
 from repro.fleet.scheduler import InstanceSpec, run_fleet
@@ -78,7 +78,7 @@ from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.report import format_trace_summary
 from repro.servers.profile import iter_profiles
 from repro.telemetry.session import TelemetrySession
-from repro.telemetry.summary import filter_records, iter_trace_records, summarize_trace
+from repro.telemetry.summary import filter_records, iter_records, summarize_trace
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -202,12 +202,11 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet_run_parser.add_argument("--unbounded-history", action="store_true",
                                   help="explicitly allow an unbounded "
                                        "per-request history (refused otherwise)")
-    fleet_run_parser.add_argument("--sqlite-out", default=None,
-                                  help="stream telemetry to this SQLite database "
-                                       "(readable by `repro fleet report` and "
-                                       "`repro trace summary`)")
-    fleet_run_parser.add_argument("--stats-every", type=int, default=10_000,
-                                  help="requests between live stats snapshots")
+    fleet_run_parser.add_argument("--trace", default=None, metavar="OUT",
+                                  help="export the run's telemetry event stream "
+                                       "as JSONL to this path (readable by "
+                                       "`repro fleet report` and `repro trace "
+                                       "summary`)")
     fleet_run_parser.add_argument("--max-seconds", type=float, default=None,
                                   help="wall-clock budget; remaining requests "
                                        "are dropped once exceeded")
@@ -235,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "report", help="rebuild the per-instance table from an exported trace"
     )
     fleet_report_parser.add_argument(
-        "file", help="SQLite (or JSONL) trace from a fleet run"
+        "file", help="JSONL trace from `repro fleet run --trace`"
     )
 
     forensics_parser = subparsers.add_parser(
@@ -268,12 +267,12 @@ def _build_parser() -> argparse.ArgumentParser:
     diff_parser.add_argument("snapshot_a", help="earlier snapshot file")
     diff_parser.add_argument("snapshot_b", help="later snapshot file")
     diff_parser.add_argument("--trace", default=None,
-                             help="trace export (JSONL or SQLite); joins "
+                             help="JSONL trace export; joins "
                                   "per-site memory-error counts to the diff")
 
     def add_trace_filters(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("file", help="trace produced by `repro trace export` "
-                                         "(JSONL) or `repro fleet run` (SQLite)")
+        parser.add_argument("file", help="JSONL trace produced by `repro trace "
+                                         "export` or a `--trace` option")
         parser.add_argument("--server", default=None, help="only events from this server")
         parser.add_argument("--policy", default=None, help="only events from this build")
         parser.add_argument("--site", default=None,
@@ -293,6 +292,28 @@ def _build_parser() -> argparse.ArgumentParser:
     filter_parser.add_argument("--out", default="-",
                                help="output JSONL path ('-' for stdout, the default)")
     return parser
+
+
+@contextlib.contextmanager
+def _exported_to(path: Optional[str]) -> Iterator[None]:
+    """Run the block under a :class:`TelemetrySession` merged to ``path``.
+
+    A no-op when ``path`` is None.  The export is written even if the block
+    raises, so a run that dies can still be debugged from its trace.
+    """
+    if path is None:
+        yield
+        return
+    session = TelemetrySession()
+    try:
+        try:
+            with session:
+                yield
+        finally:
+            written = session.merge(path)
+            print(f"exported {written} event(s) to {path}", file=sys.stderr)
+    finally:
+        session.cleanup()
 
 
 def _command_list() -> int:
@@ -401,30 +422,18 @@ def _command_minic_run(args: argparse.Namespace) -> int:
         return 2
 
     call_args = [_parse_minic_arg(text) for text in args.arg]
-    session = TelemetrySession() if args.trace else None
     site = f"{os.path.basename(args.file)}:{args.call}"
     fault: Optional[BaseException] = None
     result = None
-    try:
-        if session is not None:
-            session.__enter__()
+    with _exported_to(args.trace):
+        instance = program.instantiate(POLICY_NAMES[args.policy]())
+        instance.ctx.set_site(site)
         try:
-            instance = program.instantiate(POLICY_NAMES[args.policy]())
-            instance.ctx.set_site(site)
-            try:
-                result = instance.call(args.call, *call_args)
-            except (MemoryFault, MiniCError) as error:
-                fault = error
-            finally:
-                instance.ctx.set_site("")
+            result = instance.call(args.call, *call_args)
+        except (MemoryFault, MiniCError) as error:
+            fault = error
         finally:
-            if session is not None:
-                session.__exit__(None, None, None)
-                written = session.merge(args.trace)
-                print(f"exported {written} event(s) to {args.trace}", file=sys.stderr)
-    finally:
-        if session is not None:
-            session.cleanup()
+            instance.ctx.set_site("")
 
     print(f"source            : {args.file}")
     print(f"build             : {args.policy}")
@@ -514,31 +523,26 @@ def _command_fleet_run(args: argparse.Namespace) -> int:
             kind.strip() for kind in args.fault_kinds.split(",") if kind.strip()
         )
     try:
-        result = run_fleet(
-            specs,
-            total_requests=args.requests,
-            seed=args.seed,
-            workers=args.workers,
-            shards=args.shards,
-            scale=args.scale,
-            history_limit=history_limit,
-            allow_unbounded_history=args.unbounded_history,
-            sqlite_path=args.sqlite_out,
-            stats_every=args.stats_every,
-            max_seconds=args.max_seconds,
-            recovery=recovery,
-            fault_rate=args.fault_rate,
-            fault_every=args.fault_every,
-            fault_kinds=fault_kinds,
-        )
+        with _exported_to(args.trace):
+            result = run_fleet(
+                specs,
+                total_requests=args.requests,
+                seed=args.seed,
+                workers=args.workers,
+                shards=args.shards,
+                scale=args.scale,
+                history_limit=history_limit,
+                allow_unbounded_history=args.unbounded_history,
+                max_seconds=args.max_seconds,
+                recovery=recovery,
+                fault_rate=args.fault_rate,
+                fault_every=args.fault_every,
+                fault_kinds=fault_kinds,
+            )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     print(format_fleet_table(result))
-    if result.stats.snapshots:
-        print(f"stats: {len(result.stats.snapshots)} snapshot(s), "
-              f"{result.stats.requests_seen} requests / "
-              f"{result.stats.events_seen} events seen")
     return 0
 
 
@@ -566,7 +570,7 @@ def _trace_site_counts(path: str) -> Dict[str, int]:
     from repro.telemetry.events import RequestEnd, from_record
 
     counts: Dict[str, int] = {}
-    for record in iter_trace_records(path):
+    for record in iter_records(path):
         try:
             event = from_record(record)
         except (ValueError, KeyError, TypeError):
@@ -589,41 +593,29 @@ def _command_forensics_capture(args: argparse.Namespace) -> int:
     if profile.attack_request is None:
         print(f"error: {args.server} has no documented attack", file=sys.stderr)
         return 2
-    session = TelemetrySession() if args.trace else None
-    try:
-        if session is not None:
-            session.__enter__()
-        try:
-            server = ENGINE.build_server(
-                args.server, args.policy, plant_attack=True, scale=args.scale
+    with _exported_to(args.trace):
+        server = ENGINE.build_server(
+            args.server, args.policy, plant_attack=True, scale=args.scale
+        )
+        boot = server.start()
+        if boot.fatal:
+            print(
+                f"error: {args.server}/{args.policy} dies at boot "
+                f"({boot.outcome.value}); nothing to snapshot",
+                file=sys.stderr,
             )
-            boot = server.start()
-            if boot.fatal:
-                print(
-                    f"error: {args.server}/{args.policy} dies at boot "
-                    f"({boot.outcome.value}); nothing to snapshot",
-                    file=sys.stderr,
-                )
-                return 1
-            for follow_up in profile.make_follow_ups():
-                server.process(follow_up)
-            label = f"{args.server}/{args.policy}"
-            before = save_snapshot(
-                args.before, server.ctx.space.checkpoint(), label=f"{label} pre-attack"
-            )
-            attack = server.process(profile.make_attack_request())
-            after = save_snapshot(
-                args.after, server.ctx.space.checkpoint(), label=f"{label} post-attack"
-            )
-            server.stop()
-        finally:
-            if session is not None:
-                session.__exit__(None, None, None)
-                written = session.merge(args.trace)
-                print(f"exported {written} event(s) to {args.trace}", file=sys.stderr)
-    finally:
-        if session is not None:
-            session.cleanup()
+            return 1
+        for follow_up in profile.make_follow_ups():
+            server.process(follow_up)
+        label = f"{args.server}/{args.policy}"
+        before = save_snapshot(
+            args.before, server.ctx.space.checkpoint(), label=f"{label} pre-attack"
+        )
+        attack = server.process(profile.make_attack_request())
+        after = save_snapshot(
+            args.after, server.ctx.space.checkpoint(), label=f"{label} post-attack"
+        )
+        server.stop()
     print(f"server            : {args.server}")
     print(f"build             : {args.policy}")
     print(f"attack request    : {attack.outcome.value}")
@@ -672,15 +664,8 @@ def _command_forensics(args: argparse.Namespace) -> int:
 
 def _command_trace_export(args: argparse.Namespace) -> int:
     kwargs = _experiment_kwargs(args)
-    session = TelemetrySession()
-    try:
-        with session:
-            run_experiment(args.experiment, **kwargs)
-            written = session.merge(args.out)
-    finally:
-        session.cleanup()
-    print(f"exported {written} event(s) to {args.out}")
-    print()
+    with _exported_to(args.out):
+        run_experiment(args.experiment, **kwargs)
     print(format_trace_summary(summarize_trace(args.out)))
     return 0
 
@@ -703,7 +688,7 @@ def _command_trace_summary(args: argparse.Namespace) -> int:
 
 def _command_trace_filter(args: argparse.Namespace) -> int:
     records = filter_records(
-        iter_trace_records(args.file), server=args.server, policy=args.policy,
+        iter_records(args.file), server=args.server, policy=args.policy,
         site=args.site, kind=args.kind,
     )
     if args.out == "-":

@@ -5,9 +5,9 @@ stability runs and the sharded soak (:mod:`repro.harness.stability`) are
 small fleets, and the same scheduler drives the "millions of users" shape —
 many server instances (any mix of profiles x policies), each cloned
 from a post-boot checkpoint image, fed mixed benign/attack request streams
-whose arrival times come from seeded stochastic processes, with streaming
-telemetry sinks so runs are bounded by counters and SQLite batches instead of
-ring memory or flat JSONL files.
+whose arrival times come from seeded stochastic processes.  Each instance
+has one live tally sink, and a run exports through the one JSONL
+:class:`~repro.telemetry.session.TelemetrySession`.
 
 * :mod:`repro.fleet.traffic` — the workload model: per-instance arrival
   processes (Poisson / bursty / ramp / uniform) over mixed benign/attack
@@ -20,7 +20,8 @@ ring memory or flat JSONL files.
   tallies per instance (serial == pooled by construction).
 * :mod:`repro.fleet.report` — per-instance availability/error tables, both
   from a live :class:`~repro.fleet.scheduler.FleetResult` and re-derived
-  from a SQLite export (``repro fleet report``).
+  from a JSONL export (``repro fleet run --trace`` then ``repro fleet
+  report``).
 """
 
 from repro.fleet.report import fleet_report_from_trace, format_fleet_table

@@ -7,7 +7,7 @@ Two entry points, one semantics:
   :class:`~repro.fleet.scheduler.InstanceTally`) as the per-instance
   availability/error table ``repro fleet run`` prints.
 * :func:`fleet_report_from_trace` re-derives those tallies from an exported
-  trace (SQLite or JSONL — sniffed), by replaying each instance's events
+  JSONL trace (``repro fleet run --trace``), by replaying each instance's events
   through the *same* :class:`~repro.fleet.scheduler.FleetTallySink` the live
   scheduler attaches and reading its :meth:`~repro.fleet.scheduler.FleetTallySink.tally`.
   Because the scheduler also routes drops, rollbacks, quarantines and
@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 from repro.fleet.scheduler import FleetResult, FleetTallySink, InstanceTally
 from repro.harness.report import format_simple_table
 from repro.telemetry.events import from_record
-from repro.telemetry.summary import iter_trace_records
+from repro.telemetry.summary import iter_records
 
 
 def fleet_report_from_trace(path: str) -> List[InstanceTally]:
@@ -37,7 +37,7 @@ def fleet_report_from_trace(path: str) -> List[InstanceTally]:
     """
     sinks: Dict[int, FleetTallySink] = {}
     labels: Dict[int, Tuple[str, str]] = {}
-    for record in iter_trace_records(path):
+    for record in iter_records(path):
         scenario = record.get("scenario")
         if not isinstance(scenario, int):
             continue
@@ -128,8 +128,6 @@ def format_fleet_table(
             + ("; DEADLINE HIT (wall-clock budget)" if result.deadline_hit else "")
         )
         lines.extend(_recovery_footer(tallies))
-        if result.sqlite_path:
-            lines.append(f"telemetry: {result.sqlite_path} (SQLite)")
         return "\n".join(lines)
     lines = [format_simple_table(_HEADERS, _rows(result), title=title)]
     lines.extend(_recovery_footer(result))

@@ -29,17 +29,17 @@ Requests that arrive while their instance is down (or after the wall-clock
 budget expires) are **dropped**: the scheduler emits a synthetic
 :class:`~repro.telemetry.events.RequestEnd` with outcome ``"dropped"`` on the
 instance's bus.  That one decision is what makes ``repro fleet report``
-exact — the live tallies and any streaming export (SQLite spills merged in
-shard order, JSONL session spills) see the *same* event stream, so counts
-re-derived from an export equal the live ones by construction (both come
-from :meth:`FleetTallySink.tally`).  Monitor restarts flow through the stream too
-(:class:`~repro.telemetry.events.RollbackPerformed` with
-``to_boot_image=True`` and no request id); only boot failures and the
+exact.  Each instance has one live sink, :class:`FleetTallySink`, and the
+one export path is a :class:`~repro.telemetry.session.TelemetrySession`
+(JSONL spills merged in scenario order).  Both see the *same* event stream,
+so counts re-derived from an export equal the live ones by construction
+(both come from :meth:`FleetTallySink.tally`).  Monitor restarts flow
+through the stream too (:class:`~repro.telemetry.events.RollbackPerformed`
+with ``to_boot_image=True`` and no request id); only boot failures and the
 clone-time boot retry remain live-only bookkeeping (no sink is attached
-yet when they happen).  Under a JSONL
-:class:`~repro.telemetry.session.TelemetrySession` every fleet reserves a
-block of scenario ids, one per instance, so several fleets in one session
-(the stability table, the per-build soaks) export as distinct instances.
+yet when they happen).  Under a session every fleet reserves a block of
+scenario ids, one per instance, so several fleets in one session (the
+stability table, the per-build soaks) export as distinct instances.
 
 PR 10 adds the self-healing mode: ``run_fleet(recovery=...)`` wraps every
 live instance in a
@@ -53,8 +53,6 @@ extends to rollbacks, quarantines, and injected faults.
 from __future__ import annotations
 
 import multiprocessing
-import os
-import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -82,8 +80,6 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.session import current_session
 from repro.telemetry.sinks import Sink
-from repro.telemetry.sqlite import SqliteSink, merge_sqlite
-from repro.telemetry.stats import StatsSink
 
 #: Outcome stamped on the synthetic RequestEnd the scheduler emits for a
 #: request that never reached a live server (instance down past restart).
@@ -123,7 +119,7 @@ def _share_process_image(store: SharedImageStore, image: ProcessImage) -> Proces
 
 
 class FleetTallySink(Sink):
-    """Tally one instance's event stream into the :class:`InstanceTally` counts.
+    """Tally one instance's event stream into an :class:`InstanceTally`.
 
     Request outcomes come from :class:`~repro.telemetry.events.RequestEnd`
     events, skipping startup traces (``__startup__``) so that restart boots
@@ -159,105 +155,72 @@ class FleetTallySink(Sink):
     """
 
     def __init__(self) -> None:
-        self.requests = 0
-        self.attack_requests = 0
-        self.legitimate_served = 0
-        self.legitimate_failed = 0
-        self.attacks_survived = 0
-        self.server_deaths = 0
-        self.memory_errors = 0
-        self.error_sites: Dict[str, int] = {}
-        self.legitimate_dropped = 0
-        self.attacks_dropped = 0
-        self.deadline_dropped = 0
-        self.rollbacks = 0
-        self.boot_restarts = 0
-        self.quarantined = 0
-        self.quarantined_attacks = 0
-        self.snapshots = 0
-        self.faults_injected = 0
+        self._tally = InstanceTally(index=0, server="", policy="")
 
     def _count_request(self, is_attack: bool, step: int) -> None:
-        self.requests += step
+        self._tally.requests += step
         if is_attack:
-            self.attack_requests += step
+            self._tally.attack_requests += step
 
     def emit(self, event: object) -> None:
+        tally = self._tally
         if isinstance(event, RequestEnd):
             if event.kind == "__startup__":
                 return
             self._count_request(event.is_attack, 1)
             if event.outcome in (DROPPED_OUTCOME, DEADLINE_OUTCOME):
+                tally.dropped += 1
                 if event.outcome == DEADLINE_OUTCOME:
-                    self.deadline_dropped += 1
-                if event.is_attack:
-                    self.attacks_dropped += 1
-                else:
-                    self.legitimate_dropped += 1
+                    tally.deadline_dropped += 1
+                if not event.is_attack:
+                    tally.legitimate_failed += 1
                 return
-            self.memory_errors += event.memory_errors
+            tally.memory_errors_logged += event.memory_errors
             for site, count in event.error_sites:
-                self.error_sites[site] = self.error_sites.get(site, 0) + count
+                tally.error_sites[site] = tally.error_sites.get(site, 0) + count
             fatal = event.outcome in _FATAL_VALUES
             if fatal:
-                self.server_deaths += 1
+                tally.server_deaths += 1
             if event.is_attack:
                 if not fatal:
-                    self.attacks_survived += 1
+                    tally.attacks_survived += 1
             elif event.outcome == RequestOutcome.SERVED.value:
-                self.legitimate_served += 1
+                tally.legitimate_served += 1
             else:
-                self.legitimate_failed += 1
+                tally.legitimate_failed += 1
         elif isinstance(event, RollbackPerformed):
             if event.to_boot_image:
-                self.boot_restarts += 1
+                tally.restarts += 1
             else:
-                self.rollbacks += 1
+                tally.rollbacks += 1
             if event.request_id is not None:
                 # A rolled-back attempt is not a request, and a legitimate
                 # one's failure is cancelled: its RequestEnd already counted
                 # both, but retry/quarantine is the terminal disposition.
                 self._count_request(event.is_attack, -1)
                 if not event.is_attack:
-                    self.legitimate_failed -= 1
+                    tally.legitimate_failed -= 1
         elif isinstance(event, RequestQuarantined):
             self._count_request(event.is_attack, 1)
             if event.is_attack:
-                self.quarantined_attacks += 1
+                tally.quarantined_attacks += 1
             else:
-                self.quarantined += 1
+                tally.quarantined += 1
         elif isinstance(event, SnapshotTaken):
-            self.snapshots += 1
+            tally.snapshots += 1
         elif isinstance(event, FaultInjected):
-            self.faults_injected += 1
+            tally.faults_injected += 1
 
-    def tally(self, index: int, server: str, policy: str) -> "InstanceTally":
-        """The stream-derived :class:`InstanceTally` of one instance.
+    def tally(self, index: int, server: str, policy: str) -> InstanceTally:
+        """A copy of the stream-derived tally, labelled as instance ``index``.
 
         ``boot_deaths`` is left at zero and ``restarts`` counts only the
         stream's boot-image rollbacks; the scheduler adds its live-only
         bookkeeping on top.
         """
-        return InstanceTally(
-            index=index,
-            server=server,
-            policy=policy,
-            requests=self.requests,
-            attack_requests=self.attack_requests,
-            legitimate_served=self.legitimate_served,
-            legitimate_failed=self.legitimate_failed + self.legitimate_dropped,
-            dropped=self.legitimate_dropped + self.attacks_dropped,
-            deadline_dropped=self.deadline_dropped,
-            attacks_survived=self.attacks_survived,
-            server_deaths=self.server_deaths,
-            restarts=self.boot_restarts,
-            rollbacks=self.rollbacks,
-            quarantined=self.quarantined,
-            quarantined_attacks=self.quarantined_attacks,
-            snapshots=self.snapshots,
-            faults_injected=self.faults_injected,
-            memory_errors_logged=self.memory_errors,
-            error_sites=dict(self.error_sites),
+        return replace(
+            self._tally, index=index, server=server, policy=policy,
+            error_sites=dict(self._tally.error_sites),
         )
 
 
@@ -325,8 +288,8 @@ class FleetInstance:
 def expand_instances(specs: Sequence[InstanceSpec]) -> List[FleetInstance]:
     """Expand spec lines into concrete instances, indexed in spec order.
 
-    The index is the instance's scenario id in SQLite exports (offset by the
-    fleet's reserved block in a JSONL session), so spec order is the export
+    The index, offset by the fleet's reserved block of scenario ids, is the
+    instance's scenario id in a session export, so spec order is the export
     order.
     """
     if not specs:
@@ -431,8 +394,6 @@ class FleetResult:
     seed: int
     boot_fatal: Dict[str, bool]
     wall_seconds: float
-    stats: StatsSink
-    sqlite_path: Optional[str] = None
     deadline_hit: bool = False
 
     def _sum(self, field_name: str) -> int:
@@ -547,8 +508,6 @@ class _FleetRun:
     scale: float
     history_limit: Optional[int]
     restart_on_death: bool
-    stats_every: int
-    spill_dir: Optional[str]
     deadline: Optional[float]
     recovery: Optional[RecoveryPolicy] = None
     fault_rate: float = 0.0
@@ -583,12 +542,10 @@ class _FleetRun:
 
 @dataclass
 class _FleetShardOutcome:
-    """One shard's results: its instances' tallies plus the shard aggregates."""
+    """One shard's results: its instances' tallies and whether it hit the deadline."""
 
     index: int
     tallies: List[InstanceTally]
-    stats: StatsSink
-    spill_path: Optional[str]
     deadline_hit: bool
     wall_seconds: float
 
@@ -666,12 +623,6 @@ def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
     started = time.perf_counter()
     instances = run.shard_instances[index]
     timeline = run.shard_timelines[index]
-    stats = StatsSink(flush_every=run.stats_every)
-    spill_path: Optional[str] = None
-    sqlite_sink: Optional[SqliteSink] = None
-    if run.spill_dir is not None:
-        spill_path = os.path.join(run.spill_dir, f"shard-{index:04d}.sqlite")
-        sqlite_sink = SqliteSink(spill_path)
 
     servers: Dict[int, Server] = {}
     sinks: Dict[int, FleetTallySink] = {}
@@ -693,11 +644,6 @@ def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
                 if not server.alive:
                     boot_deaths[instance.index] += 1
         sinks[instance.index] = server.add_telemetry_sink(FleetTallySink())
-        server.add_telemetry_sink(stats.view(instance.server, instance.policy))
-        if sqlite_sink is not None:
-            server.add_telemetry_sink(
-                sqlite_sink.scoped(dict(server.ctx.bus.scope), instance.index)
-            )
         if run.recovery is not None and server.alive:
             # Self-healing mode: every live instance gets a supervisor (its
             # base snapshot is this post-clone state) and, when fault
@@ -787,14 +733,9 @@ def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
         tally.boot_deaths = boot_deaths[instance.index]
         tally.restarts += boot_retries[instance.index]
         tallies.append(tally)
-    stats.flush()
-    if sqlite_sink is not None:
-        sqlite_sink.close()
     return _FleetShardOutcome(
         index=index,
         tallies=tallies,
-        stats=stats,
-        spill_path=spill_path,
         deadline_hit=deadline_hit,
         wall_seconds=time.perf_counter() - started,
     )
@@ -820,8 +761,6 @@ def run_fleet(
     restart_on_death: bool = True,
     history_limit: Optional[int] = 256,
     allow_unbounded_history: bool = False,
-    sqlite_path: Optional[str] = None,
-    stats_every: int = 10_000,
     max_seconds: Optional[float] = None,
     recovery: Optional[RecoveryPolicy] = None,
     fault_rate: float = 0.0,
@@ -834,9 +773,10 @@ def run_fleet(
     maximal parallelism); any smaller value groups contiguous instances.
     ``workers`` of None/0/1 runs the shards serially through the *same*
     shard function, so pooled runs are tally-identical to serial ones by
-    construction.  ``sqlite_path`` streams every event to per-shard SQLite
-    spill databases merged (in shard order) into one database at that path.
-    ``max_seconds`` is a wall-clock budget: past it, remaining requests are
+    construction.  To export the run, call it inside a
+    :class:`~repro.telemetry.session.TelemetrySession`: each instance stamps
+    its own scenario id, so ``repro fleet report`` rebuilds the tallies from
+    the merged JSONL.  ``max_seconds`` is a wall-clock budget: past it, remaining requests are
     dropped through the event stream (tallies then depend on machine speed —
     use the request-count budget for reproducible runs).
 
@@ -923,11 +863,6 @@ def run_fleet(
         boot_fatal[instance.label] = fatal
         template.stop()
 
-    spill_dir: Optional[str] = None
-    if sqlite_path is not None:
-        spill_dir = sqlite_path + ".spills"
-        os.makedirs(spill_dir, exist_ok=True)
-
     run = _FleetRun(
         instances=instances,
         groups=groups,
@@ -937,8 +872,6 @@ def run_fleet(
         scale=scale,
         history_limit=history_limit,
         restart_on_death=restart_on_death,
-        stats_every=stats_every,
-        spill_dir=spill_dir,
         deadline=(time.monotonic() + max_seconds) if max_seconds is not None else None,
         recovery=recovery,
         fault_rate=fault_rate,
@@ -977,22 +910,12 @@ def run_fleet(
         # the mapping).  Nothing restores from the images past this point.
         store.close()
 
-    stats = StatsSink(flush_every=0)
     tallies: List[InstanceTally] = []
     deadline_hit = False
     for outcome in outcomes:
         tallies.extend(outcome.tallies)
-        stats.merge(outcome.stats)
         deadline_hit = deadline_hit or outcome.deadline_hit
     tallies.sort(key=lambda tally: tally.index)
-
-    if sqlite_path is not None:
-        spills = [
-            outcome.spill_path for outcome in outcomes
-            if outcome.spill_path is not None
-        ]
-        merge_sqlite(spills, sqlite_path)
-        shutil.rmtree(spill_dir, ignore_errors=True)
 
     return FleetResult(
         instances=tallies,
@@ -1001,8 +924,6 @@ def run_fleet(
         seed=seed,
         boot_fatal=boot_fatal,
         wall_seconds=time.perf_counter() - started,
-        stats=stats,
-        sqlite_path=sqlite_path,
         deadline_hit=deadline_hit,
     )
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.servers.base import Request
 from repro.workloads.streams import mixed_stream
@@ -341,15 +341,6 @@ class TrafficModel:
         )
 
 
-def interleave(streams: Iterable[Sequence[FleetRequest]]) -> List[FleetRequest]:
-    """Merge already-ordered per-instance streams by (arrival, instance, seq)."""
-    merged: List[FleetRequest] = []
-    for stream in streams:
-        merged.extend(stream)
-    merged.sort(key=lambda fr: (fr.at, fr.instance, fr.seq))
-    return merged
-
-
 __all__ = [
     "ARRIVALS",
     "ArrivalProcess",
@@ -361,7 +352,6 @@ __all__ = [
     "TrafficModel",
     "UniformArrivals",
     "derive_seed",
-    "interleave",
     "make_arrival",
     "split_by_weight",
 ]

@@ -298,7 +298,7 @@ def _run_soak(
 
 
 # ---------------------------------------------------------------------------
-# Fleet soak (heterogeneous instances, seeded arrivals, streaming sinks)
+# Fleet soak (heterogeneous instances, seeded arrivals, one tally sink per instance)
 # ---------------------------------------------------------------------------
 
 
@@ -312,7 +312,7 @@ def _run_fleet(
     """The canonical small fleet: three profiles under two builds each.
 
     ``repro fleet run`` exposes the full surface (arbitrary instance mixes,
-    arrival shapes, SQLite streaming); this registered experiment pins one
+    arrival shapes, ``--trace`` export); this registered experiment pins one
     reproducible configuration so ``repro run exp-fleet`` and
     ``repro trace export exp-fleet`` work like every other experiment.
     """

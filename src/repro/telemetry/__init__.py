@@ -8,12 +8,9 @@ runs — including ``run_many`` fork-pool fan-outs — as newline-delimited JSON
 that :mod:`repro.telemetry.summary` (and the ``repro trace`` CLI) can filter
 and re-aggregate offline.
 
-For fleet-scale runs two streaming sinks keep the bus from being bounded by
-ring memory or flat files: :class:`~repro.telemetry.stats.StatsSink` (live
-rolling per-``(server, policy)`` counters with periodic flush snapshots) and
-:class:`~repro.telemetry.sqlite.SqliteSink` (batched inserts into SQLite
-databases, per-worker spills merged in spec order, readable by every offline
-consumer via :func:`~repro.telemetry.sqlite.iter_sqlite_records`).
+The session is the one exporter: fleet runs use it too (every instance
+stamps its own scenario id), and ``repro fleet report`` rebuilds the live
+per-instance tallies from the merged JSONL.
 """
 
 from repro.telemetry.bus import EventBus
@@ -41,22 +38,13 @@ from repro.telemetry.session import TelemetrySession, current_session
 from repro.telemetry.sinks import (
     CoalescingRingSink,
     CounterSink,
-    JsonlSink,
     ListSink,
     Sink,
 )
-from repro.telemetry.sqlite import (
-    SqliteSink,
-    is_sqlite_file,
-    iter_sqlite_records,
-    merge_sqlite,
-)
-from repro.telemetry.stats import StatsSink, StatsView
 from repro.telemetry.summary import (
     TraceSummary,
     filter_records,
     iter_records,
-    iter_trace_records,
     request_traces,
     summarize_records,
     summarize_trace,
@@ -88,17 +76,9 @@ __all__ = [
     "ListSink",
     "CounterSink",
     "CoalescingRingSink",
-    "JsonlSink",
-    "SqliteSink",
-    "is_sqlite_file",
-    "iter_sqlite_records",
-    "merge_sqlite",
-    "StatsSink",
-    "StatsView",
     "TraceSummary",
     "filter_records",
     "iter_records",
-    "iter_trace_records",
     "request_traces",
     "summarize_records",
     "summarize_trace",

@@ -16,6 +16,7 @@ import contextlib
 import json
 import os
 import tempfile
+import warnings
 from typing import Dict, IO, Iterator, List, Mapping, Optional
 
 from repro.telemetry.events import to_record
@@ -24,6 +25,10 @@ from repro.telemetry.events import to_record
 #: inherit it, which is exactly what routes their events into per-worker spill
 #: files without any pickling or socket plumbing.
 _ACTIVE: Optional["TelemetrySession"] = None
+
+
+#: Block key of a run of spill lines that do not parse (dropped by the merge).
+_DAMAGED = object()
 
 
 def current_session() -> Optional["TelemetrySession"]:
@@ -185,6 +190,11 @@ class TelemetrySession:
         concatenation of contiguous scenario blocks; the merge indexes those
         blocks in one scan and then copies raw lines block by block, keeping
         memory O(blocks) rather than O(events) for flood-sized exports.
+
+        A line that does not parse (a worker killed mid-write leaves a
+        partial last line) is left out, with one :class:`UserWarning` per
+        spill file naming it and the number of lines skipped: one damaged
+        line degrades the export instead of destroying it.
         """
         pid = os.getpid()
         handle = self._files.get(pid)
@@ -192,30 +202,47 @@ class TelemetrySession:
             handle.flush()
         # (scenario_key, discovery_order, path, start_offset, end_offset);
         # offsets are byte positions, so the copy pass can seek in binary mode.
+        # Runs of unparseable lines form blocks keyed _DAMAGED, never copied.
         blocks: List[tuple] = []
         total = 0
         for path in self.spill_paths():
-            block_key = None
+            block_key: object = None
             block_start = None
+            skipped = 0
             offset = 0
             with open(path, "rb") as spill:
                 for line in spill:
-                    end = offset + len(line)
-                    if line.strip():
-                        total += 1
+                    start, offset = offset, offset + len(line)
+                    if not line.strip():
+                        continue
+                    try:
                         key = json.loads(line).get("scenario", -1)
-                        if key != block_key or block_start is None:
-                            if block_start is not None:
-                                blocks.append((block_key, len(blocks), path,
-                                               block_start, offset))
-                            block_key, block_start = key, offset
-                    offset = end
+                        total += 1
+                    except (ValueError, AttributeError):
+                        key = _DAMAGED
+                        skipped += 1
+                    if key != block_key or block_start is None:
+                        if block_start is not None:
+                            blocks.append((block_key, len(blocks), path,
+                                           block_start, start))
+                        block_key, block_start = key, start
                 if block_start is not None:
                     blocks.append((block_key, len(blocks), path, block_start, offset))
+            if skipped:
+                warnings.warn(
+                    f"spill file {path!r}: skipped {skipped} unparseable line(s)",
+                    UserWarning,
+                    stacklevel=2,
+                )
+        blocks = [block for block in blocks if block[0] is not _DAMAGED]
         blocks.sort(key=lambda block: (block[0], block[1]))
         with open(out_path, "wb") as out:
             for _key, _order, path, start, end in blocks:
                 with open(path, "rb") as spill:
                     spill.seek(start)
-                    out.write(spill.read(end - start))
+                    chunk = spill.read(end - start)
+                out.write(chunk)
+                if not chunk.endswith(b"\n"):
+                    # A complete last record whose newline never made it.
+                    out.write(b"\n")
         return total

@@ -3,16 +3,16 @@
 A sink is anything with an ``emit(event)`` method.  The substrate attaches a
 :class:`CoalescingRingSink` and a :class:`CounterSink` to every policy's bus
 (that pair is what the :class:`~repro.core.errorlog.MemoryErrorLog` façade
-reads), experiments attach their own aggregators, and exports attach a
-:class:`JsonlSink` — all without the emitters knowing or caring.
+reads) and experiments attach their own aggregators — all without the
+emitters knowing or caring.  Exports go through
+:class:`~repro.telemetry.session.TelemetrySession`, which every bus feeds.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter, deque
 from dataclasses import replace
-from typing import Deque, IO, Iterable, List, Optional, Tuple
+from typing import Deque, Iterable, List, Optional, Tuple
 
 from repro.errors import MemoryErrorEvent
 from repro.telemetry.events import (
@@ -22,7 +22,6 @@ from repro.telemetry.events import (
     Manufacture,
     Redirect,
     RequestEnd,
-    to_record,
 )
 
 
@@ -352,22 +351,9 @@ class CoalescingRingSink(Sink):
         return result
 
 
-class JsonlSink(Sink):
-    """Serialize every event as one JSON line to a file object."""
-
-    def __init__(self, stream: IO[str]) -> None:
-        self.stream = stream
-        self.written = 0
-
-    def emit(self, event: object) -> None:
-        self.stream.write(json.dumps(to_record(event)) + "\n")
-        self.written += 1
-
-
 __all__ = [
     "Sink",
     "ListSink",
     "CounterSink",
     "CoalescingRingSink",
-    "JsonlSink",
 ]

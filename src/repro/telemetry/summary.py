@@ -1,12 +1,11 @@
-"""Offline queries over an exported trace (JSONL or SQLite).
+"""Offline queries over an exported JSONL trace.
 
 ``repro trace summary`` and ``repro trace filter`` are thin wrappers over this
-module: read an export produced by a :class:`~repro.telemetry.session.TelemetrySession`
-(JSONL) or a :class:`~repro.telemetry.sqlite.SqliteSink` (SQLite — the format
-is sniffed from the file), optionally filter by server / policy / site /
-request kind, and aggregate the same counters the live
-:class:`~repro.telemetry.sinks.CounterSink` maintains — so an exported run
-re-summarizes to identical aggregate counts whichever sink recorded it.
+module: read an export produced by a
+:class:`~repro.telemetry.session.TelemetrySession`, optionally filter by
+server / policy / site / request kind, and aggregate the same counters the
+live :class:`~repro.telemetry.sinks.CounterSink` maintains — so an exported
+run re-summarizes to identical aggregate counts.
 """
 
 from __future__ import annotations
@@ -26,20 +25,6 @@ def iter_records(path: str) -> Iterator[Dict[str, object]]:
             line = line.strip()
             if line:
                 yield json.loads(line)
-
-
-def iter_trace_records(path: str) -> Iterator[Dict[str, object]]:
-    """Yield the records of an exported trace, sniffing JSONL vs SQLite.
-
-    Both export formats store the same record dicts (the SQLite ``record``
-    column is one JSONL line's parse), so every downstream consumer of this
-    iterator is format-agnostic.
-    """
-    from repro.telemetry.sqlite import is_sqlite_file, iter_sqlite_records
-
-    if is_sqlite_file(path):
-        return iter_sqlite_records(path)
-    return iter_records(path)
 
 
 def matches(
@@ -214,13 +199,9 @@ def summarize_trace(
     site: Optional[str] = None,
     kind: Optional[str] = None,
 ) -> TraceSummary:
-    """Summarize an exported trace file (JSONL or SQLite), with filters.
-
-    The two formats carry identical record dicts, so the same export
-    summarized from its JSONL and its SQLite form produces equal summaries.
-    """
+    """Summarize an exported trace file, with filters."""
     return summarize_records(
-        filter_records(iter_trace_records(path), server=server, policy=policy,
+        filter_records(iter_records(path), server=server, policy=policy,
                        site=site, kind=kind)
     )
 

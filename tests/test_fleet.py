@@ -1,5 +1,5 @@
 """The fleet soak service: deterministic traffic, worker-invariant tallies,
-streaming sinks, and report-from-export parity.
+the per-instance tally sink, and report-from-export parity.
 
 The load-bearing invariants:
 
@@ -7,12 +7,14 @@ The load-bearing invariants:
   shard counts cannot perturb it;
 * serial and pooled runs produce identical per-instance tallies (the shard
   is the unit of determinism, and instances are independent);
-* `fleet report` rebuilt from a SQLite export equals the live tallies for
-  every stream-derived column, because drops flow through the event stream.
+* `fleet report` rebuilt from a JSONL session export equals the live
+  tallies for every stream-derived column, because drops, rollbacks and
+  quarantines flow through the event stream.
 """
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -42,9 +44,11 @@ from repro.fleet.traffic import (
 )
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.stability import run_stability_experiment
+from repro.recovery.supervisor import RecoveryPolicy
 from repro.servers.base import bounded_history_limit
-from repro.telemetry.events import RequestEnd
-from repro.telemetry.stats import StatsSink
+from repro.telemetry.events import RequestEnd, RollbackPerformed
+from repro.telemetry.session import TelemetrySession
+from repro.telemetry.summary import iter_records
 
 
 # ---------------------------------------------------------------------------
@@ -254,23 +258,6 @@ class TestFleetScheduler:
         for tally in result.instances:
             assert tally.availability == 1.0
 
-    def test_stats_sink_aggregates_per_server_policy(self):
-        result = run_fleet(FLEET_SPECS, workers=2, stats_every=50, **FLEET_KW)
-        keys = result.stats.keys()
-        assert ("apache", "failure-oblivious") in keys
-        assert ("pine", "bounds-check") in keys
-        assert result.stats.requests_seen == result.total_requests
-        by_outcome = {}
-        for counter in result.stats.counters.values():
-            for outcome, count in counter.requests_by_outcome.items():
-                by_outcome[outcome] = by_outcome.get(outcome, 0) + count
-        # The outcome counters also see replayed __startup__ boots (restart
-        # telemetry), so they bound the workload from above; the drop count
-        # is exact because only the scheduler emits that outcome.
-        assert sum(by_outcome.values()) >= result.total_requests
-        assert by_outcome.get(DROPPED_OUTCOME, 0) == result.dropped
-        assert by_outcome.get("served", 0) >= result.legitimate_served
-
     def test_wall_clock_budget_drops_the_tail(self):
         result = run_fleet(
             [InstanceSpec("apache", "failure-oblivious")],
@@ -342,12 +329,43 @@ class TestFleetTallySink:
         sink.emit(RequestEnd(request_id=2, kind="get", outcome=DROPPED_OUTCOME,
                              is_attack=True))
         sink.emit(RequestEnd(request_id=3, kind="get", outcome="served"))
-        assert sink.legitimate_dropped == 1
-        assert sink.attacks_dropped == 1
-        assert sink.legitimate_served == 1
+        tally = sink.tally(4, "apache", "bounds-check")
+        assert (tally.index, tally.server, tally.policy) == (4, "apache", "bounds-check")
+        assert (tally.requests, tally.attack_requests) == (3, 1)
+        assert tally.dropped == 2
+        # Only the legitimate drop is failed service.
+        assert tally.legitimate_failed == 1
+        assert tally.legitimate_served == 1
         # Drops are neither survivals nor deaths.
-        assert sink.attacks_survived == 0
-        assert sink.server_deaths == 0
+        assert tally.attacks_survived == 0
+        assert tally.server_deaths == 0
+
+    def test_rollback_takes_back_the_attempt(self):
+        """A rolled-back attempt is no request, and a legitimate one's
+        failure is cancelled; the death it caused stands."""
+        sink = FleetTallySink()
+        for is_attack in (False, True):
+            sink.emit(RequestEnd(request_id=1, kind="get", outcome="crashed",
+                                 is_attack=is_attack))
+            sink.emit(RollbackPerformed(snapshot_index=0, request_id=1,
+                                        is_attack=is_attack))
+        tally = sink.tally(0, "pine", "standard")
+        assert (tally.requests, tally.attack_requests) == (0, 0)
+        assert tally.legitimate_failed == 0
+        assert tally.server_deaths == 2
+        assert tally.rollbacks == 2
+
+    def test_tally_returns_an_independent_copy(self):
+        sink = FleetTallySink()
+        sink.emit(RequestEnd(request_id=1, kind="get", outcome="served",
+                             error_sites=(("site", 2),)))
+        first = sink.tally(0, "apache", "failure-oblivious")
+        first.error_sites["site"] = 99
+        first.requests = 99
+        sink.emit(RequestEnd(request_id=2, kind="get", outcome="served"))
+        second = sink.tally(0, "apache", "failure-oblivious")
+        assert second.error_sites == {"site": 2}
+        assert second.requests == 2
 
 
 # ---------------------------------------------------------------------------
@@ -356,45 +374,59 @@ class TestFleetTallySink:
 
 
 def _stream_fields(tally):
-    return (
-        tally.index, tally.server, tally.policy, tally.requests,
-        tally.attack_requests, tally.legitimate_served, tally.legitimate_failed,
-        tally.dropped, tally.attacks_survived, tally.server_deaths,
-        tally.memory_errors_logged, dict(sorted(tally.error_sites.items())),
-    )
+    """Every tally field an export re-derives (the index aside)."""
+    fields = tally.as_dict()
+    for live_only in ("index", "boot_deaths", "restarts"):
+        del fields[live_only]
+    return fields
+
+
+def _exported_run(tmp_path, **kwargs):
+    """Run FLEET_SPECS inside a session; return the live result and the path
+    of the merged JSONL export."""
+    out = str(tmp_path / "fleet.jsonl")
+    with TelemetrySession(str(tmp_path / "spills")) as session:
+        result = run_fleet(FLEET_SPECS, **FLEET_KW, **kwargs)
+    session.merge(out)
+    session.cleanup()
+    return result, out
 
 
 class TestFleetReport:
-    def test_report_from_sqlite_equals_live_tallies(self, tmp_path):
+    def test_report_from_export_equals_live_tallies(self, tmp_path):
         """Acceptance: `fleet report` reproduces the live per-instance counts
-        from the SQLite export — including the boot-fatal instance whose
+        from the session export — including the boot-fatal instance whose
         requests were all dropped."""
-        db = str(tmp_path / "fleet.sqlite")
-        result = run_fleet(FLEET_SPECS, workers=2, sqlite_path=db, **FLEET_KW)
-        reported = fleet_report_from_trace(db)
+        result, out = _exported_run(tmp_path, workers=2)
+        reported = fleet_report_from_trace(out)
         assert [_stream_fields(t) for t in result.instances] == \
             [_stream_fields(t) for t in reported]
+        assert [t.index for t in reported] == list(range(len(result.instances)))
+
+    def test_pooled_recovery_export_equals_live_tallies(self, tmp_path):
+        """The parity extends to self-healing runs: rollbacks, quarantines,
+        snapshots and injected faults all re-derive from the export."""
+        result, out = _exported_run(
+            tmp_path, workers=2, recovery=RecoveryPolicy(), fault_every=7,
+        )
+        assert result.boot_fatal["pine/bounds-check"]
+        assert result.rollbacks > 0 and result.faults_injected > 0
+        reported = fleet_report_from_trace(out)
+        assert [_stream_fields(t) for t in reported] == \
+            [_stream_fields(t) for t in result.instances]
+        assert [t.index for t in reported] == list(range(len(result.instances)))
+        assert ("pine", "bounds-check") in {(t.server, t.policy) for t in reported}
 
     def test_report_table_renders_from_export(self, tmp_path):
-        db = str(tmp_path / "fleet.sqlite")
-        run_fleet(FLEET_SPECS, workers=0, sqlite_path=db, **FLEET_KW)
-        table = format_fleet_table(fleet_report_from_trace(db))
+        _result, out = _exported_run(tmp_path, workers=0)
+        table = format_fleet_table(fleet_report_from_trace(out))
         assert "availability" in table
 
-    def test_spill_databases_are_merged_and_removed(self, tmp_path):
-        db = str(tmp_path / "fleet.sqlite")
-        run_fleet(FLEET_SPECS, workers=2, sqlite_path=db, **FLEET_KW)
-        assert (tmp_path / "fleet.sqlite").exists()
-        assert not (tmp_path / "fleet.sqlite.spills").exists()
-
     def test_export_is_ordered_by_instance(self, tmp_path):
-        from repro.telemetry import iter_trace_records
-
-        db = str(tmp_path / "fleet.sqlite")
-        run_fleet(FLEET_SPECS, workers=3, sqlite_path=db, **FLEET_KW)
+        _result, out = _exported_run(tmp_path, workers=3)
         scenarios = [
             record["scenario"]
-            for record in iter_trace_records(db)
+            for record in iter_records(out)
             if record.get("scenario") is not None
         ]
         assert scenarios == sorted(scenarios)
@@ -415,23 +447,48 @@ class TestFleetCli:
         with pytest.raises(ValueError):
             parse_instance_spec("apache:standard:x", 10, "poisson", 50.0)
 
+    @staticmethod
+    def _table_rows(output):
+        """(inst, server, policy, requests, served, failed, dropped) per row."""
+        return [
+            line.split()[:7] for line in output.splitlines()
+            if line.split() and line.split()[0].isdigit()
+        ]
+
     def test_fleet_run_and_report_round_trip(self, tmp_path, capsys):
-        db = str(tmp_path / "cli.sqlite")
+        trace = str(tmp_path / "cli.jsonl")
         assert cli_main([
             "fleet", "run", "-i", "apache:failure-oblivious:2",
             "-i", "pine:bounds-check", "--requests", "90", "--seed", "5",
-            "--workers", "2", "--sqlite-out", db,
+            "--workers", "2", "--trace", trace,
         ]) == 0
-        run_output = capsys.readouterr().out
-        assert "availability" in run_output
-        assert cli_main(["fleet", "report", db]) == 0
+        run = capsys.readouterr()
+        assert "availability" in run.out
+        assert f"to {trace}" in run.err
+        assert cli_main(["fleet", "report", trace]) == 0
         report_output = capsys.readouterr().out
-        # The same served counts appear in both tables.
-        for line in run_output.splitlines():
-            if line.startswith("0 ") or line.startswith("1 "):
-                assert line.split()[:2] == ["0", "apache"] or \
-                    line.split()[:2] == ["1", "apache"]
         assert "from export" in report_output
+        # The same per-instance served/failed/dropped columns in both tables,
+        # the boot-fatal pine instance included.
+        rows = self._table_rows(run.out)
+        assert [row[:3] for row in rows] == [
+            ["0", "apache", "failure-oblivious"],
+            ["1", "apache", "failure-oblivious"],
+            ["2", "pine", "bounds-check"],
+        ]
+        assert rows == self._table_rows(report_output)
+
+    def test_fleet_run_trace_leaves_no_spills(self, tmp_path, monkeypatch, capsys):
+        """The export helper cleans up its session's spill directory."""
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        trace = tmp_path / "out.jsonl"
+        assert cli_main([
+            "fleet", "run", "-i", "apache:failure-oblivious", "--requests", "10",
+            "--trace", str(trace),
+        ]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["out.jsonl"]
 
     def test_fleet_report_rejects_traceless_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

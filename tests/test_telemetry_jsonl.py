@@ -1,6 +1,9 @@
 """JSONL serialization round-trips and the fork-pool spill/merge path."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -253,3 +256,54 @@ class TestSessionSpillMerge:
                 assert "already active" in str(exc)
             else:  # pragma: no cover - defensive
                 raise AssertionError("expected RuntimeError")
+
+
+class TestDamagedSpills:
+    """A worker killed mid-write leaves a partial last line in its spill; the
+    merge must skip it (warning once per file) and keep everything else."""
+
+    def _spill(self, session, name, lines):
+        path = str(Path(session.directory) / f"spill-{name}.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("".join(lines))
+        return path
+
+    @staticmethod
+    def _line(scenario, request_id):
+        record = to_record(RequestEnd(request_id=request_id, kind="get", outcome="served"))
+        record["scenario"] = scenario
+        return json.dumps(record) + "\n"
+
+    def test_truncated_last_line_is_skipped_with_one_warning(self, tmp_path):
+        session = TelemetrySession(str(tmp_path / "spills"))
+        damaged = self._spill(session, "1", [
+            self._line(1, 10), self._line(1, 11), '{"event": "request-e',
+        ])
+        self._spill(session, "2", [self._line(0, 20)])
+        out = tmp_path / "merged.jsonl"
+        with pytest.warns(UserWarning) as caught:
+            written = session.merge(str(out))
+        assert len(caught) == 1  # the clean spill does not warn
+        message = str(caught[0].message)
+        assert damaged in message and "skipped 1 " in message
+        assert written == 3
+        records = list(iter_records(str(out)))
+        assert [(r["scenario"], r["request_id"]) for r in records] == \
+            [(0, 20), (1, 10), (1, 11)]
+
+    def test_damaged_lines_mid_file_keep_block_order(self, tmp_path):
+        """Lines around a damaged one still merge in scenario order, and a
+        complete record missing its newline stays a line of its own."""
+        session = TelemetrySession(str(tmp_path / "spills"))
+        self._spill(session, "1", [
+            self._line(2, 1), "not json\n", "[1, 2]\n", self._line(2, 2),
+            self._line(0, 3).rstrip("\n"),
+        ])
+        self._spill(session, "2", [self._line(1, 4)])
+        out = tmp_path / "merged.jsonl"
+        with pytest.warns(UserWarning, match="skipped 2 unparseable"):
+            written = session.merge(str(out))
+        assert written == 4
+        records = list(iter_records(str(out)))
+        assert [(r["scenario"], r["request_id"]) for r in records] == \
+            [(0, 3), (1, 4), (2, 1), (2, 2)]
