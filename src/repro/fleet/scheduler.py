@@ -14,10 +14,14 @@ to end:
   and its post-boot :class:`~repro.servers.base.ProcessImage` captured; every
   instance of the group is then cloned via
   :meth:`~repro.servers.base.Server.adopt_image` (boot cost paid once per
-  group, not per instance).  A server class with ``checkpoint_restarts``
-  False has no image to clone, so each of its instances boots itself;
-* a dead instance is restored O(dirty-bytes) from its image by the monitor
-  (or rebooted from scratch, for the ``checkpoint_restarts`` False classes);
+  group, not per instance);
+* every instance runs under one
+  :class:`~repro.recovery.supervisor.RecoverySupervisor`, the one restart
+  path.  Without ``recovery`` it is the paper's terminate-and-restart
+  monitor: a dead instance is restored O(dirty-bytes) from its image before
+  the next request.  With ``recovery=RecoveryPolicy(...)`` it adds
+  incremental snapshots, rollback + retry on fatal faults and poison-request
+  quarantine, optionally driven by per-instance seeded fault injection;
 * instances are partitioned into ``shards`` **contiguous groups of
   instances** and fanned over the same forked pool.  Instances are
   independent processes, so per-instance tallies cannot observe the
@@ -25,35 +29,28 @@ to end:
   the timeline is generated in the parent, and each worker's RNG is seeded
   from ``(seed, shard index)`` — pooled runs are bit-identical to serial.
 
-Requests that arrive while their instance is down (or after the wall-clock
-budget expires) are **dropped**: the scheduler emits a synthetic
-:class:`~repro.telemetry.events.RequestEnd` with outcome ``"dropped"`` on the
-instance's bus.  That one decision is what makes ``repro fleet report``
-exact.  Each instance has one live sink, :class:`FleetTallySink`, and the
-one export path is a :class:`~repro.telemetry.session.TelemetrySession`
-(JSONL spills merged in scenario order).  Both see the *same* event stream,
+Requests that arrive while their instance is down past its restart (or
+after the wall-clock budget expires) are **dropped**: a synthetic
+:class:`~repro.telemetry.events.RequestEnd` with outcome ``"dropped"`` is
+emitted on the instance's bus.  That one decision is what makes ``repro
+fleet report`` exact.  Each instance has one live sink,
+:class:`FleetTallySink`, attached before the clone boots, and the one export
+path is a :class:`~repro.telemetry.session.TelemetrySession` (JSONL spills
+merged in scenario order).  Both see the *same* event stream — boots,
+restarts (:class:`~repro.telemetry.events.RollbackPerformed` with
+``to_boot_image=True``), rollbacks, quarantines, injected faults and drops —
 so counts re-derived from an export equal the live ones by construction
-(both come from :meth:`FleetTallySink.tally`).  Monitor restarts flow
-through the stream too (:class:`~repro.telemetry.events.RollbackPerformed`
-with ``to_boot_image=True`` and no request id); only boot failures and the
-clone-time boot retry remain live-only bookkeeping (no sink is attached
-yet when they happen).  Under a session every fleet reserves a block of
-scenario ids, one per instance, so several fleets in one session (the
-stability table, the per-build soaks) export as distinct instances.
-
-PR 10 adds the self-healing mode: ``run_fleet(recovery=...)`` wraps every
-live instance in a
-:class:`~repro.recovery.supervisor.RecoverySupervisor` (incremental
-snapshots, rollback + retry on fatal faults, poison-request quarantine),
-optionally driven by per-instance seeded fault injection — all of it
-flowing through the same event stream, so the export-equals-live property
-extends to rollbacks, quarantines, and injected faults.
+(both come from :meth:`FleetTallySink.tally`).  Under a session every fleet
+reserves a block of scenario ids, one per instance, so several fleets in one
+session (the stability table, the per-build soaks) export as distinct
+instances.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
@@ -68,9 +65,8 @@ from repro.fleet.traffic import (
 )
 from repro.memory.shared_image import SharedImageStore
 from repro.recovery.faults import FAULT_KINDS, FaultInjector
-from repro.recovery.supervisor import RecoveryPolicy, RecoverySupervisor
-from repro.servers.base import ProcessImage, Request, Server, bounded_history_limit
-from repro.servers.profile import ServerProfile
+from repro.recovery.supervisor import DROPPED_OUTCOME, RecoveryPolicy, RecoverySupervisor
+from repro.servers.base import ProcessImage, Request, bounded_history_limit
 from repro.telemetry.events import (
     FaultInjected,
     RequestEnd,
@@ -80,11 +76,6 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.session import current_session
 from repro.telemetry.sinks import Sink
-
-#: Outcome stamped on the synthetic RequestEnd the scheduler emits for a
-#: request that never reached a live server (instance down past restart).
-#: Distinct from every RequestOutcome value.
-DROPPED_OUTCOME = "dropped"
 
 #: Outcome stamped on requests dropped because the wall-clock budget
 #: (``max_seconds``) expired.  A distinct outcome so an export alone answers
@@ -122,12 +113,12 @@ class FleetTallySink(Sink):
     """Tally one instance's event stream into an :class:`InstanceTally`.
 
     Request outcomes come from :class:`~repro.telemetry.events.RequestEnd`
-    events, skipping startup traces (``__startup__``) so that restart boots
-    mid-run do not perturb the workload statistics.  A fatal outcome is a
-    server death; a non-fatal attack was survived; a legitimate request was
-    served or failed.
+    events.  A fatal outcome is a server death; a non-fatal attack was
+    survived; a legitimate request was served or failed.  Startup traces
+    (``__startup__``: the clone's boot and every restart's) are no requests,
+    so they only count a death when the boot was fatal.
 
-    A dropped legitimate request (the scheduler's synthetic ``"dropped"``
+    A dropped legitimate request (the supervisor's synthetic ``"dropped"``
     RequestEnd for a request arriving while its instance is down) counts as
     failed service; a dropped attack counts as neither survived nor fatal —
     the attack never ran.  Because drops are ordinary events, re-feeding an
@@ -166,6 +157,8 @@ class FleetTallySink(Sink):
         tally = self._tally
         if isinstance(event, RequestEnd):
             if event.kind == "__startup__":
+                if event.outcome in _FATAL_VALUES:
+                    tally.server_deaths += 1
                 return
             self._count_request(event.is_attack, 1)
             if event.outcome in (DROPPED_OUTCOME, DEADLINE_OUTCOME):
@@ -212,12 +205,7 @@ class FleetTallySink(Sink):
             tally.faults_injected += 1
 
     def tally(self, index: int, server: str, policy: str) -> InstanceTally:
-        """A copy of the stream-derived tally, labelled as instance ``index``.
-
-        ``boot_deaths`` is left at zero and ``restarts`` counts only the
-        stream's boot-image rollbacks; the scheduler adds its live-only
-        bookkeeping on top.
-        """
+        """A copy of the stream-derived tally, labelled as instance ``index``."""
         return replace(
             self._tally, index=index, server=server, policy=policy,
             error_sites=dict(self._tally.error_sites),
@@ -323,9 +311,9 @@ class InstanceTally:
     """Per-instance counts (the rows of ``repro fleet report``).
 
     Every count comes from the instance's event stream
-    (:meth:`FleetTallySink.tally`), so an export re-derives it exactly,
-    except ``boot_deaths`` and the clone-time boot retry in ``restarts``:
-    the scheduler tracks those live.
+    (:meth:`FleetTallySink.tally`), so an export re-derives it exactly.
+    ``server_deaths`` counts every death, fatal boots and restarts included;
+    ``restarts`` counts boot-image restarts.
     """
 
     index: int
@@ -339,7 +327,6 @@ class InstanceTally:
     deadline_dropped: int = 0
     attacks_survived: int = 0
     server_deaths: int = 0
-    boot_deaths: int = 0
     restarts: int = 0
     rollbacks: int = 0
     quarantined: int = 0
@@ -371,11 +358,7 @@ class InstanceTally:
     def flawless(self) -> bool:
         """The paper's stability criterion: every legitimate request served,
         and the server never went down (at boot or while serving)."""
-        return (
-            self.server_deaths == 0
-            and self.boot_deaths == 0
-            and self.legitimate_failed == 0
-        )
+        return self.server_deaths == 0 and self.legitimate_failed == 0
 
     def as_dict(self) -> Dict[str, object]:
         """Order-independent tally dict (what serial == pooled compares)."""
@@ -485,29 +468,17 @@ class FleetResult:
 
 
 @dataclass
-class _FleetGroup:
-    """One booted template: its image plus whether the boot was fatal.
-
-    ``image`` is None for server classes with ``checkpoint_restarts`` False,
-    whose instances boot themselves.
-    """
-
-    image: object
-    boot_fatal: bool
-
-
-@dataclass
 class _FleetRun:
     """Everything a shard worker needs, inherited across the fork."""
 
     instances: List[FleetInstance]
-    groups: Dict[Tuple[str, str, str], _FleetGroup]
+    #: One (shared-memory) serving image per group; fatal boots included.
+    images: Dict[Tuple[str, str, str], ProcessImage]
     shard_instances: List[List[FleetInstance]]
     shard_timelines: List[List[FleetRequest]]
     seed: int
     scale: float
     history_limit: Optional[int]
-    restart_on_death: bool
     deadline: Optional[float]
     recovery: Optional[RecoveryPolicy] = None
     fault_rate: float = 0.0
@@ -518,11 +489,19 @@ class _FleetRun:
     #: None when no session is active.
     scenario_base: Optional[int] = None
 
-    @property
-    def inject_faults(self) -> bool:
-        return self.fault_rate > 0.0 or self.fault_every is not None
+    def supervise_clone(
+        self, instance: FleetInstance
+    ) -> Tuple[RecoverySupervisor, FleetTallySink]:
+        """Clone ``instance`` from its group image, under its tally sink and
+        supervisor.
 
-    def build_clone(self, instance: FleetInstance) -> Server:
+        The sink is attached before the clone adopts the image, so the stream
+        carries the clone's boot (a fatal one is a death) and the
+        supervisor's construction-time restart of a boot-fatal clone.  When
+        fault injection is on, the injector is per *instance*: its schedule
+        is a pure function of (seed, instance index), so serial and pooled
+        runs inject identically.
+        """
         from repro.harness.engine import ENGINE
 
         server = ENGINE.build_server(
@@ -530,14 +509,17 @@ class _FleetRun:
             plant_attack=True, scale=self.scale,
         )
         server.limit_history(self.history_limit)
-        image = self.groups[instance.group_key].image
-        if image is None:
-            # No image to clone (checkpoint_restarts False): the instance
-            # boots itself, and its monitor restarts reboot from scratch.
-            _boot_for_service(server, ENGINE.profile(instance.server))
-        else:
-            server.adopt_image(image)
-        return server
+        sink = server.add_telemetry_sink(FleetTallySink())
+        server.adopt_image(self.images[instance.group_key])
+        injector = None
+        if self.fault_rate > 0.0 or self.fault_every is not None:
+            injector = FaultInjector(
+                derive_seed(self.seed, "faults", instance.index),
+                rate=self.fault_rate,
+                every=self.fault_every,
+                kinds=self.fault_kinds,
+            )
+        return RecoverySupervisor(server, self.recovery, injector=injector), sink
 
 
 @dataclass
@@ -574,39 +556,9 @@ def split_contiguous(items: Sequence[T], parts: int) -> List[List[T]]:
     return chunks
 
 
-def _boot_for_service(server: Server, profile: ServerProfile) -> bool:
-    """Boot ``server`` and run the profile's session setup; True if the boot
-    was fatal.
-
-    The setup requests (e.g. Mutt re-opening the INBOX after the planted
-    startup folder was rejected) bring the server to its serving state; no
-    tally sink is attached yet, so they are not counted.
-    """
-    fatal = server.start().fatal
-    if not fatal:
-        for setup_request in profile.make_follow_ups():
-            server.process(setup_request)
-    return fatal
-
-
 # ---------------------------------------------------------------------------
 # Shard execution
 # ---------------------------------------------------------------------------
-
-
-def _drop(
-    server: Server, fleet_request: FleetRequest, outcome: str = DROPPED_OUTCOME
-) -> None:
-    """Emit the synthetic dropped RequestEnd for a request that never ran."""
-    request = fleet_request.request
-    server.ctx.bus.emit(
-        RequestEnd(
-            request_id=request.request_id,
-            kind=request.kind,
-            outcome=outcome,
-            is_attack=request.is_attack,
-        )
-    )
 
 
 def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
@@ -623,89 +575,40 @@ def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
     started = time.perf_counter()
     instances = run.shard_instances[index]
     timeline = run.shard_timelines[index]
-
-    servers: Dict[int, Server] = {}
-    sinks: Dict[int, FleetTallySink] = {}
-    supervisors: Dict[int, RecoverySupervisor] = {}
-    boot_deaths: Dict[int, int] = {}
-    boot_retries: Dict[int, int] = {}
-    for instance in instances:
-        server = run.build_clone(instance)
-        boot_deaths[instance.index] = 0
-        boot_retries[instance.index] = 0
-        if not server.alive:
-            # Fatal boot image (Pine/Mutt style persistent triggers): the
-            # failed boot is a death, the monitor retries once up front, and
-            # the request loop retries per request.
-            boot_deaths[instance.index] += 1
-            if run.restart_on_death:
-                server.restart()
-                boot_retries[instance.index] += 1
-                if not server.alive:
-                    boot_deaths[instance.index] += 1
-        sinks[instance.index] = server.add_telemetry_sink(FleetTallySink())
-        if run.recovery is not None and server.alive:
-            # Self-healing mode: every live instance gets a supervisor (its
-            # base snapshot is this post-clone state) and, when fault
-            # injection is on, a per-*instance* injector — the schedule is a
-            # pure function of (seed, instance index), so serial and pooled
-            # runs inject identically.
-            injector = None
-            if run.inject_faults:
-                injector = FaultInjector(
-                    derive_seed(run.seed, "faults", instance.index),
-                    rate=run.fault_rate,
-                    every=run.fault_every,
-                    kinds=run.fault_kinds,
-                )
-            supervisors[instance.index] = RecoverySupervisor(
-                server, run.recovery, injector=injector
-            )
-        servers[instance.index] = server
-
     session = current_session() if run.scenario_base is not None else None
+
+    def scenario(instance_index: int):
+        # Stamp each instance's events with its reserved scenario id, so
+        # JSONL session exports merge in instance order and several fleets
+        # in one session never share an id.
+        if session is None:
+            return nullcontext()
+        return session.scenario_scope(run.scenario_base + instance_index)
+
+    clones: Dict[int, Tuple[RecoverySupervisor, FleetTallySink]] = {}
+    for instance in instances:
+        with scenario(instance.index):
+            clones[instance.index] = run.supervise_clone(instance)
+
     deadline_hit = False
 
-    def dispatch(server: Server, fleet_request: FleetRequest) -> None:
+    def dispatch(supervisor: RecoverySupervisor, fleet_request: FleetRequest) -> None:
         nonlocal deadline_hit
+        if not deadline_hit and run.deadline is not None and time.monotonic() > run.deadline:
+            deadline_hit = True
         if deadline_hit:
-            _drop(server, fleet_request, DEADLINE_OUTCOME)
-            return
-        if run.deadline is not None and time.monotonic() > run.deadline:
             # Budget exhausted: the rest of the timeline is dropped through
             # the event stream, so exports stay exact even in wall-clock mode.
-            deadline_hit = True
-            _drop(server, fleet_request, DEADLINE_OUTCOME)
+            supervisor.drop(fleet_request.request, DEADLINE_OUTCOME)
             return
-        supervisor = supervisors.get(fleet_request.instance)
-        if supervisor is not None:
-            # The supervisor owns the recovery path: the server is alive
-            # when submit returns (rollback, retry, quarantine, or
-            # boot-image degradation all end with a serving instance).
-            supervisor.submit(fleet_request.request)
-            return
-        if not server.alive:
-            if run.restart_on_death:
-                server.restart()
-                # Monitor restarts flow through the event stream (boot
-                # retries at clone time stay live-only: no sink is attached
-                # yet), so the sink and exports count restart work.
-                server.ctx.bus.emit(RollbackPerformed(
-                    snapshot_index=0, request_id=None, to_boot_image=True,
-                ))
-                if not server.alive:
-                    boot_deaths[fleet_request.instance] += 1
-            if not server.alive:
-                _drop(server, fleet_request)
-                return
-        server.process(fleet_request.request)
+        supervisor.submit(fleet_request.request)
 
     # Dispatch in batches: the timeline is walked in order, but the maximal
     # consecutive run of requests for one instance — the stretch between two
     # virtual-time barriers, where the schedule stays on one process — pays
-    # the server lookup and the session scenario scope once, not per request.
-    # Request order (and hence every tally) is bit-identical to the
-    # one-request-at-a-time loop this replaces.
+    # the supervisor lookup and the session scenario scope once, not per
+    # request.  Request order (and hence every tally) is bit-identical to a
+    # one-request-at-a-time loop.
     position = 0
     total = len(timeline)
     while position < total:
@@ -713,26 +616,17 @@ def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
         end = position + 1
         while end < total and timeline[end].instance == instance_index:
             end += 1
-        server = servers[instance_index]
-        if session is not None:
-            # Stamp each instance's events with its reserved scenario id, so
-            # JSONL session exports merge in instance order and several
-            # fleets in one session never share an id.
-            with session.scenario_scope(run.scenario_base + instance_index):
-                for offset in range(position, end):
-                    dispatch(server, timeline[offset])
-        else:
+        supervisor = clones[instance_index][0]
+        with scenario(instance_index):
             for offset in range(position, end):
-                dispatch(server, timeline[offset])
+                dispatch(supervisor, timeline[offset])
         position = end
 
     tallies: List[InstanceTally] = []
     for instance in instances:
-        servers[instance.index].stop()
-        tally = sinks[instance.index].tally(instance.index, instance.server, instance.policy)
-        tally.boot_deaths = boot_deaths[instance.index]
-        tally.restarts += boot_retries[instance.index]
-        tallies.append(tally)
+        supervisor, sink = clones[instance.index]
+        supervisor.server.stop()
+        tallies.append(sink.tally(instance.index, instance.server, instance.policy))
     return _FleetShardOutcome(
         index=index,
         tallies=tallies,
@@ -758,7 +652,6 @@ def run_fleet(
     workers: Optional[int] = None,
     shards: Optional[int] = None,
     scale: float = 0.25,
-    restart_on_death: bool = True,
     history_limit: Optional[int] = 256,
     allow_unbounded_history: bool = False,
     max_seconds: Optional[float] = None,
@@ -776,19 +669,22 @@ def run_fleet(
     construction.  To export the run, call it inside a
     :class:`~repro.telemetry.session.TelemetrySession`: each instance stamps
     its own scenario id, so ``repro fleet report`` rebuilds the tallies from
-    the merged JSONL.  ``max_seconds`` is a wall-clock budget: past it, remaining requests are
-    dropped through the event stream (tallies then depend on machine speed —
-    use the request-count budget for reproducible runs).
+    the merged JSONL.  ``max_seconds`` is a wall-clock budget: past it,
+    remaining requests are dropped through the event stream (tallies then
+    depend on machine speed — use the request-count budget for reproducible
+    runs).
 
-    ``recovery`` switches every live instance into self-healing mode: a
-    :class:`~repro.recovery.supervisor.RecoverySupervisor` per instance
-    replaces boot-image restarts with last-good-snapshot rollbacks, bounded
+    Every instance runs under a
+    :class:`~repro.recovery.supervisor.RecoverySupervisor`.  Without
+    ``recovery`` it restarts a dead instance from its image before the next
+    request; ``recovery`` switches every instance into self-healing mode,
+    replacing those restarts with last-good-snapshot rollbacks, bounded
     retries, and poison-request quarantine.  ``fault_rate``/``fault_every``
     add a per-instance seeded
     :class:`~repro.recovery.faults.FaultInjector` (kinds drawn from
-    ``fault_kinds``); fault injection implies supervision, so a default
+    ``fault_kinds``); fault injection implies a policy, so a default
     :class:`~repro.recovery.supervisor.RecoveryPolicy` is used when faults
-    are requested without an explicit policy.
+    are requested without an explicit one.
 
     The per-request history of every instance is bounded (``history_limit``),
     and — because a fleet is the 10^6-request path — an unbounded history is
@@ -838,40 +734,40 @@ def run_fleet(
     global _LAST_IMAGE_STORE
     store = SharedImageStore()
     _LAST_IMAGE_STORE = store
-    groups: Dict[Tuple[str, str, str], _FleetGroup] = {}
+    images: Dict[Tuple[str, str, str], ProcessImage] = {}
     boot_fatal: Dict[str, bool] = {}
     for instance in instances:
         key = instance.group_key
-        if key in groups:
+        if key in images:
             continue
         template = ENGINE.build_server(
             instance.server, instance.policy, config=instance.config,
             plant_attack=True, scale=scale,
         )
         template.limit_history(history_limit)
-        fatal = _boot_for_service(template, ENGINE.profile(instance.server))
-        image = None
-        if template.checkpoint_restarts:
-            # Re-checkpoint after session setup: every clone AND every
-            # monitor restart restores the serving state, paid once per
-            # group.  One shared copy of the template bytes per group:
-            # clones (serial or across the fork) restore straight out of the
-            # shared block.
-            image = template.boot_image if fatal else template.recheckpoint()
-            image = _share_process_image(store, image)
-        groups[key] = _FleetGroup(image=image, boot_fatal=fatal)
+        fatal = template.start().fatal
+        if not fatal:
+            # Session setup (e.g. Mutt re-opening the INBOX after the planted
+            # startup folder was rejected) brings the template to its serving
+            # state, and the re-checkpoint makes that the image every clone
+            # AND every restart restores, paid once per group.
+            for setup_request in ENGINE.profile(instance.server).make_follow_ups():
+                template.process(setup_request)
+            template.recheckpoint()
+        # One shared copy of the template bytes per group: clones (serial or
+        # across the fork) restore straight out of the shared block.
+        images[key] = _share_process_image(store, template.boot_image)
         boot_fatal[instance.label] = fatal
         template.stop()
 
     run = _FleetRun(
         instances=instances,
-        groups=groups,
+        images=images,
         shard_instances=shard_groups,
         shard_timelines=shard_timelines,
         seed=seed,
         scale=scale,
         history_limit=history_limit,
-        restart_on_death=restart_on_death,
         deadline=(time.monotonic() + max_seconds) if max_seconds is not None else None,
         recovery=recovery,
         fault_rate=fault_rate,

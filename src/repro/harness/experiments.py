@@ -213,7 +213,7 @@ def _run_stability(
                 result.legitimate_failed,
                 result.attacks_survived,
                 result.attack_requests,
-                result.server_deaths + result.boot_deaths,
+                result.server_deaths,
                 result.memory_errors_logged,
                 "yes" if result.flawless else "NO",
             )
@@ -273,7 +273,7 @@ def _run_soak(
             (
                 policy_name,
                 result.legitimate_served,
-                sum(t.server_deaths + t.boot_deaths for t in result.instances),
+                result.server_deaths,
                 result.restarts,
                 f"{result.wall_seconds:.3f}s",
                 f"{result.requests_per_sec:.0f}",

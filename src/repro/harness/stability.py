@@ -10,7 +10,8 @@ error).
 :func:`run_stability_experiment` reproduces the shape of those experiments: a
 long, seeded, mostly-legitimate request stream with attacks injected every N
 requests, served by :func:`~repro.fleet.scheduler.run_fleet` — which boots
-the server, runs the session setup, restarts it on death and tallies every
+the server, runs the session setup, restarts it on death (under the fleet's
+one :class:`~repro.recovery.supervisor.RecoverySupervisor`) and tallies every
 outcome.  With ``shards=K`` the same stream is split into K contiguous
 chunks, each served by its own clone of the boot image: the §4.3.2-style
 restart-under-attack soak.
@@ -39,9 +40,9 @@ def run_stability_experiment(
 
     Instance *i* serves stream chunk *i*; the default single shard is the
     paper's stability run, read as ``result.instances[0]``.  A "death" in
-    the paper's sense is ``server_deaths + boot_deaths``.  ``fleet_options``
-    pass through to :func:`~repro.fleet.scheduler.run_fleet` (e.g.
-    ``restart_on_death``, ``workers``, ``history_limit``).
+    the paper's sense is ``server_deaths`` (boot-time deaths included).
+    ``fleet_options`` pass through to :func:`~repro.fleet.scheduler.run_fleet`
+    (e.g. ``workers``, ``history_limit``, ``recovery``).
     """
     stream = mixed_stream(
         server_name, total_requests=total_requests, attack_every=attack_every, seed=seed

@@ -1,9 +1,12 @@
-"""Rollback-recovery supervision: snapshot cadence, retry, quarantine.
+"""The one restart path: a monitor, optionally with rollback recovery.
 
-The paper's serving model restarts a dead server from its boot image,
-losing every request since boot.  :class:`RecoverySupervisor` wraps a
-:class:`~repro.servers.base.Server` with the incremental checkpoint stream
-so a fatal fault costs only the work since the *last snapshot*:
+:class:`RecoverySupervisor` is the paper's terminate-and-restart monitor
+(§1.4, §5.6), and every fleet instance runs under one.  With no policy a
+fatal request counts as failed and the server stays down until the next
+request restarts it from the boot image (lazily: a death on the last
+request costs no restart).  A :class:`RecoveryPolicy` adds the incremental
+checkpoint stream, so a fatal fault costs only the work since the *last
+snapshot*:
 
 1. every ``snapshot_every`` successful requests, take an O(dirty-blocks)
    snapshot (memory via :class:`~repro.memory.checkpoint_stream.CheckpointStream`,
@@ -15,18 +18,24 @@ so a fatal fault costs only the work since the *last snapshot*:
    is virtual), and retry the request up to ``retry_budget`` times;
 3. a request that stays fatal through its budget is *quarantined*
    (:class:`~repro.telemetry.events.RequestQuarantined`): its terminal
-   disposition flows through the event stream exactly like the fleet's
-   boot-fatal drops, and the server — already rolled back — keeps serving;
+   disposition flows through the event stream exactly like a drop, and the
+   server — already rolled back — keeps serving;
 4. ``loop_threshold`` consecutive recoveries without a single successful
    request degrade to a full boot-image restart
    (``RollbackPerformed(to_boot_image=True)``) and a fresh stream — the
    escape hatch for a snapshot that itself captured corrupted state.
 
+Either way a server whose boot image is fatal (Pine's poisoned mailbox) is
+restarted once at construction and once per arriving request, and each
+request is dropped: a synthetic :class:`~repro.telemetry.events.RequestEnd`
+with outcome :data:`DROPPED_OUTCOME`, and ``submit`` returns None.
+
 Tally invariant (what makes ``fleet report`` exact from an export): every
-fatal attempt's ``RequestEnd`` is followed by exactly one
+fatal attempt the policy recovers is followed by exactly one
 ``RollbackPerformed`` carrying that ``request_id`` — consumers cancel the
 attempt's failure count, because retry or quarantine is the terminal word
-on that request.
+on that request.  Restarts (fatal ``__startup__`` request ends included)
+and drops are events too, so the stream alone re-derives every count.
 """
 
 from __future__ import annotations
@@ -39,10 +48,16 @@ from repro.memory.checkpoint_stream import CheckpointStream
 from repro.recovery.faults import FaultInjector
 from repro.servers.base import Request, Server
 from repro.telemetry.events import (
+    RequestEnd,
     RequestQuarantined,
     RollbackPerformed,
     SnapshotTaken,
 )
+
+#: Outcome stamped on the synthetic RequestEnd for a request that never
+#: reached a live server (its instance down past restart).  Distinct from
+#: every RequestOutcome value.
+DROPPED_OUTCOME = "dropped"
 
 
 @dataclass(frozen=True)
@@ -75,13 +90,14 @@ class RecoveryPolicy:
 
 
 class RecoverySupervisor:
-    """Self-healing wrapper around one started server.
+    """Monitor (and, under a policy, self-healing wrapper) for one booted server.
 
-    The server must be alive and started; construction takes the base
-    snapshot (snapshot 0) immediately.  All request traffic must then go
-    through :meth:`submit` — processing requests behind the supervisor's
-    back would desynchronize the snapshot chain (the stream detects this
-    and refuses to append).
+    The server may be alive or dead but must have booted (it needs a boot
+    image to restart from); a dead one is restarted at construction.  Under
+    a policy a live server's base snapshot (snapshot 0) is taken then too.
+    All request traffic must then go through :meth:`submit` — processing
+    requests behind the supervisor's back would desynchronize the snapshot
+    chain (the stream detects this and refuses to append).
     """
 
     def __init__(
@@ -90,16 +106,16 @@ class RecoverySupervisor:
         policy: Optional[RecoveryPolicy] = None,
         injector: Optional[FaultInjector] = None,
     ) -> None:
-        if not server.alive or not server.started:
-            raise ValueError("supervision requires a started, live server")
+        if server.boot_image is None:
+            raise ValueError("supervision requires a booted server")
         self.server = server
-        self.policy = policy or RecoveryPolicy()
+        self.policy = policy
         self.injector = injector
         if injector is not None:
             injector.install(server)
-        self.stream = CheckpointStream(server.ctx)
+        self.stream: Optional[CheckpointStream] = None
         #: Handler-state snapshots, parallel to the stream's indices.
-        self._states: List[dict] = [server.capture_handler_state()]
+        self._states: List[dict] = []
         self._since_snapshot = 0
         self._consecutive_recoveries = 0
         # Lifetime counters (monotonic; rollbacks do not rewind them).
@@ -109,16 +125,30 @@ class RecoverySupervisor:
         self.quarantined = 0
         self.retried_ok = 0
         self.virtual_backoff_seconds = 0.0
+        if not server.alive:
+            self._restart()
+        elif policy is not None:
+            self._new_stream()
 
     # -- the serving loop ---------------------------------------------------------
 
-    def submit(self, request: Request) -> RequestResult:
+    def submit(self, request: Request) -> Optional[RequestResult]:
         """Process one request under supervision.
 
-        Returns the terminal :class:`~repro.errors.RequestResult`: the
-        successful attempt's result, or the last fatal attempt's when the
-        request was quarantined.  Either way the server is alive afterwards.
+        A dead server is first restarted from its boot image; if it is still
+        down the request is dropped (see :meth:`drop`) and None is returned.
+        Otherwise returns the terminal :class:`~repro.errors.RequestResult`:
+        the successful attempt's result, or the fatal attempt's.  Without a
+        policy a fatal result leaves the server down until the next request;
+        under a policy the fatal attempt was rolled back and retried, the
+        returned one is the last attempt of a quarantined request, and the
+        server is alive afterwards.
         """
+        if not self.server.alive:
+            self._restart()
+            if not self.server.alive:
+                self.drop(request)
+                return None
         attempt = 0
         while True:
             if self.injector is not None:
@@ -127,6 +157,8 @@ class RecoverySupervisor:
             if self.injector is not None:
                 self.injector.end_attempt(self.server)
             attempt += 1
+            if self.policy is None:
+                return result
             if not result.fatal:
                 if attempt > 1:
                     self.retried_ok += 1
@@ -146,6 +178,15 @@ class RecoverySupervisor:
                 ))
                 return result
 
+    def drop(self, request: Request, outcome: str = DROPPED_OUTCOME) -> None:
+        """Emit the synthetic RequestEnd for a request that never ran."""
+        self.server.ctx.bus.emit(RequestEnd(
+            request_id=request.request_id,
+            kind=request.kind,
+            outcome=outcome,
+            is_attack=request.is_attack,
+        ))
+
     def take_snapshot(self, request_id: Optional[int] = None) -> int:
         """Capture a snapshot now (memory delta + handler state) and emit it."""
         index = self.stream.snapshot()
@@ -163,6 +204,34 @@ class RecoverySupervisor:
 
     # -- recovery -----------------------------------------------------------------
 
+    def _new_stream(self) -> None:
+        """Start a fresh snapshot chain whose base is the current state."""
+        self.stream = CheckpointStream(self.server.ctx)
+        self._states = [self.server.capture_handler_state()]
+        self._since_snapshot = 0
+
+    def _restart(self, request: Optional[Request] = None, backoff: float = 0.0) -> None:
+        """Restart from the boot image and emit its ``RollbackPerformed``.
+
+        ``request`` is the fatal request a policy's loop degradation is
+        recovering (its attempt is cancelled); a monitor restart before the
+        next request carries none.  A policy's snapshot chain restarts from
+        the fresh image.
+        """
+        self.server.restart()
+        self.boot_restarts += 1
+        self._consecutive_recoveries = 0
+        if self.policy is not None and self.server.alive:
+            self._new_stream()
+        self.server.ctx.bus.emit(RollbackPerformed(
+            snapshot_index=0,
+            request_id=None if request is None else request.request_id,
+            kind="" if request is None else request.kind,
+            is_attack=request is not None and request.is_attack,
+            to_boot_image=True,
+            backoff_virtual_seconds=backoff,
+        ))
+
     def _recover(self, request: Request, attempt: int) -> None:
         """Bring the dead server back: snapshot rollback or boot-image restart.
 
@@ -177,21 +246,7 @@ class RecoverySupervisor:
         if self._consecutive_recoveries >= policy.loop_threshold:
             # Rollback loop: the last-good snapshot may itself be poisoned.
             # Degrade to the boot image and start a fresh stream from it.
-            self.server.restart()
-            self.boot_restarts += 1
-            self._consecutive_recoveries = 0
-            self.stream = CheckpointStream(self.server.ctx)
-            self._states = [self.server.capture_handler_state()]
-            self._since_snapshot = 0
-            self.server.ctx.bus.emit(RollbackPerformed(
-                snapshot_index=0,
-                request_id=request.request_id,
-                kind=request.kind,
-                is_attack=request.is_attack,
-                blocks_restored=0,
-                to_boot_image=True,
-                backoff_virtual_seconds=backoff,
-            ))
+            self._restart(request, backoff)
             return
         index = self.stream.latest
         blocks = self.stream.restore(index)

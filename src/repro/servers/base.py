@@ -185,15 +185,6 @@ class Server(ABC):
     #: Human readable server name, overridden by subclasses.
     name: str = "abstract"
 
-    #: Whether :meth:`restart` may restore the post-boot checkpoint.  The
-    #: image-replay model assumes ``startup()`` is a deterministic function of
-    #: the configuration and the fresh substrate — true for every server in
-    #: the paper (their boot triggers live in mailboxes and config files, not
-    #: in mutable external state).  A subclass whose boot mutates its
-    #: environment (so consecutive boots differ) sets this False to keep the
-    #: rebuild-and-reboot behaviour.
-    checkpoint_restarts: bool = True
-
     #: Base-class bookkeeping that is *not* part of the process image: the
     #: image captures only the state ``startup()`` and the request handlers
     #: establish.  Everything listed here survives restarts unchanged (or is
@@ -294,33 +285,26 @@ class Server(ABC):
         Fatal boots are captured too: restarting a server whose trigger lives
         in its configuration replays the same fatal boot, exactly as
         re-running ``startup()`` would.
-
-        Servers with ``checkpoint_restarts`` False skip the capture entirely
-        (it could never be restored), which also keeps the pre-checkpoint
-        cost model honest: the benchmark baselines that boot with the flag
-        off pay exactly what the pre-checkpoint code paid.
         """
-        if not self.checkpoint_restarts:
-            result = self._execute(
-                Request(kind="__startup__"), lambda _req: self._run_startup()
-            )
-            self.started = not result.fatal
-            return result
         recorder = ListSink()
         self.ctx.bus.attach(recorder)
         try:
-            result = self._execute(
-                Request(kind="__startup__"), lambda _req: self._run_startup()
-            )
+            result = self._boot()
         finally:
             self.ctx.bus.detach(recorder)
-        self.started = not result.fatal
         self._image = ProcessImage(
             ctx=self.ctx.checkpoint(),
             state=self._capture_state(),
             boot_result=result,
             boot_events=tuple(recorder.events),
         )
+        return result
+
+    def _boot(self) -> RequestResult:
+        result = self._execute(
+            Request(kind="__startup__"), lambda _req: self._run_startup()
+        )
+        self.started = not result.fatal
         return result
 
     def _run_startup(self) -> Response:
@@ -339,10 +323,8 @@ class Server(ABC):
         original image: a restore still reads as "the process booted", and
         the setup requests are not replayed into observers' tallies.
         """
-        if self._image is None or not self.checkpoint_restarts:
-            raise RuntimeError(
-                "recheckpoint requires a started server with checkpoints enabled"
-            )
+        if self._image is None:
+            raise RuntimeError("recheckpoint requires a started server")
         self._image = ProcessImage(
             ctx=self.ctx.checkpoint(),
             state=self._capture_state(),
@@ -427,9 +409,13 @@ class Server(ABC):
         the substrate and re-running ``startup()`` (the restart-equivalence
         suite proves it for every server under every policy) but orders of
         magnitude cheaper.  Servers that have never booted fall back to
+        :meth:`restart_from_scratch`.  The image-replay model assumes
+        ``startup()`` is a deterministic function of the configuration and
+        the fresh substrate, which holds for every server in the paper; a
+        subclass whose consecutive boots differ overrides this method to call
         :meth:`restart_from_scratch`.
         """
-        if self._image is None or not self.checkpoint_restarts:
+        if self._image is None:
             return self.restart_from_scratch()
         self.restarts += 1
         return self._restore_image(self._image)
@@ -438,9 +424,10 @@ class Server(ABC):
         """Re-create the process image and boot again, bypassing the checkpoint.
 
         The pre-checkpoint restart path, kept as the reference the
-        equivalence suite and the restart benchmark compare against.  Also
-        re-captures a fresh boot image, so later :meth:`restart` calls resume
-        the cheap path.
+        equivalence suite and the restart benchmarks compare against.  It
+        captures nothing (the boot image from :meth:`start` stays the
+        restart checkpoint), so a scratch restart costs exactly one full
+        boot on a fresh substrate.
         """
         self.restarts += 1
         self.policy = self.policy_factory()
@@ -450,7 +437,7 @@ class Server(ABC):
         self._wire_telemetry()
         self.alive = True
         self.started = False
-        return self.start()
+        return self._boot()
 
     def adopt_image(self, image: ProcessImage) -> RequestResult:
         """Boot this (freshly constructed) server from another boot's image.

@@ -206,11 +206,13 @@ class RollbackPerformed:
 
     ``request_id`` names the request whose fatal attempt triggered the
     rollback when that attempt is *non-terminal* (the supervisor retries or
-    quarantines it); tally consumers use it to cancel the attempt's
-    failed-count.  ``request_id is None`` means the rollback did not undo a
-    terminal request disposition — the scheduler's restart-on-death path and
-    loop-degradation restarts.  ``to_boot_image`` distinguishes full
-    boot-image restarts from snapshot rollbacks.
+    quarantines it, or degrades a rollback loop to the boot image); tally
+    consumers use it to cancel the attempt's failed-count.  ``request_id is
+    None`` means the rollback did not undo a terminal request disposition:
+    the supervisor's monitor restart of a dead server before the next
+    request (or at construction, for a boot-fatal image).
+    ``to_boot_image`` distinguishes full boot-image restarts from snapshot
+    rollbacks.
     """
 
     snapshot_index: int

@@ -59,20 +59,28 @@ class FragileServer(Server):
     """
 
     name = "toy-fragile"
-    # Boot mutates the shared config (the boots counter), so consecutive
-    # boots differ and the image-replay restart model does not apply.
-    checkpoint_restarts = False
 
     def startup(self) -> None:
-        boots = self.config.setdefault("boots", [])
-        boots.append(1)
-        if len(boots) > 1:
+        if self.restarts:
             raise SegmentationFault(0, "persistent trigger hit during restart boot")
+
+    def restart(self):
+        # Consecutive boots differ, so replaying the first boot's image would
+        # be wrong: every restart reboots from scratch.
+        return self.restart_from_scratch()
 
     def handle(self, request: Request) -> Response:
         if request.kind == "crash":
             raise SegmentationFault(0, "request smashed the heap")
         return Response.ok(body=b"ok")
+
+
+def stream_fields(tally) -> dict:
+    """Every tally field an export re-derives: all of them but the index
+    (a report labels an instance by its scenario id)."""
+    fields = tally.as_dict()
+    del fields["index"]
+    return fields
 
 
 @pytest.fixture

@@ -45,10 +45,11 @@ from repro.fleet.traffic import (
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.stability import run_stability_experiment
 from repro.recovery.supervisor import RecoveryPolicy
-from repro.servers.base import bounded_history_limit
+from repro.servers.base import Request, bounded_history_limit
 from repro.telemetry.events import RequestEnd, RollbackPerformed
 from repro.telemetry.session import TelemetrySession
 from repro.telemetry.summary import iter_records
+from tests.conftest import stream_fields
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +374,6 @@ class TestFleetTallySink:
 # ---------------------------------------------------------------------------
 
 
-def _stream_fields(tally):
-    """Every tally field an export re-derives (the index aside)."""
-    fields = tally.as_dict()
-    for live_only in ("index", "boot_deaths", "restarts"):
-        del fields[live_only]
-    return fields
-
-
 def _exported_run(tmp_path, **kwargs):
     """Run FLEET_SPECS inside a session; return the live result and the path
     of the merged JSONL export."""
@@ -399,8 +392,8 @@ class TestFleetReport:
         requests were all dropped."""
         result, out = _exported_run(tmp_path, workers=2)
         reported = fleet_report_from_trace(out)
-        assert [_stream_fields(t) for t in result.instances] == \
-            [_stream_fields(t) for t in reported]
+        assert [stream_fields(t) for t in result.instances] == \
+            [stream_fields(t) for t in reported]
         assert [t.index for t in reported] == list(range(len(result.instances)))
 
     def test_pooled_recovery_export_equals_live_tallies(self, tmp_path):
@@ -412,10 +405,37 @@ class TestFleetReport:
         assert result.boot_fatal["pine/bounds-check"]
         assert result.rollbacks > 0 and result.faults_injected > 0
         reported = fleet_report_from_trace(out)
-        assert [_stream_fields(t) for t in reported] == \
-            [_stream_fields(t) for t in result.instances]
+        assert [stream_fields(t) for t in reported] == \
+            [stream_fields(t) for t in result.instances]
         assert [t.index for t in reported] == list(range(len(result.instances)))
         assert ("pine", "bounds-check") in {(t.server, t.policy) for t in reported}
+
+    def test_export_equals_live_across_crashes_and_fatal_boots(
+        self, tmp_path, fragile_profile
+    ):
+        """Every column re-derives from the export: restarts that die at boot
+        (toy-fragile after its crash), a boot-fatal clone (pine) and
+        restart-per-death (apache)."""
+        requests = [Request(kind=kind) for kind in ("ok", "crash", "ok", "ok")]
+        specs = [
+            InstanceSpec(fragile_profile.name, "standard", requests=requests),
+            InstanceSpec("pine", "bounds-check"),
+            InstanceSpec("apache", "bounds-check"),
+        ]
+        out = str(tmp_path / "fleet.jsonl")
+        with TelemetrySession(str(tmp_path / "spills")) as session:
+            result = run_fleet(specs, total_requests=60, seed=3, workers=2)
+        session.merge(out)
+        session.cleanup()
+        fragile, pine, apache = result.instances
+        assert (fragile.server_deaths, fragile.restarts) == (3, 2)
+        # The clone's boot, the construction-time restart, one per request.
+        assert pine.server_deaths == pine.requests + 2
+        assert apache.server_deaths > 0
+        reported = fleet_report_from_trace(out)
+        for live, exported in zip(result.instances, reported, strict=True):
+            assert stream_fields(exported) == stream_fields(live), live.server
+            assert exported.index == live.index
 
     def test_report_table_renders_from_export(self, tmp_path):
         _result, out = _exported_run(tmp_path, workers=0)
@@ -449,9 +469,9 @@ class TestFleetCli:
 
     @staticmethod
     def _table_rows(output):
-        """(inst, server, policy, requests, served, failed, dropped) per row."""
+        """Every column of every instance row."""
         return [
-            line.split()[:7] for line in output.splitlines()
+            line.split() for line in output.splitlines()
             if line.split() and line.split()[0].isdigit()
         ]
 
@@ -468,8 +488,8 @@ class TestFleetCli:
         assert cli_main(["fleet", "report", trace]) == 0
         report_output = capsys.readouterr().out
         assert "from export" in report_output
-        # The same per-instance served/failed/dropped columns in both tables,
-        # the boot-fatal pine instance included.
+        # The same per-instance columns in both tables, the boot-fatal pine
+        # instance included.
         rows = self._table_rows(run.out)
         assert [row[:3] for row in rows] == [
             ["0", "apache", "failure-oblivious"],
@@ -477,6 +497,20 @@ class TestFleetCli:
             ["2", "pine", "bounds-check"],
         ]
         assert rows == self._table_rows(report_output)
+
+    def test_fleet_table_counts_fatal_boots(self, capsys):
+        """A boot-fatal instance's deaths appear in the deaths column and the
+        footer: the clone's boot, the construction-time restart, and one
+        failed restart per request."""
+        assert cli_main([
+            "fleet", "run", "-i", "pine:bounds-check", "-i", "apache:bounds-check",
+            "--requests", "40", "--seed", "3",
+        ]) == 0
+        out = capsys.readouterr().out
+        rows = {row[1]: row for row in self._table_rows(out)}
+        # (requests, dropped, deaths, restarts)
+        assert [rows["pine"][i] for i in (3, 6, 8, 9)] == ["20", "20", "22", "21"]
+        assert "23 deaths, 22 restarts" in out
 
     def test_fleet_run_trace_leaves_no_spills(self, tmp_path, monkeypatch, capsys):
         """The export helper cleans up its session's spill directory."""

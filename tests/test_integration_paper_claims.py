@@ -93,8 +93,7 @@ class TestAvailabilityClaims:
         """§4.7: when the trigger persists in the environment, restart-based
         recovery just dies again during initialization."""
         result = run_stability_experiment(
-            server_name, "bounds-check", total_requests=20, attack_every=5,
-            restart_on_death=True, scale=0.1,
+            server_name, "bounds-check", total_requests=20, attack_every=5, scale=0.1,
         ).instances[0]
         assert result.legitimate_served == 0
 

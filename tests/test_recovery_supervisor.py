@@ -7,6 +7,8 @@ Covers the recovery subsystem end to end:
   virtual-time backoff, and the tally invariant (every fatal attempt's
   ``RequestEnd`` is followed by exactly one ``RollbackPerformed`` carrying
   that request id);
+* the monitor mode (no policy): deaths stand, restarts are lazy, and a
+  boot-fatal server is restarted per request and its requests dropped;
 * :class:`FaultInjector` determinism and the retries-never-fault rule;
 * shared-memory delta chains readable zero-copy from a forked child;
 * the forensics snapshot format (save/load/diff round trip, dirtied blocks
@@ -24,7 +26,9 @@ import os
 import pytest
 
 from repro.cli import main as cli_main
-from repro.fleet.scheduler import InstanceSpec, run_fleet
+from repro.core.policies import StandardPolicy
+from repro.errors import SegmentationFault
+from repro.fleet.scheduler import DROPPED_OUTCOME, FleetTallySink, InstanceSpec, run_fleet
 from repro.harness.engine import ENGINE
 from repro.recovery import (
     FAULT_KINDS,
@@ -41,6 +45,7 @@ from repro.telemetry.events import (
     RollbackPerformed,
     SnapshotTaken,
 )
+from repro.servers.base import Request, Response, Server
 from repro.telemetry.sinks import ListSink
 
 
@@ -190,9 +195,9 @@ class TestSupervisorSemantics:
         # Attempts 1..3 fatal: 0.5 + 1.5 + 4.5 virtual seconds, no wall time.
         assert sup.virtual_backoff_seconds == pytest.approx(6.5)
 
-    def test_supervision_requires_a_started_live_server(self):
+    def test_supervision_rejects_an_unbooted_server(self):
         server = ENGINE.build_server("apache", "failure-oblivious")
-        with pytest.raises(ValueError, match="started, live"):
+        with pytest.raises(ValueError, match="booted"):
             RecoverySupervisor(server)
 
     def test_processing_behind_the_supervisors_back_is_detected(self):
@@ -204,6 +209,81 @@ class TestSupervisorSemantics:
         server.ctx.checkpoint()  # desynchronizes the delta chain
         with pytest.raises(ValueError, match="behind the stream's back"):
             sup.submit(_benign(profile, 0))
+
+
+class CrashServer(Server):
+    """Toy server that boots cleanly and dies on a "crash" request."""
+
+    name = "toy-crash"
+
+    def startup(self) -> None:
+        pass
+
+    def handle(self, request: Request) -> Response:
+        if request.kind == "crash":
+            raise SegmentationFault(0, "request smashed the heap")
+        return Response.ok(body=b"ok")
+
+
+def _monitored(server, policy=None):
+    """Supervise ``server`` (booted with a tally sink attached) and return
+    the supervisor, the sink and a recorder of its events."""
+    sink = server.add_telemetry_sink(FleetTallySink())
+    recorder = server.add_telemetry_sink(ListSink())
+    server.start()
+    return RecoverySupervisor(server, policy), sink, recorder
+
+
+def _boot_restarts(recorder):
+    return [e for e in recorder.events
+            if isinstance(e, RollbackPerformed) and e.to_boot_image]
+
+
+class TestMonitorMode:
+    """``RecoverySupervisor(server, None)``: the terminate-and-restart monitor."""
+
+    def test_death_counts_as_failed_and_the_next_request_restarts(self):
+        sup, sink, recorder = _monitored(CrashServer(StandardPolicy))
+        assert sup.submit(Request(kind="ok")).acceptable
+        result = sup.submit(Request(kind="crash"))
+        assert result.fatal and not sup.server.alive
+        # The restart is lazy: nothing happens until the next request.
+        assert not _boot_restarts(recorder)
+        assert sup.submit(Request(kind="ok")).acceptable
+        restarts = _boot_restarts(recorder)
+        assert len(restarts) == 1 and restarts[0].request_id is None
+        tally = sink.tally(0, "toy-crash", "standard")
+        assert (tally.requests, tally.legitimate_served, tally.legitimate_failed) == (3, 2, 1)
+        assert (tally.server_deaths, tally.restarts, tally.rollbacks) == (1, 1, 0)
+        assert sup.stream is None and sup.snapshots_taken == 0
+
+    def test_death_on_the_last_request_costs_no_restart(self):
+        sup, sink, _ = _monitored(CrashServer(StandardPolicy))
+        sup.submit(Request(kind="ok"))
+        sup.submit(Request(kind="crash"))
+        tally = sink.tally(0, "toy-crash", "standard")
+        assert (tally.server_deaths, tally.restarts) == (1, 0)
+        assert sup.boot_restarts == 0
+
+    @pytest.mark.parametrize("policy", [None, RecoveryPolicy()], ids=["monitor", "policy"])
+    def test_boot_fatal_server_restarts_then_drops_every_request(self, policy):
+        """Pine's poisoned mailbox kills every bounds-check boot: one restart
+        at construction, then one restart and one drop per request."""
+        server = ENGINE.build_server("pine", "bounds-check", plant_attack=True, scale=0.25)
+        sup, sink, recorder = _monitored(server, policy)
+        assert not server.alive
+        assert len(_boot_restarts(recorder)) == 1
+        profile = ENGINE.profile("pine")
+        for i in range(3):
+            assert sup.submit(_benign(profile, i)) is None
+        assert len(_boot_restarts(recorder)) == sup.boot_restarts == 4
+        drops = [e for e in recorder.events
+                 if isinstance(e, RequestEnd) and e.outcome == DROPPED_OUTCOME]
+        assert len(drops) == 3
+        tally = sink.tally(0, "pine", "bounds-check")
+        # The boot, the construction-time restart and one restart per request.
+        assert tally.server_deaths == 5
+        assert (tally.restarts, tally.dropped, tally.legitimate_failed) == (4, 3, 3)
 
 
 class TestFaultInjector:

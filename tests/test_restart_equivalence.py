@@ -109,7 +109,7 @@ def _drive(server, profile, restart_via: str) -> dict:
             server.process(request)
     observer = server.add_telemetry_sink(ListSink())
     if restart_via == "checkpoint":
-        assert server.checkpoint_restarts and server.boot_image is not None
+        assert server.boot_image is not None
         restart_result = server.restart()
     else:
         restart_result = server.restart_from_scratch()

@@ -1,19 +1,23 @@
-"""Golden tallies: the stability run and the sharded soak on the fleet path.
+"""Golden tallies: the stability run, the sharded soak and supervised fleets.
 
 ``data/run_path_golden.json`` holds tallies captured from the standalone
 stability and soak harnesses that the fleet scheduler replaced:
 
-* ``stability`` / ``stability_no_restart`` — every registered profile x 5
-  policies, 80 requests, attack every 10, scale 0.25 (the ``exp-stability``
-  table's configuration), with and without the restart monitor;
+* ``stability`` — every registered profile x 5 policies, 80 requests, attack
+  every 10, scale 0.25 (the ``exp-stability`` table's configuration);
 * ``soak`` — every profile x policy as a 4-shard soak (60 requests, attack
   every 3, seed 7), one tally per shard;
-* ``fragile`` — the two ``FragileServer`` restart-accounting streams.
+* ``fragile`` — the two ``FragileServer`` restart-accounting streams;
 
-A stability "death" there is ``server_deaths + boot_deaths`` here.  The one
-documented difference: the standalone soak never ran the profile's session
-setup, so its failure-oblivious, boundless and redirect Mutt shards served
-none of their legitimate requests; on the fleet path they serve all of them.
+and ``supervised``: whole ``FleetResult.tally()`` lists for the fleets in
+:data:`SUPERVISED_RUNS`, captured while the scheduler still restarted
+unsupervised instances itself (its separately counted boot deaths folded
+into ``server_deaths``).
+
+A stability "death" there is ``server_deaths`` here.  The one documented
+difference: the standalone soak never ran the profile's session setup, so
+its failure-oblivious, boundless and redirect Mutt shards served none of
+their legitimate requests; on the fleet path they serve all of them.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import pytest
 from repro.core.policies import POLICY_NAMES
 from repro.fleet.scheduler import InstanceSpec, InstanceTally, run_fleet
 from repro.harness.stability import run_stability_experiment
+from repro.recovery.supervisor import RecoveryPolicy
 from repro.servers.base import Request
 from repro.servers.profile import PROFILES
 
@@ -53,7 +58,7 @@ def stability_fields(tally: InstanceTally) -> dict:
         "legitimate_served": tally.legitimate_served,
         "legitimate_failed": tally.legitimate_failed,
         "attacks_survived": tally.attacks_survived,
-        "server_deaths": tally.server_deaths + tally.boot_deaths,
+        "server_deaths": tally.server_deaths,
         "restarts": tally.restarts,
         "memory_errors_logged": tally.memory_errors_logged,
         "error_sites": dict(sorted(tally.error_sites.items())),
@@ -72,30 +77,19 @@ def shard_fields(tally: InstanceTally) -> dict:
 def test_golden_covers_every_profile_and_policy():
     assert set(SERVERS) <= set(PROFILES)
     cells = {f"{server}/{policy}" for server in SERVERS for policy in POLICIES}
-    for section in ("stability", "stability_no_restart", "soak"):
+    for section in ("stability", "soak"):
         assert set(GOLDEN[section]) == cells, section
-
-
-def test_restart_monitor_matters_only_where_it_restarted():
-    """Justifies running ``stability_no_restart`` only on restarted cells."""
-    for key, golden in GOLDEN["stability"].items():
-        if golden["restarts"] == 0:
-            assert GOLDEN["stability_no_restart"][key] == golden, key
+    assert set(GOLDEN["supervised"]) == set(SUPERVISED_RUNS)
 
 
 @pytest.mark.parametrize("server", SERVERS)
 def test_stability_matches_golden(server):
     for policy in POLICIES:
         key = f"{server}/{policy}"
-        for section, restart in (("stability", True), ("stability_no_restart", False)):
-            if not restart and GOLDEN["stability"][key]["restarts"] == 0:
-                continue
-            result = run_stability_experiment(
-                server, policy, total_requests=80, attack_every=10, scale=0.25,
-                restart_on_death=restart,
-            )
-            assert stability_fields(result.instances[0]) == GOLDEN[section][key], (
-                section, key)
+        result = run_stability_experiment(
+            server, policy, total_requests=80, attack_every=10, scale=0.25,
+        )
+        assert stability_fields(result.instances[0]) == GOLDEN["stability"][key], key
 
 
 @pytest.mark.parametrize("server", SERVERS)
@@ -124,3 +118,44 @@ def test_fragile_accounting_matches_golden(fragile_profile, case, kinds):
     result = run_fleet([InstanceSpec(fragile_profile.name, "standard", requests=requests)])
     assert stability_fields(result.instances[0]) == GOLDEN["fragile"][case]
 
+
+#: The fleet test suite's mix plus two more bounds-check instances: one that
+#: dies per attack (midnight-commander) and one that dies at boot (mutt).
+SUPERVISED_SPECS = [
+    InstanceSpec("apache", "failure-oblivious", count=2),
+    InstanceSpec("apache", "bounds-check"),
+    InstanceSpec("pine", "failure-oblivious"),
+    InstanceSpec("pine", "bounds-check"),
+    InstanceSpec("mutt", "failure-oblivious"),
+    InstanceSpec("sendmail", "failure-oblivious"),
+    InstanceSpec("midnight-commander", "bounds-check"),
+    InstanceSpec("mutt", "bounds-check"),
+]
+#: The perfbench ``fleet-soak`` fleet (``perfbench/serving.py:fleet_specs``).
+PERFBENCH_FLEET_SPECS = [
+    InstanceSpec(name, "failure-oblivious", attack_every=20)
+    for name in ("sendmail", "minic-sendmail", "pine", "mutt", "midnight-commander")
+] + [InstanceSpec("midnight-commander", "bounds-check", attack_every=20)]
+_RECOVERY_KW = dict(total_requests=240, seed=13, recovery=RecoveryPolicy(), fault_every=7)
+SUPERVISED_RUNS = {
+    "plain": (SUPERVISED_SPECS, dict(total_requests=240, seed=13, workers=0)),
+    "recovery": (SUPERVISED_SPECS, dict(_RECOVERY_KW, workers=0)),
+    "recovery-workers-2": (SUPERVISED_SPECS, dict(_RECOVERY_KW, workers=2)),
+    "tight-policy": (SUPERVISED_SPECS, dict(
+        total_requests=240, seed=5, workers=0, fault_every=5,
+        recovery=RecoveryPolicy(snapshot_every=4, retry_budget=2, loop_threshold=2),
+    )),
+    "perfbench-fleet-soak": (PERFBENCH_FLEET_SPECS, dict(
+        total_requests=300, seed=301, recovery=RecoveryPolicy(), fault_every=101,
+    )),
+}
+
+
+@pytest.mark.parametrize("run", sorted(SUPERVISED_RUNS))
+def test_supervised_fleet_matches_golden(run):
+    specs, kwargs = SUPERVISED_RUNS[run]
+    assert run_fleet(specs, **kwargs).tally() == GOLDEN["supervised"][run]
+
+
+def test_supervised_golden_is_worker_invariant():
+    assert GOLDEN["supervised"]["recovery-workers-2"] == GOLDEN["supervised"]["recovery"]

@@ -17,7 +17,7 @@ import os
 import pytest
 
 from repro.fleet.report import fleet_report_from_trace
-from repro.fleet.scheduler import FleetResult, split_contiguous
+from repro.fleet.scheduler import split_contiguous
 from repro.harness.experiments import run_experiment
 from repro.harness.stability import run_stability_experiment
 from repro.servers.apache import PROFILE as APACHE_PROFILE
@@ -26,6 +26,7 @@ from repro.servers.base import Request
 from repro.servers.profile import register_profile, unregister_profile
 from repro.telemetry.session import TelemetrySession
 from repro.telemetry.summary import summarize_trace
+from tests.conftest import stream_fields
 
 
 class TestSplitStream:
@@ -51,14 +52,11 @@ def soak(server, policy, workers=0, **overrides):
     return run_stability_experiment(server, policy, workers=workers, **{**SOAK_KW, **overrides})
 
 
-def deaths(result: FleetResult) -> int:
-    return sum(t.server_deaths + t.boot_deaths for t in result.instances)
-
-
 class RebootApache(ApacheServer):
     """Apache without checkpoint restarts: every death pays a full reboot."""
 
-    checkpoint_restarts = False
+    def restart(self):
+        return self.restart_from_scratch()
 
 
 @pytest.fixture
@@ -90,7 +88,7 @@ class TestShardedSoak:
 
     def test_failure_oblivious_soaks_without_deaths(self):
         result = soak("apache", "failure-oblivious")
-        assert deaths(result) == 0
+        assert result.server_deaths == 0
         assert result.restarts == 0
         assert result.legitimate_failed == 0
         assert result.legitimate_served == result.legitimate_requests
@@ -99,7 +97,7 @@ class TestShardedSoak:
         result = soak("apache", "bounds-check")
         # Every attack kills the child; the monitor restores the boot image
         # before the next request, so no legitimate request is lost.
-        assert deaths(result) == result.attack_requests
+        assert result.server_deaths == result.attack_requests
         assert result.restarts > 0
         assert result.legitimate_failed == 0
 
@@ -111,7 +109,7 @@ class TestShardedSoak:
         result = soak("pine", "bounds-check")
         assert result.boot_fatal["pine/bounds-check"]
         assert result.legitimate_served == 0
-        assert deaths(result) == 2 * result.shard_count + result.total_requests
+        assert result.server_deaths == 2 * result.shard_count + result.total_requests
         assert result.restarts == result.shard_count + result.total_requests
         assert result.legitimate_failed == result.legitimate_requests
 
@@ -130,7 +128,7 @@ class TestShardedSoak:
         result = soak("mutt", "failure-oblivious")
         assert result.legitimate_requests == 41
         assert result.legitimate_served == 41
-        assert deaths(result) == 0
+        assert result.server_deaths == 0
 
 
 class TestSoakTelemetry:
@@ -176,14 +174,6 @@ class TestSoakTelemetry:
         assert set(shard_ids) == {0, 1, 2, 3}
 
 
-def _stream_fields(tally):
-    """Every tally field an export re-derives (the index aside)."""
-    fields = tally.as_dict()
-    for live_only in ("index", "boot_deaths", "restarts"):
-        del fields[live_only]
-    return fields
-
-
 class TestMultiFleetExport:
     """Several fleets in one session export as distinct instances: each fleet
     reserves its own block of scenario ids."""
@@ -199,11 +189,11 @@ class TestMultiFleetExport:
         output, reported = self._export(tmp_path, "exp-soak", total_requests=48, shards=4)
         live = [tally for result in output.data.values() for tally in result.instances]
         assert len(live) == len(reported) == 12
-        assert [_stream_fields(t) for t in reported] == [_stream_fields(t) for t in live]
+        assert [stream_fields(t) for t in reported] == [stream_fields(t) for t in live]
         assert [t.index for t in reported] == list(range(12))
 
     def test_stability_export_reports_every_server_separately(self, tmp_path):
         output, reported = self._export(tmp_path, "exp-stability", total_requests=20)
         live = list(output.data.values())
         assert [t.server for t in reported] == sorted(output.data)
-        assert [_stream_fields(t) for t in reported] == [_stream_fields(t) for t in live]
+        assert [stream_fields(t) for t in reported] == [stream_fields(t) for t in live]
