@@ -34,11 +34,18 @@ class MemoryAccessor:
 
     For checking policies every access performs an object-table lookup, the
     same work the CRED checker does to map a pointer to its referent.  Our fat
-    pointers already know their referent, so the lookup result is only used to
-    cross-check the substrate, but its *cost* is the point: it is the per-access
-    overhead that produces the slowdown columns of the paper's Figures 2-6.
-    The Standard (unchecked) policy skips the lookup entirely, exactly like
-    uninstrumented code.
+    pointers already know their referent, so the lookup result is never used;
+    only its count is kept (``table.lookups``), and the decision cache skips
+    the bisect itself on repeated accesses to one referent.  The Standard
+    (unchecked) policy skips the lookup entirely, exactly like uninstrumented
+    code.
+
+    What the wall time of a per-byte access is made of, as measured: the
+    caller's pointer arithmetic, then the dispatch into this class, then the
+    check.  The first two are paid by every build, so the slowdown columns of
+    the paper's Figures 2-6 come out at 1.06-1.28x here (``results.txt``), not
+    the paper's up to 8x.  A modeled slowdown column built from the
+    per-request counters is ROADMAP item 1.
     """
 
     def __init__(
@@ -312,43 +319,53 @@ class MemoryAccessor:
     # -- scalar helpers ----------------------------------------------------------------
 
     def read_byte(self, ptr: FatPointer) -> int:
-        """Read one unsigned byte (fast path for the common in-bounds case)."""
+        """Read one unsigned byte (fast path for the common in-bounds case).
+
+        The pointer's fields are read once and the address is summed here,
+        not through the ``address`` property: this runs once per byte of
+        every handler loop.
+        """
+        unit = ptr.referent
+        offset = ptr.offset
         policy = self.policy
         if not policy.performs_checks:
-            return self.space.read_byte(ptr.address)
+            return self.space.read_byte(unit.base + offset)
         policy.note_check()
-        unit = ptr.referent
         if unit is self._cached_unit:
             self.table.lookups += 1
-            if 0 <= ptr.offset < unit.size:
-                return self.space.read_byte(ptr.address)
+            if 0 <= offset < unit.size:
+                return self.space.read_byte(unit.base + offset)
         else:
-            self.table.find(ptr.address)
-            if unit.alive and 0 <= ptr.offset < unit.size:
+            address = unit.base + offset
+            self.table.find(address)
+            if unit.alive and 0 <= offset < unit.size:
                 if self._cache_enabled:
                     self._cached_unit = unit
-                return self.space.read_byte(ptr.address)
+                return self.space.read_byte(address)
         return self._invalid_read(ptr, 1)[0]
 
     def write_byte(self, ptr: FatPointer, value: int) -> None:
-        """Write one byte (fast path for the common in-bounds case)."""
+        """Write one byte (fast path for the common in-bounds case; see
+        :meth:`read_byte`)."""
+        unit = ptr.referent
+        offset = ptr.offset
         policy = self.policy
         if not policy.performs_checks:
-            self.space.write_byte(ptr.address, value)
+            self.space.write_byte(unit.base + offset, value)
             return
         policy.note_check()
-        unit = ptr.referent
         if unit is self._cached_unit:
             self.table.lookups += 1
-            if 0 <= ptr.offset < unit.size:
-                self.space.write_byte(ptr.address, value)
+            if 0 <= offset < unit.size:
+                self.space.write_byte(unit.base + offset, value)
                 return
         else:
-            self.table.find(ptr.address)
-            if unit.alive and 0 <= ptr.offset < unit.size:
+            address = unit.base + offset
+            self.table.find(address)
+            if unit.alive and 0 <= offset < unit.size:
                 if self._cache_enabled:
                     self._cached_unit = unit
-                self.space.write_byte(ptr.address, value)
+                self.space.write_byte(address, value)
                 return
         self._invalid_write(ptr, bytes([value & 0xFF]))
 

@@ -62,19 +62,19 @@ class Segment:
     #: resize.  (Kept out of ``__eq__``: identity of the backing buffer is
     #: what matters, and ``data`` is already compared.)
     view: memoryview = field(init=False, repr=False, compare=False)
+    #: One past the last mapped address.  Stored once, not recomputed: the
+    #: byte fast paths test it on every access, and segments never resize
+    #: (nothing rebinds ``data``; restores copy into it in place).
+    end: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.view = memoryview(self.data).toreadonly()
+        self.end = self.base + len(self.data)
 
     @property
     def size(self) -> int:
         """Number of mapped bytes in this segment."""
         return len(self.data)
-
-    @property
-    def end(self) -> int:
-        """One past the last mapped address."""
-        return self.base + len(self.data)
 
     def contains(self, address: int, length: int = 1) -> bool:
         """True if ``[address, address + length)`` lies entirely inside the segment."""

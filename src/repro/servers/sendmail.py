@@ -202,7 +202,11 @@ class SendmailServer(Server):
         """Copy the message body through a fixed spool buffer, line style.
 
         This is the per-byte work that dominates the request processing time
-        and produces the roughly 4x slowdown of Figure 4.
+        of Figure 4's large rows.  Each byte costs a pointer step and an
+        accessor call under every build; the checked builds add the bounds
+        check on top, which is why the measured slowdowns in
+        ``benchmarks/results.txt`` are only 1.14-1.27x.  A modeled column from
+        per-request counters is ROADMAP item 1.
         """
         ctx = self.ctx
         mem = ctx.mem

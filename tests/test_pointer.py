@@ -1,7 +1,16 @@
 """Tests for fat pointers (Ruwase & Lam style intended referents)."""
 
+import copy
+import dataclasses
+import pickle
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.memory.data_unit import NULL_UNIT, UnitKind, make_unit
 from repro.memory.pointer import FatPointer
+from repro.minic import ast_nodes as ast
+from repro.minic.interpreter import TypedPointer
 
 
 def make_ptr(size=16, base=1000):
@@ -109,3 +118,64 @@ class TestComparisons:
         ptr = make_ptr()
         assert ptr + 1 == ptr + 1
         assert ptr + 1 != ptr + 2
+
+
+class TestFastConstruction:
+    """Arithmetic results are built without the frozen ``__init__``; they must
+    be indistinguishable from constructor-built pointers."""
+
+    steps = st.integers(min_value=-4096, max_value=4096)
+
+    @staticmethod
+    def assert_same(built, expected):
+        assert type(built) is type(expected)
+        assert built == expected
+        assert hash(built) == hash(expected)
+        assert repr(built) == repr(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=steps, delta=steps)
+    def test_arithmetic_equals_constructor(self, start, delta):
+        unit = make_unit(name="buf", base=0x2000, size=64, kind=UnitKind.HEAP)
+        ptr = FatPointer(unit, start)
+        self.assert_same(ptr + delta, FatPointer(unit, start + delta))
+        self.assert_same(ptr - delta, FatPointer(unit, start - delta))
+        self.assert_same(ptr.advance(delta), FatPointer(unit, start + delta))
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=steps, elements=steps, elem_size=st.sampled_from([1, 2, 4, 8, 12]),
+           typed=st.booleans())
+    def test_offset_by_equals_constructor(self, start, elements, elem_size, typed):
+        unit = make_unit(name="arr", base=0x3000, size=48, kind=UnitKind.STACK)
+        ctype = ast.CType("int", pointer_depth=1) if typed else None
+        ptr = TypedPointer(FatPointer(unit, start), elem_size, ctype)
+        self.assert_same(
+            ptr.offset_by(elements),
+            TypedPointer(FatPointer(unit, start + elements * elem_size), elem_size, ctype),
+        )
+
+    def test_results_stay_frozen(self):
+        unit = make_unit(name="buf", base=0x2000, size=8, kind=UnitKind.HEAP)
+        for ptr in (FatPointer(unit) + 1, FatPointer(unit) - 1, FatPointer(unit).advance(2)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                ptr.offset = 0
+        typed = TypedPointer(FatPointer(unit), 4).offset_by(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            typed.elem_size = 1
+        assert not hasattr(typed, "__dict__")
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda value: pickle.loads(pickle.dumps(value)),
+        copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_round_trips_keep_offset_and_referent(self, round_trip):
+        unit = make_unit(name="buf", base=0x2000, size=8, kind=UnitKind.HEAP, serial=41)
+        ptr = FatPointer(unit) + 5
+        back = round_trip(ptr)
+        assert back.offset == 5
+        assert back.referent.label() == unit.label() == "buf#41"
+        assert back.address == ptr.address
+        typed = TypedPointer(FatPointer(unit), 4).offset_by(-3)
+        back = round_trip(typed)
+        assert (back.pointer.offset, back.elem_size) == (-12, 4)
+        assert back.pointer.referent.label() == "buf#41"
