@@ -56,8 +56,6 @@ class BoundsCheckPolicy(AccessPolicy):
 
     name = "bounds-check"
     performs_checks = True
-    supports_runs = True
-    supports_scan_runs = True
 
     def on_invalid_read(self, event: MemoryErrorEvent, length: int) -> AccessDecision:
         self.record_event(event)
@@ -101,8 +99,6 @@ class FailureObliviousPolicy(AccessPolicy):
 
     name = "failure-oblivious"
     performs_checks = True
-    supports_runs = True
-    supports_scan_runs = True
 
     def __init__(
         self,
@@ -319,7 +315,7 @@ class BoundlessPolicy(FailureObliviousPolicy):
                 discarded = count
         else:
             # Crossing capacity mid-run: byte-at-a-time accounting, exactly
-            # like the per-byte fallback loop (overwrites always land; new
+            # like the per-byte loop (overwrites always land; new
             # offsets land only while there is room).
             for i, byte in enumerate(data):
                 offset = event.offset + i
@@ -396,57 +392,44 @@ class BoundlessPolicy(FailureObliviousPolicy):
         self._stored_total = state["stored_total"]
 
 
-class RedirectPolicy(AccessPolicy):
+class RedirectPolicy(FailureObliviousPolicy):
     """§5.1 redirect variant: wrap out-of-bounds accesses back into the unit.
 
     An access at offset ``o`` of an ``n``-byte unit is performed at
     ``o % n`` instead.  This keeps related out-of-bounds reads mutually
     consistent because they observe properly initialized data from the same
-    unit.  Accesses to dead (freed) units cannot be redirected and fall back to
-    failure-oblivious behaviour.
+    unit.  Accesses to dead (freed) or empty units cannot be redirected and
+    take the inherited failure-oblivious continuation.
     """
 
     name = "redirect"
-    performs_checks = True
-    supports_runs = True
-    supports_scan_runs = True
 
-    def __init__(
-        self,
-        error_log: Optional[MemoryErrorLog] = None,
-        sequence: Optional[ManufacturedValueSequence] = None,
-    ) -> None:
-        super().__init__(error_log=error_log)
-        self.sequence = sequence if sequence is not None else ManufacturedValueSequence()
+    @staticmethod
+    def _wraps(event: MemoryErrorEvent) -> bool:
+        """True when the access can wrap: its unit is alive and non-empty."""
+        return event.kind is not ErrorKind.USE_AFTER_FREE and event.unit_size > 0
+
+    def _redirect(self, event: MemoryErrorEvent, length: int, count: int = 1) -> AccessDecision:
+        """Count and publish the wrap of ``count`` per-byte accesses (one
+        scalar access of ``length`` bytes, or a run of ``count`` bytes)."""
+        self.stats.redirected_accesses += count
+        target = event.offset % event.unit_size
+        self.emit(Redirect(offset=event.offset, redirect_offset=target,
+                           length=length, access=event.access.value, count=count,
+                           site=event.site, request_id=event.request_id))
+        return AccessDecision.redirect(target)
 
     def on_invalid_read(self, event: MemoryErrorEvent, length: int) -> AccessDecision:
+        if not self._wraps(event):
+            return super().on_invalid_read(event, length)
         self.record_event(event)
-        if event.kind is ErrorKind.USE_AFTER_FREE or event.unit_size <= 0:
-            data = self.sequence.next_bytes(length)
-            self.stats.manufactured_values += length
-            self.emit(Manufacture(length=length, site=event.site,
-                                  request_id=event.request_id))
-            return AccessDecision.supply(data)
-        self.stats.redirected_accesses += 1
-        target = event.offset % event.unit_size
-        self.emit(Redirect(offset=event.offset, redirect_offset=target,
-                           length=length, access=event.access.value,
-                           site=event.site, request_id=event.request_id))
-        return AccessDecision.redirect(target)
+        return self._redirect(event, length)
 
     def on_invalid_write(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
+        if not self._wraps(event):
+            return super().on_invalid_write(event, data)
         self.record_event(event)
-        if event.kind is ErrorKind.USE_AFTER_FREE or event.unit_size <= 0:
-            self.stats.discarded_bytes += len(data)
-            self.emit(Discard(length=len(data), site=event.site,
-                              request_id=event.request_id))
-            return AccessDecision.discard()
-        self.stats.redirected_accesses += 1
-        target = event.offset % event.unit_size
-        self.emit(Redirect(offset=event.offset, redirect_offset=target,
-                           length=len(data), access=event.access.value,
-                           site=event.site, request_id=event.request_id))
-        return AccessDecision.redirect(target)
+        return self._redirect(event, len(data))
 
     # -- batched runs -----------------------------------------------------------
     #
@@ -457,36 +440,16 @@ class RedirectPolicy(AccessPolicy):
     # redirected_accesses statistic counts each of them, like the loop did.
 
     def on_invalid_read_run(self, event: MemoryErrorEvent, count: int) -> AccessDecision:
-        if event.kind is ErrorKind.USE_AFTER_FREE or event.unit_size <= 0:
-            self.record_event_run(event, count)
-            data = self.sequence.next_bytes(count)
-            self.stats.manufactured_values += count
-            self.emit(Manufacture(length=count, count=count, site=event.site,
-                                  request_id=event.request_id))
-            return AccessDecision.supply(data)
+        if not self._wraps(event):
+            return super().on_invalid_read_run(event, count)
         self.record_event_run(event, count)
-        self.stats.redirected_accesses += count
-        target = event.offset % event.unit_size
-        self.emit(Redirect(offset=event.offset, redirect_offset=target,
-                           length=count, access=event.access.value, count=count,
-                           site=event.site, request_id=event.request_id))
-        return AccessDecision.redirect(target)
+        return self._redirect(event, count, count)
 
     def on_invalid_write_run(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
-        count = len(data)
-        if event.kind is ErrorKind.USE_AFTER_FREE or event.unit_size <= 0:
-            self.record_event_run(event, count)
-            self.stats.discarded_bytes += count
-            self.emit(Discard(length=count, count=count, site=event.site,
-                              request_id=event.request_id))
-            return AccessDecision.discard()
-        self.record_event_run(event, count)
-        self.stats.redirected_accesses += count
-        target = event.offset % event.unit_size
-        self.emit(Redirect(offset=event.offset, redirect_offset=target,
-                           length=count, access=event.access.value, count=count,
-                           site=event.site, request_id=event.request_id))
-        return AccessDecision.redirect(target)
+        if not self._wraps(event):
+            return super().on_invalid_write_run(event, data)
+        self.record_event_run(event, len(data))
+        return self._redirect(event, len(data), len(data))
 
     # -- batched terminator scans: the preview/commit protocol -------------------
     #
@@ -496,44 +459,19 @@ class RedirectPolicy(AccessPolicy):
     # REDIRECT preview; the accessor scans the wrapped range with its own raw
     # reads — stopping exactly where the per-byte loop would — and commits the
     # consumed length back here, where the deferred per-byte recording
-    # happens.  Dead and zero-sized units fall back to manufactured bytes, the
-    # same continuation the scalar hook takes, so those scans batch too.
+    # happens.  Dead and empty units manufacture their scan bytes, the same
+    # inherited continuation the scalar hook takes.
 
     def scan_invalid_read_run(self, event, count, until):
-        if event.kind is ErrorKind.USE_AFTER_FREE or event.unit_size <= 0:
-            out = bytearray()
-            for _ in range(count):
-                byte = self.sequence.next_byte()
-                out.append(byte)
-                if byte in until:
-                    break
-            produced = len(out)
-            if produced:
-                self.record_event_run(event, produced)
-                self.stats.manufactured_values += produced
-                self.emit(Manufacture(length=produced, count=produced, site=event.site,
-                                      request_id=event.request_id))
-            return AccessDecision.supply(bytes(out))
+        if not self._wraps(event):
+            return super().scan_invalid_read_run(event, count, until)
         return AccessDecision.redirect(event.offset % event.unit_size)
 
     def commit_scan_run(self, event: MemoryErrorEvent, consumed: int) -> None:
         if consumed <= 0:
             return
         self.record_event_run(event, consumed)
-        self.stats.redirected_accesses += consumed
-        target = event.offset % event.unit_size
-        self.emit(Redirect(offset=event.offset, redirect_offset=target,
-                           length=consumed, access=event.access.value, count=consumed,
-                           site=event.site, request_id=event.request_id))
-
-    def checkpoint_state(self) -> dict:
-        state = super().checkpoint_state()
-        state["sequence"] = self.sequence.checkpoint()
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        self.sequence.restore(state["sequence"])
+        self._redirect(event, consumed, consumed)
 
 
 #: Registry of policy names used by the harness's command-line style configuration.

@@ -125,9 +125,11 @@ class PolicyStatistics:
 class AccessPolicy(ABC):
     """Interface implemented by every build variant.
 
-    Subclasses override :meth:`on_invalid_read` and :meth:`on_invalid_write`;
-    the accessor only calls them when :attr:`performs_checks` is True and a
-    check failed.
+    Subclasses implement the scalar hooks (:meth:`on_invalid_read`,
+    :meth:`on_invalid_write`) for block accesses and the batched run hooks
+    (:meth:`on_invalid_read_run`, :meth:`on_invalid_write_run`,
+    :meth:`scan_invalid_read_run`) for span accesses; the accessor only calls
+    them when :attr:`performs_checks` is True and a check failed.
     """
 
     #: Short machine-readable name used by the harness and reports.
@@ -135,18 +137,6 @@ class AccessPolicy(ABC):
     #: Whether the accessor should run bounds checks at all.  The Standard
     #: build sets this to False, which is also why it is the fastest build.
     performs_checks: bool = True
-    #: Whether the policy implements the batched run hooks
-    #: (:meth:`on_invalid_read_run` / :meth:`on_invalid_write_run`).  When
-    #: False the accessor falls back to one policy decision per byte — the
-    #: reference semantics every run hook must reproduce exactly.  All five
-    #: shipped checking policies support runs; third-party policies keep
-    #: working unmodified through the per-byte path.
-    supports_runs: bool = False
-    #: Whether :meth:`scan_invalid_read_run` can batch terminator scans.
-    #: False (redirect: its bytes live in memory, not in the policy) lets the
-    #: accessor skip the classify-and-ask round trip entirely and hand the
-    #: scan straight back to the per-byte path.
-    supports_scan_runs: bool = False
 
     def __init__(self, error_log: Optional[MemoryErrorLog] = None) -> None:
         self.error_log = error_log if error_log is not None else MemoryErrorLog()
@@ -173,49 +163,39 @@ class AccessPolicy(ABC):
     # exactly like ``count`` calls of the scalar hook on events whose offsets
     # step by one: same statistics, same error-log contents (recorded as one
     # run via record_event_run), same manufactured-sequence consumption, and
-    # one decision covering the whole run.  They are only called when
-    # ``supports_runs`` is True.
+    # one decision covering the whole run.  Every checking policy implements
+    # them: they are the only protocol between the span helpers and a policy.
 
     def on_invalid_read_run(self, event: MemoryErrorEvent, count: int) -> AccessDecision:
         """Decide a contiguous run of ``count`` per-byte invalid reads at once."""
-        raise NotImplementedError(
-            f"{type(self).__name__} sets supports_runs but lacks on_invalid_read_run"
-        )
+        raise NotImplementedError(f"{type(self).__name__} lacks on_invalid_read_run")
 
     def on_invalid_write_run(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
         """Decide a contiguous run of ``len(data)`` per-byte invalid writes at once."""
-        raise NotImplementedError(
-            f"{type(self).__name__} sets supports_runs but lacks on_invalid_write_run"
-        )
+        raise NotImplementedError(f"{type(self).__name__} lacks on_invalid_write_run")
 
     def scan_invalid_read_run(
         self, event: MemoryErrorEvent, count: int, until: Tuple[int, ...]
-    ) -> Optional[AccessDecision]:
+    ) -> AccessDecision:
         """Batched terminator scan: per-byte reads that stop at a sentinel.
 
         The C-string loops read invalid bytes one at a time *until a
         terminator appears* — so the run length is data-dependent and cannot
         be fixed up front without over-consuming the manufactured-value
         sequence.  Policies whose invalid-read bytes are internally generated
-        (failure-oblivious, boundless) override this to produce up to
-        ``count`` bytes, stopping after the first byte in ``until``, and
+        (failure-oblivious, boundless) produce up to ``count`` bytes in a
+        SUPPLY decision, stopping after the first byte in ``until``, and
         record exactly as many per-byte events as bytes produced; the hit is
         the last returned byte iff it is in ``until``.
 
         Policies whose invalid-read bytes live in simulated memory (redirect)
-        cannot produce the bytes themselves; they may instead return a
-        REDIRECT decision — a *preview*.  The accessor then performs the
-        wrapped scan over the unit's own bytes, stopping exactly where the
-        per-byte loop would, and reports how many per-byte reads that
-        consumed via :meth:`commit_scan_run`, which does the deferred
-        recording.
-
-        Returning None (the default) tells the accessor to fall back to one
-        policy decision per byte; policies that can never scan-batch leave
-        ``supports_scan_runs`` False instead, which skips even the
-        classification round trip.
+        cannot produce the bytes themselves; they return a REDIRECT decision
+        instead — a *preview*.  The accessor then performs the wrapped scan
+        over the unit's own bytes, stopping exactly where the per-byte loop
+        would, and reports how many per-byte reads that consumed via
+        :meth:`commit_scan_run`, which does the deferred recording.
         """
-        return None
+        raise NotImplementedError(f"{type(self).__name__} lacks scan_invalid_read_run")
 
     def commit_scan_run(self, event: MemoryErrorEvent, consumed: int) -> None:
         """Record a previewed scan after the accessor performed it.

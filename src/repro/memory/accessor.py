@@ -22,6 +22,7 @@ from repro.errors import (
     AccessKind,
     ErrorKind,
     MemoryErrorEvent,
+    SegmentationFault,
 )
 from repro.memory.address_space import AddressSpace
 from repro.memory.data_unit import DataUnit
@@ -392,17 +393,18 @@ class MemoryAccessor:
     # build.  One policy check and one object-table lookup are paid per span
     # instead of per byte.
     #
-    # Outside the span, accesses are invalid and the policy decides.  For
-    # policies that support batched runs (all five shipped ones) the whole
-    # contiguous invalid run is classified once and handed to the policy as a
-    # single ``on_invalid_read_run``/``on_invalid_write_run`` call — the
-    # batched out-of-bounds continuation that removes the per-byte ceiling on
-    # attack floods.  The run hooks are bit-identical to the per-byte loop
-    # for everything a program or the error log can observe (the equivalence
-    # suite diffs them against the per-byte reference under every policy);
-    # only ``checks_performed`` counts one check per run instead of per byte.
-    # Policies without run support (third-party subclasses) still get one
-    # policy decision per byte via the scalar accessors.
+    # Outside the span, accesses are invalid and the policy decides.  The
+    # whole contiguous invalid run is classified once and handed to the
+    # policy as a single ``on_invalid_read_run``/``on_invalid_write_run``/
+    # ``scan_invalid_read_run`` call — the batched out-of-bounds continuation
+    # that removes the per-byte ceiling on attack floods, and the only
+    # protocol between the span helpers and a checking policy.  The run hooks
+    # are bit-identical to the per-byte loop for everything a program or the
+    # error log can observe (the equivalence suite diffs them against the
+    # frozen per-byte reference under every policy); only
+    # ``checks_performed`` counts one check per run instead of per byte.
+    # Under Standard, which checks nothing, the byte after a segment's span
+    # is unmapped and faults (see ``_invalid_run_length``).
 
     def scan_span(self, ptr: FatPointer) -> int:
         """Length of the contiguous raw-accessible span starting at ``ptr``.
@@ -432,17 +434,6 @@ class MemoryAccessor:
                 if self._cache_enabled:
                     self._cached_unit = ptr.referent
 
-    @property
-    def batches_runs(self) -> bool:
-        """True when invalid suffixes can be handed to the policy as runs.
-
-        The single definition of run eligibility; the C-string helpers
-        consult it too when deciding whether an overflowing copy can stream
-        whole chunks through the batched continuation.
-        """
-        policy = self.policy
-        return policy.performs_checks and policy.supports_runs
-
     def _invalid_run_length(self, ptr: FatPointer, length: int) -> int:
         """Length of the contiguous invalid run starting at ``ptr``.
 
@@ -450,7 +441,13 @@ class MemoryAccessor:
         same unit): a pointer below its unit re-enters bounds at offset 0, so
         the run stops there; above the unit, or into a dead or null unit, the
         whole remaining range is one run.
+
+        The unchecked Standard build has no invalid runs: its span ends at the
+        end of a segment, so the byte at ``ptr`` is unmapped and the access
+        faults there, after the in-segment prefix, as the raw byte loop does.
         """
+        if not self.policy.performs_checks:
+            raise SegmentationFault(ptr.address)
         unit = ptr.referent
         if not ptr.is_null and unit.alive and ptr.offset < 0:
             return min(-ptr.offset, length)
@@ -497,8 +494,7 @@ class MemoryAccessor:
         """Bulk read: one policy decision per safe span *and* per invalid run.
 
         Alternates between raw reads of in-bounds spans and batched policy
-        continuations for the invalid runs between them; policies without run
-        support fall back to one decision per byte.
+        continuations for the invalid runs between them.
 
         Zero-copy contract: when the whole request fits one safe span the
         returned value is a read-only :class:`memoryview` aliasing the live
@@ -515,12 +511,6 @@ class MemoryAccessor:
         if span == length:
             self._note_span_check(ptr)
             return self.space.read_view(ptr.address, length)
-        if not self.batches_runs:
-            if span <= 0:
-                return bytes(self.read_byte(ptr + i) for i in range(length))
-            self._note_span_check(ptr)
-            data = self.space.read(ptr.address, span)
-            return data + bytes(self.read_byte(ptr + i) for i in range(span, length))
         out = bytearray()
         pos = 0
         while pos < length:
@@ -564,13 +554,6 @@ class MemoryAccessor:
             # those slices free.  (Policy hooks only measure, iterate, or
             # re-slice the run payloads, so handing them sub-views is safe.)
             data = memoryview(data)
-        if not self.batches_runs:
-            if span > 0:
-                self._note_span_check(ptr)
-                self.space.write(ptr.address, data[:span])
-            for i in range(span, length):
-                self.write_byte(ptr + i, data[i])
-            return
         pos = 0
         while pos < length:
             here = ptr + pos
@@ -599,12 +582,11 @@ class MemoryAccessor:
         multi-span scans return ``bytes``.
 
         Beyond the safe span the scan continues through invalid runs via the
-        policy's ``scan_invalid_read_run`` hook (failure-oblivious and
-        boundless generate their own bytes and stop exactly where a per-byte
-        loop would).  When the policy cannot scan-batch — redirect, whose
-        bytes live in memory, and per-byte-only policies — the method returns
-        what it has with ``index == -1`` and the caller continues per byte;
-        ``data`` may then be shorter than ``limit``.
+        policy's ``scan_invalid_read_run`` hook: failure-oblivious and
+        boundless generate their own bytes, redirect previews a wrapped scan
+        that this method performs and commits back, and all of them stop
+        exactly where a per-byte loop would.  On a miss ``data`` holds all
+        ``limit`` bytes scanned.
         """
         target = value & 0xFF
         # Fast path for the dominant case: the hit (or the whole limit)
@@ -621,10 +603,7 @@ class MemoryAccessor:
                 return first, -1
         else:
             first = b""
-        if not self.batches_runs:
-            return first, -1
         policy = self.policy
-        scan_runs = policy.supports_scan_runs
         out = bytearray(first)
         pos = span
         while pos < limit:
@@ -639,15 +618,11 @@ class MemoryAccessor:
                     return bytes(out), pos + index
                 pos += span
                 continue
-            if not scan_runs:
-                break  # the caller continues with the per-byte path
             run = self._invalid_run_length(here, limit - pos)
             policy.note_check()
             self.table.find(here.address)
             event = self._classify(here, 1, AccessKind.READ)
             decision = policy.scan_invalid_read_run(event, run, (target,))
-            if decision is None:
-                break
             if decision.action is DecisionAction.RAISE:
                 raise decision.exception
             if decision.action is DecisionAction.REDIRECT:
@@ -664,8 +639,6 @@ class MemoryAccessor:
                 pos += len(data)
                 continue
             data = decision.data
-            if not data:
-                break
             out += data
             if data[-1] == target:
                 return bytes(out), pos + len(data) - 1

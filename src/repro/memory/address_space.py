@@ -99,15 +99,15 @@ class AddressSpaceCheckpoint:
     that have ever been written when the checkpoint was taken.  Every block
     outside the list is all zeros in the payload, which lets a restore into
     another space skip it when that space knows the block is zero on its side
-    too.  Empty (the default) means "unknown": restores then fall back to the
-    full copy.
+    too.  Every producer (:meth:`AddressSpace.checkpoint`, checkpoint-stream
+    replay, snapshot loading) lists every segment.
     """
 
     epoch: int
     segments: Tuple[Tuple[str, int, bytes], ...]
     raw_reads: int
     raw_writes: int
-    touched_blocks: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
+    touched_blocks: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -468,8 +468,7 @@ class AddressSpace:
         the blocks that could differ: the checkpoint's touched blocks plus
         this space's own touched/dirty blocks (everything else is zero on
         both sides).  That makes clone cost O(touched bytes), independent of
-        segment size.  Checkpoints without touched-block data take the full
-        copy.  Either way the space is clean with respect to ``cp``
+        segment size.  Either way the space is clean with respect to ``cp``
         afterwards, so cloned process images get the dirty-block fast path on
         *their* subsequent restores too.  Segments mapped after the
         checkpoint are unmapped; a checkpointed segment whose size changed is
@@ -487,28 +486,19 @@ class AddressSpace:
                 raise ValueError(
                     f"cannot restore checkpoint: segment {name!r} layout changed"
                 )
-            data = segment.data
-            cp_touched = touched_map.get(name)
+            cp_touched = touched_map[name]
             if fast:
-                for start_block, end_block in _block_runs(sorted(segment.dirty)):
-                    start = start_block << _DIRTY_SHIFT
-                    end = end_block << _DIRTY_SHIFT
-                    data[start:end] = contents[start:end]
-            elif cp_touched is not None:
+                stale = segment.dirty
+            else:
                 # Sparse cross-space restore: blocks untouched on both sides
                 # are zero on both sides and need no copy.
                 stale = set(cp_touched) | segment.touched | segment.dirty
-                for start_block, end_block in _block_runs(sorted(stale)):
-                    start = start_block << _DIRTY_SHIFT
-                    end = end_block << _DIRTY_SHIFT
-                    data[start:end] = contents[start:end]
-            else:
-                data[:] = contents
-            if cp_touched is not None:
-                segment.touched = set(cp_touched)
-            else:
-                # Unknown provenance: assume every block may be non-zero.
-                segment.touched = set(range(-(-segment.size // DIRTY_BLOCK)))
+            data = segment.data
+            for start_block, end_block in _block_runs(sorted(stale)):
+                start = start_block << _DIRTY_SHIFT
+                end = end_block << _DIRTY_SHIFT
+                data[start:end] = contents[start:end]
+            segment.touched = set(cp_touched)
             segment.dirty.clear()
         self.raw_reads = cp.raw_reads
         self.raw_writes = cp.raw_writes

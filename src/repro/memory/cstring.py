@@ -14,20 +14,23 @@ window reported by :meth:`MemoryAccessor.scan_span`) using the accessor's
 bulk primitives, paying one policy check per span instead of one per byte.
 
 Past the span boundary — where accesses become invalid — the continuation is
-*also* batched for policies that support runs: a copy whose destination has
+*also* batched, under every checking policy: a copy whose destination has
 left its unit hands the whole out-of-bounds suffix to the policy as a single
 run (the attack-flood shape: one ``on_invalid_write_run`` per source span
 instead of one decision per byte), and terminator scans continue through
 invalid runs via the policy's scan hook — failure-oblivious and boundless
 generate their own bytes, while redirect (whose bytes live in the unit)
-batches through the accessor's preview/commit scan protocol.  All are
-observably identical to the byte-at-a-time loops they replace — error-log
-queries, manufactured-value consumption, boundless stores, memory images —
-as proven by the equivalence suite; only the policy's ``checks_performed``
-counter sees one check per span/run rather than per byte.
+batches through the accessor's preview/commit scan protocol.  Under the
+unchecked Standard build the span reaches the end of the segment and the
+next byte faults, as it does in the byte loop.  All are observably identical
+to the byte-at-a-time loops they replace — error-log queries,
+manufactured-value consumption, boundless stores, memory images, fault
+addresses — as proven by the equivalence suite; only the policy's
+``checks_performed`` counter sees one check per span/run rather than per
+byte.
 
 The byte loop survives where per-byte semantics are genuinely load-bearing:
-policies without run hooks, and overlapping copies within one unit
+copies whose source has no safe span, and overlapping copies within one unit
 (redirected writes could alias the bytes still being read).
 
 Overlapping copies are chunked to the pointer distance so the forward
@@ -93,23 +96,13 @@ def strlen(mem: MemoryAccessor, s: FatPointer, limit: int = SCAN_LIMIT) -> int:
             continue
         if length > limit:
             raise InfiniteLoopGuard(f"strlen scanned {limit} bytes without finding NUL")
-        # Past the span: continue the scan through the invalid run in one
-        # policy call when the policy generates its own bytes (the read side
-        # of the batched continuation); redirect and per-byte-only policies
-        # return no progress and take the byte loop below.
-        data, index = mem.read_span_until(ptr, 0, limit - length + 1)
+        # Past the span: one read_span_until finishes the scan.  It crosses
+        # invalid runs in one policy call each (the read side of the batched
+        # continuation) and, on a miss, covers the whole remaining budget.
+        _data, index = mem.read_span_until(ptr, 0, limit - length + 1)
         if index >= 0:
             return length + index
-        if data:
-            length += len(data)
-            ptr = ptr + len(data)
-            if length > limit:
-                raise InfiniteLoopGuard(f"strlen scanned {limit} bytes without finding NUL")
-            continue
-        if mem.read_byte(ptr) == 0:
-            return length
-        ptr = ptr + 1
-        length += 1
+        raise InfiniteLoopGuard(f"strlen scanned {limit} bytes without finding NUL")
 
 
 def _oob_copy_span(mem: MemoryAccessor, dst: FatPointer, src: FatPointer, n: int) -> int:
@@ -117,12 +110,10 @@ def _oob_copy_span(mem: MemoryAccessor, dst: FatPointer, src: FatPointer, n: int
 
     Nonzero when the destination has left its safe span (the attack-flood
     shape) but the source still reads from one, and the whole chunk can be
-    handed to the policy as one invalid-write run.  Requires run support and
-    distinct units: writes redirected back into a shared unit would alias
-    bytes the byte loop had not yet read.
+    handed to the policy as one invalid-write run.  Requires distinct units:
+    writes redirected back into a shared unit would alias bytes the byte loop
+    had not yet read.
     """
-    if not mem.batches_runs:
-        return 0
     if dst.same_unit(src) or mem.scan_span(dst) != 0:
         return 0
     return min(mem.scan_span(src), n)
@@ -203,22 +194,11 @@ def strncpy(mem: MemoryAccessor, dst: FatPointer, src: FatPointer, n: int) -> Fa
             hit_nul = True
         s = s + 1
         i += 1
-    # NUL-padding tail.  write_span already alternates memset-style span
-    # writes with batched invalid runs for run-capable policies, so one call
-    # covers the whole tail — an overflowing pad is one policy decision per
-    # run, not per byte.  Per-byte-only policies keep the original loop.
+    # NUL-padding tail.  write_span alternates memset-style span writes with
+    # batched invalid runs, so one call covers the whole tail — an
+    # overflowing pad is one policy decision per run, not per byte.
     if i < n:
-        if mem.batches_runs:
-            mem.write_span(dst + i, b"\x00" * (n - i))
-        else:
-            while i < n:
-                span = min(mem.scan_span(dst + i), n - i)
-                if span > 0:
-                    mem.write_span(dst + i, b"\x00" * span)
-                    i += span
-                else:
-                    mem.write_byte(dst + i, 0)
-                    i += 1
+        mem.write_span(dst + i, b"\x00" * (n - i))
     return dst
 
 
@@ -349,26 +329,11 @@ def memset(mem: MemoryAccessor, dst: FatPointer, value: int, n: int) -> FatPoint
 def write_bytes(mem: MemoryAccessor, dst: FatPointer, data: bytes) -> None:
     """Write a byte blob through the span fast path, one decision per span/run.
 
-    For run-capable policies a single ``write_span`` covers in-bounds spans
-    and batched invalid runs alike (the strncpy padding precedent); other
-    policies alternate span writes with the per-byte loop, so the event
-    stream matches a byte-at-a-time store loop exactly.
+    A single ``write_span`` covers in-bounds spans and batched invalid runs
+    alike (the strncpy padding precedent), with the same observable effect
+    as a byte-at-a-time store loop.
     """
-    if not data:
-        return
-    if mem.batches_runs:
-        mem.write_span(dst, data)
-        return
-    i = 0
-    total = len(data)
-    while i < total:
-        span = min(mem.scan_span(dst + i), total - i)
-        if span > 0:
-            mem.write_span(dst + i, data[i : i + span])
-            i += span
-        else:
-            mem.write_byte(dst + i, data[i])
-            i += 1
+    mem.write_span(dst, data)
 
 
 def write_c_string(mem: MemoryAccessor, dst: FatPointer, text: bytes) -> None:
@@ -378,34 +343,13 @@ def write_c_string(mem: MemoryAccessor, dst: FatPointer, text: bytes) -> None:
 
 def read_c_string(mem: MemoryAccessor, src: FatPointer, limit: int = SCAN_LIMIT) -> bytes:
     """Read a NUL-terminated string back into Python bytes."""
-    out = bytearray()
-    ptr = src
-    scanned = 0
-    while scanned < limit:
-        # read_span_until covers whole safe spans and — for policies that can
-        # scan-batch — whole invalid runs; it returns no progress where only
-        # the per-byte path below can continue (redirect wraparound,
-        # per-byte-only policies, one-byte spans).
-        data, nul = mem.read_span_until(ptr, 0, limit - scanned)
-        if nul >= 0:
-            if not out:
-                # Whole string in the first span: one copy, view to bytes —
-                # this is the API boundary where the caller takes ownership.
-                return bytes(data[:nul])
-            out += data[:nul]
-            return bytes(out)
-        if data:
-            out += data
-            ptr = ptr + len(data)
-            scanned += len(data)
-            continue
-        byte = mem.read_byte(ptr)
-        if byte == 0:
-            return bytes(out)
-        out.append(byte)
-        ptr = ptr + 1
-        scanned += 1
-    raise InfiniteLoopGuard(f"read_c_string scanned {limit} bytes without NUL")
+    # One scan covers safe spans and invalid runs alike; on a miss it has
+    # visited all ``limit`` bytes.
+    data, nul = mem.read_span_until(src, 0, limit)
+    if nul < 0:
+        raise InfiniteLoopGuard(f"read_c_string scanned {limit} bytes without NUL")
+    # View to bytes: the API boundary where the caller takes ownership.
+    return bytes(data[:nul])
 
 
 def read_fixed(mem: MemoryAccessor, src: FatPointer, n: int) -> bytes:

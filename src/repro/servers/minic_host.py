@@ -67,8 +67,7 @@ def _freeze_value(value: object) -> tuple:
 class MiniCServer(Server):
     """A server whose request handlers are functions of a mini-C program.
 
-    Subclasses set :attr:`source` (overridable per-instance through the
-    ``source`` configuration key) and implement :meth:`boot` — the program
+    Subclasses set :attr:`source` and implement :meth:`boot` — the program
     initialization calls — plus the request handlers, which call into the
     program with :meth:`call`.  Every memory access the program performs is
     mediated by the server's bound policy, so the same source behaves like
@@ -93,9 +92,8 @@ class MiniCServer(Server):
     # -- lifecycle ---------------------------------------------------------------
 
     def compile(self) -> Program:
-        """Compile the configured source (``lower=False`` keeps the tree-walk)."""
-        source = str(self.config.get("source", self.source))
-        return compile_program(source, lower=bool(self.config.get("lower", True)))
+        """Compile :attr:`source` with the span-lowering pass."""
+        return compile_program(self.source)
 
     def startup(self) -> None:
         self.program = self.compile()

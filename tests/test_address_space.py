@@ -196,15 +196,3 @@ class TestTouchedBlockRestore:
         space.restore(cp_a)  # cross-epoch restore takes the sparse path
         assert space.read(HEAP_BASE, 4) == b"AAAA"
         assert space.read(HEAP_BASE + 8192, 4) == b"\x00" * 4
-
-    def test_checkpoint_without_touched_data_full_copies(self):
-        import dataclasses
-
-        space = AddressSpace()
-        space.write(HEAP_BASE, b"live")
-        cp = dataclasses.replace(space.checkpoint(), touched_blocks=())
-        other = AddressSpace()
-        other.write(HEAP_BASE + 50_000, b"noise")
-        other.restore(cp)
-        assert other.read(HEAP_BASE, 4) == b"live"
-        assert other.read(HEAP_BASE + 50_000, 5) == b"\x00" * 5

@@ -135,7 +135,9 @@ def _run_twin(policy_name, setup, reference_op, fast_op):
             try:
                 outcome = ("ok", _normalize(operation(ctx.mem, *pointers), pointers[0]))
             except MemoryFault as fault:
-                outcome = ("fault", type(fault).__name__)
+                # The fault address pins where the access stopped (Standard's
+                # segmentation faults carry one; checking builds' faults do not).
+                outcome = ("fault", type(fault).__name__, getattr(fault, "address", None))
             observations.append(_observe(ctx, outcome))
     finally:
         cstring.SCAN_LIMIT = original_limit
@@ -469,3 +471,46 @@ class TestAttackFloodEquivalence:
             return dst, src
 
         _run_twin(policy, setup, run_reference, run)
+
+
+class TestSegmentEndUnderStandard:
+    """The unchecked build's span paths stop exactly where the byte loop faults.
+
+    Under Standard a safe span runs to the end of the containing segment and
+    the next byte is unmapped.  Each operation here crosses the end of the
+    heap segment: it must write (or read) the same in-segment prefix as the
+    per-byte reference and then fault at the same address.
+    """
+
+    @settings(**COMMON_SETTINGS)
+    @given(before_end=st.integers(min_value=1, max_value=40),
+           past_end=st.integers(min_value=1, max_value=24),
+           operation=st.sampled_from(
+               ["write_bytes", "strncpy", "read_span", "read_c_string"]))
+    def test_crossing_the_heap_end(self, before_end, past_end, operation):
+        length = before_end + past_end
+        payload = bytes(1 + i % 255 for i in range(length))
+
+        def setup(ctx):
+            src = ctx.alloc_c_string(b"pad", name="short")
+            # No checks under Standard: the pointer is just a raw address
+            # ``before_end`` bytes short of the segment end.
+            tail = src + (ctx.space.heap.end - src.address - before_end)
+            ctx.mem.write(tail, b"\x7f" * before_end)  # NUL-free up to the end
+            return tail, src
+
+        fast, reference = {
+            "write_bytes": (
+                lambda mem, d, s: cstring.write_bytes(mem, d, payload),
+                lambda mem, d, s: ref_write_span(mem, d, payload)),
+            "strncpy": (
+                lambda mem, d, s: cstring.strncpy(mem, d, s, length),
+                lambda mem, d, s: ref_strncpy(mem, d, s, length)),
+            "read_span": (
+                lambda mem, d, s: mem.read_span(d, length),
+                lambda mem, d, s: ref_read_span(mem, d, length)),
+            "read_c_string": (
+                lambda mem, d, s: cstring.read_c_string(mem, d),
+                lambda mem, d, s: ref_read_c_string(mem, d)),
+        }[operation]
+        _run_twin("standard", setup, reference, fast)

@@ -97,15 +97,6 @@ class TestBenignBehaviour:
         assert result.outcome is RequestOutcome.SERVED
         assert b"(home desk)" in result.response.body
 
-    def test_tree_walk_configuration_serves_too(self):
-        server = MiniCPineServer(
-            POLICY_CLASSES["failure-oblivious"], config={"lower": False}
-        )
-        boot = server.start()
-        assert boot.outcome is RequestOutcome.SERVED
-        result = server.process(Request(kind="read", payload={"index": 0}))
-        assert result.outcome is RequestOutcome.SERVED
-
 
 # ---------------------------------------------------------------------------
 # The attack: three builds, three behaviours (paper §2)
