@@ -1,4 +1,4 @@
-"""Exact per-request counter pin for the per-byte handler loops.
+"""Exact per-request counter and error-stream pin for the handler loops.
 
 The checked builds' cost is charged per access (§4, Figures 2-6), so the
 counters that measure that work must not move when the substrate gets
@@ -6,23 +6,29 @@ faster: a pointer step or an accessor call that became cheaper must still be
 one check, one object-table lookup and one raw byte.  This module runs fixed
 request streams through the servers whose handlers walk memory one byte at a
 time — hand Sendmail (``recv_large``, ``send_small``), Pine ``compose``, Mutt
-``read`` and the compiled ``minic-sendmail`` ``deliver`` — under all five
-policies, and compares every counter with ``data/per_byte_counters.json``.
+``read`` and the compiled ``minic-sendmail`` ``deliver`` — and through the
+Apache rewrite overflow (``small`` fetches around one attack URL, the path
+the failure-oblivious pool serves under attack), under all five policies,
+and compares every counter with ``data/per_byte_counters.json``.
 
 Each cell runs two streams.  The benign stream boots a benign build and
 sends four benign requests.  The attack stream follows the fleet's path for
 one instance: boot with the attack trigger planted, run the profile's
 follow-ups as session setup, then ``benign, benign, attack, benign,
-benign``.  Per request a stream records the outcome and the deltas of
+benign``.  Per request a stream records the outcome, the deltas of
 ``checks_performed``, ``table.lookups``, ``raw_reads``, ``raw_writes`` and
-``error_log.total_recorded``; at the end it records the totals and
+``error_log.total_recorded``, and the request's ``memory_errors``: every
+field of every :class:`~repro.errors.MemoryErrorEvent` the request result
+carries, in order (the request id relative to the processed request's).  At the end it records the totals and
 ``error_log.count_by_site()``.  A request sent to a dead server is recorded
-with its outcome and zero deltas (hand Sendmail's boot-time overflow kills
-its bounds-check build before any request).
+with its outcome, zero deltas and no errors (hand Sendmail's boot-time
+overflow kills its bounds-check build before any request).
 
-The expected data was captured before the per-byte path was made cheaper
-(fast pointer construction, stored ``Segment.end``, one-read accessor byte
-path), so a pass proves the faster path does the same counted work.
+The counters were captured before the per-byte path was made cheaper (fast
+pointer construction, stored ``Segment.end``, one-read accessor byte path),
+and the error streams and Apache cells before the error records were given
+their one-step constructor, so a pass proves the faster paths do the same
+counted work and record the same errors.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ STREAMS = (
     ("pine", "compose"),
     ("mutt", "read"),
     ("minic-sendmail", "deliver"),
+    ("apache", "small"),
 )
 POLICIES = sorted(POLICY_NAMES)
 
@@ -65,6 +72,19 @@ def _delta(before: dict, after: dict) -> dict:
     return {name: after[name] - before[name] for name in after}
 
 
+def _error_record(event, request) -> list:
+    """Every field of one :class:`~repro.errors.MemoryErrorEvent`, as JSON.
+
+    Request ids come from a process-wide counter, so the event's
+    ``request_id`` is recorded relative to the request that was processed.
+    """
+    request_id = event.request_id
+    if request_id is not None:
+        request_id -= request.request_id
+    return [event.kind.value, event.access.value, event.unit_name, event.unit_size,
+            event.offset, event.length, event.site, request_id]
+
+
 def _run(server, requests) -> dict:
     """Process ``requests`` on a started server, recording per-request deltas."""
     records = []
@@ -72,7 +92,9 @@ def _run(server, requests) -> dict:
         before = _counters(server)
         result = server.process(request)
         records.append({"outcome": result.outcome.value,
-                        **_delta(before, _counters(server))})
+                        **_delta(before, _counters(server)),
+                        "memory_errors": [_error_record(event, request)
+                                          for event in result.memory_errors]})
     return {
         "requests": records,
         "totals": _counters(server),
