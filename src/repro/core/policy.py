@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.errorlog import MemoryErrorLog
-from repro.errors import MemoryErrorEvent
+from repro.errors import MemoryErrorEvent, frozen_record
 from repro.telemetry.bus import EventBus
 
 
@@ -42,13 +42,15 @@ class DecisionAction(enum.Enum):
     PERFORM_RAW = "perform-raw"
 
 
-@dataclass
+@frozen_record
 class AccessDecision:
     """What the memory accessor should do for one invalid access.
 
     Exactly one of the optional payload fields is meaningful, selected by
     ``action``:  ``exception`` for RAISE, ``data`` for SUPPLY, and
-    ``redirect_offset`` for REDIRECT.
+    ``redirect_offset`` for REDIRECT.  Decisions are immutable, so the
+    payload-free ones (:meth:`discard`, :meth:`perform_raw`) are shared
+    constants.
     """
 
     action: DecisionAction
@@ -59,27 +61,31 @@ class AccessDecision:
     @classmethod
     def raise_(cls, exception: BaseException) -> "AccessDecision":
         """Decision that terminates the computation with ``exception``."""
-        return cls(action=DecisionAction.RAISE, exception=exception)
+        return cls(DecisionAction.RAISE, None, exception)
 
-    @classmethod
-    def discard(cls) -> "AccessDecision":
+    @staticmethod
+    def discard() -> "AccessDecision":
         """Decision that drops an invalid write."""
-        return cls(action=DecisionAction.DISCARD)
+        return _DISCARD
 
     @classmethod
     def supply(cls, data: bytes) -> "AccessDecision":
         """Decision that satisfies an invalid read with manufactured ``data``."""
-        return cls(action=DecisionAction.SUPPLY, data=data)
+        return cls(DecisionAction.SUPPLY, data)
 
     @classmethod
     def redirect(cls, offset: int) -> "AccessDecision":
         """Decision that performs the access at in-unit ``offset`` instead."""
-        return cls(action=DecisionAction.REDIRECT, redirect_offset=offset)
+        return cls(DecisionAction.REDIRECT, None, None, offset)
 
-    @classmethod
-    def perform_raw(cls) -> "AccessDecision":
+    @staticmethod
+    def perform_raw() -> "AccessDecision":
         """Decision that performs the unchecked access as-is."""
-        return cls(action=DecisionAction.PERFORM_RAW)
+        return _PERFORM_RAW
+
+
+_DISCARD = AccessDecision(DecisionAction.DISCARD)
+_PERFORM_RAW = AccessDecision(DecisionAction.PERFORM_RAW)
 
 
 @dataclass

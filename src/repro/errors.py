@@ -20,8 +20,47 @@ records a :class:`MemoryErrorEvent` in its log and keeps going.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import List, Optional
+
+
+def frozen_record(cls: type) -> type:
+    """``@dataclass(frozen=True, slots=True)`` with a one-step ``__init__``.
+
+    A frozen dataclass's generated ``__init__`` stores each field with
+    ``object.__setattr__``, which costs more than the rest of building a
+    small record.  The records on the substrate's hot paths (pointers, error
+    events, telemetry events, access decisions) are built once per access,
+    so this decorator replaces that ``__init__`` with one of the same
+    signature and defaults that stores each field through its slot
+    descriptor.  Everything else is the dataclass's own: equality, hash,
+    repr, pickling, ``fields``/``replace``, and :class:`FrozenInstanceError`
+    on assignment.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    namespace = {}
+    params = []
+    body = []
+    for spec in fields(cls):
+        if not spec.init or spec.kw_only or spec.default_factory is not MISSING:
+            raise TypeError(f"frozen_record does not support field {spec.name!r}")
+        name = spec.name
+        namespace[f"_set_{name}"] = getattr(cls, name).__set__
+        if spec.default is MISSING:
+            params.append(name)
+        else:
+            namespace[f"_default_{name}"] = spec.default
+            params.append(f"{name}=_default_{name}")
+        body.append(f"    _set_{name}(self, {name})")
+    if hasattr(cls, "__post_init__"):
+        raise TypeError("frozen_record does not support __post_init__")
+    source = f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(body) or "    pass")
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = cls.__init__.__annotations__
+    cls.__init__ = init
+    return cls
 
 
 class MemoryFault(Exception):
@@ -131,7 +170,7 @@ class ErrorKind(enum.Enum):
     INVALID_FREE = "invalid-free"
 
 
-@dataclass(frozen=True)
+@frozen_record
 class MemoryErrorEvent:
     """One attempted invalid memory access.
 
@@ -148,6 +187,23 @@ class MemoryErrorEvent:
     length: int
     site: str = ""
     request_id: Optional[int] = None
+
+    def run(self, stride: int, start: int, stop: int) -> List["MemoryErrorEvent"]:
+        """Events ``start .. stop - 1`` of the run this event begins.
+
+        Event ``i`` of a run is this event with its offset moved by
+        ``stride * i`` (event 0 is this very instance); the error ring and
+        run-carrying :class:`~repro.telemetry.events.InvalidAccess` records
+        expand their stored runs through here.
+        """
+        cls = type(self)
+        kind, access, unit_name, unit_size = self.kind, self.access, self.unit_name, self.unit_size
+        offset, length, site, request_id = self.offset, self.length, self.site, self.request_id
+        return [
+            self if i == 0 else cls(kind, access, unit_name, unit_size,
+                                    offset + stride * i, length, site, request_id)
+            for i in range(start, stop)
+        ]
 
     def describe(self) -> str:
         """Return a one-line human readable description of the event."""

@@ -66,7 +66,12 @@ from repro.fleet.traffic import (
 from repro.memory.shared_image import SharedImageStore
 from repro.recovery.faults import FAULT_KINDS, FaultInjector
 from repro.recovery.supervisor import DROPPED_OUTCOME, RecoveryPolicy, RecoverySupervisor
-from repro.servers.base import ProcessImage, Request, bounded_history_limit
+from repro.servers.base import (
+    DEFAULT_HISTORY_LIMIT,
+    ProcessImage,
+    Request,
+    bounded_history_limit,
+)
 from repro.telemetry.events import (
     FaultInjected,
     RequestEnd,
@@ -652,7 +657,7 @@ def run_fleet(
     workers: Optional[int] = None,
     shards: Optional[int] = None,
     scale: float = 0.25,
-    history_limit: Optional[int] = 256,
+    history_limit: Optional[int] = DEFAULT_HISTORY_LIMIT,
     allow_unbounded_history: bool = False,
     max_seconds: Optional[float] = None,
     recovery: Optional[RecoveryPolicy] = None,

@@ -241,7 +241,13 @@ class AddressSpace:
         return list(self._ordered)
 
     def find_segment(self, address: int, length: int = 1) -> Optional[Segment]:
-        """Return the segment containing ``[address, address+length)`` or None."""
+        """Return the segment containing ``[address, address+length)`` or None.
+
+        Probes the most recently hit segment first, like the byte fast paths.
+        """
+        segment = self._last_segment
+        if segment is not None and segment.base <= address and address + length <= segment.end:
+            return segment
         for segment in self._ordered:
             if segment.contains(address, length):
                 self._last_segment = segment

@@ -11,13 +11,13 @@ or is absorbed obliviously is decided by the active policy, not by the pointer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from repro.errors import frozen_record
 from repro.memory.data_unit import DataUnit, NULL_UNIT
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class FatPointer:
     """A typed pointer into the simulated address space.
 
@@ -81,17 +81,17 @@ class FatPointer:
 
     def __add__(self, delta: int) -> "FatPointer":
         """Pointer arithmetic: ``p + n`` moves ``n`` bytes forward."""
-        return _make_pointer(self.referent, self.offset + delta)
+        return FatPointer(self.referent, self.offset + delta)
 
     def __sub__(self, other: Union[int, "FatPointer"]) -> Union["FatPointer", int]:
         """``p - n`` moves backwards; ``p - q`` yields the byte distance."""
         if isinstance(other, FatPointer):
             return self.address - other.address
-        return _make_pointer(self.referent, self.offset - other)
+        return FatPointer(self.referent, self.offset - other)
 
     def advance(self, delta: int = 1) -> "FatPointer":
         """Alias for ``self + delta`` that reads naturally in loops."""
-        return _make_pointer(self.referent, self.offset + delta)
+        return FatPointer(self.referent, self.offset + delta)
 
     # -- comparisons --------------------------------------------------------------
     #
@@ -118,26 +118,3 @@ class FatPointer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         marker = "" if self.in_bounds else " OOB"
         return f"<FatPointer {self.referent.label()}+{self.offset}{marker}>"
-
-
-# -- fast construction -------------------------------------------------------------
-#
-# Pointer arithmetic runs once per byte in the servers' handler loops.  The
-# frozen dataclass ``__init__`` stores each field through
-# ``object.__setattr__``, which costs more than the rest of a per-byte step
-# put together, so arithmetic results are built with ``object.__new__`` and
-# the slot descriptors' ``__set__`` instead.  The instance is the one
-# ``FatPointer(referent, offset)`` returns: same fields, so the same
-# equality, hash, repr and pickling, and still frozen against assignment.
-
-_new = object.__new__
-_set_referent = FatPointer.referent.__set__
-_set_offset = FatPointer.offset.__set__
-
-
-def _make_pointer(referent: DataUnit, offset: int) -> FatPointer:
-    """``FatPointer(referent, offset)`` without the frozen ``__init__``."""
-    pointer = _new(FatPointer)
-    _set_referent(pointer, referent)
-    _set_offset(pointer, offset)
-    return pointer

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.policy import AccessPolicy
-from repro.errors import InfiniteLoopGuard, MiniCError
+from repro.errors import InfiniteLoopGuard, MiniCError, frozen_record
 from repro.memory import cstring
 from repro.memory.context import MemoryContext
 from repro.memory.pointer import FatPointer
@@ -47,7 +47,7 @@ def _position_prefix(node) -> str:
     return ""
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class TypedPointer:
     """A pointer value: a fat pointer plus the size of what it points to.
 
@@ -66,25 +66,7 @@ class TypedPointer:
 
     def offset_by(self, elements: int) -> "TypedPointer":
         elem_size = self.elem_size
-        return _make_typed_pointer(self.pointer + elements * elem_size, elem_size, self.ctype)
-
-
-# ``TypedPointer(pointer, elem_size, ctype)`` without the frozen ``__init__``
-# (see the fast construction note in :mod:`repro.memory.pointer`): a mini-C
-# ``p++`` or ``p[i]`` steps one of these per element.
-_new = object.__new__
-_set_pointer = TypedPointer.pointer.__set__
-_set_elem_size = TypedPointer.elem_size.__set__
-_set_ctype = TypedPointer.ctype.__set__
-
-
-def _make_typed_pointer(pointer: FatPointer, elem_size: int,
-                        ctype: Optional[ast.CType]) -> TypedPointer:
-    typed = _new(TypedPointer)
-    _set_pointer(typed, pointer)
-    _set_elem_size(typed, elem_size)
-    _set_ctype(typed, ctype)
-    return typed
+        return TypedPointer(self.pointer + elements * elem_size, elem_size, self.ctype)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,13 @@ from typing import Callable, Dict, List, Optional
 from repro.core.policy import AccessPolicy
 from repro.errors import RequestResult
 from repro.memory.shared_image import SharedImageStore
-from repro.servers.base import Request, Response, Server, ServerError
+from repro.servers.base import (
+    DEFAULT_HISTORY_LIMIT,
+    Request,
+    Response,
+    Server,
+    ServerError,
+)
 
 #: Number of capture offset pairs the stack buffer has room for (the real
 #: AP_MAX_REG_MATCH is 10).
@@ -246,6 +252,9 @@ class ChildProcessPool:
     and every replacement child.  A cloned child is observably identical to
     a booted one — the restart equivalence suite proves it — but costs a
     memory restore instead of a full configuration parse.
+
+    A child serves for as long as the pool does, so its per-request history
+    is bounded like a fleet instance's (:data:`DEFAULT_HISTORY_LIMIT`).
     """
 
     def __init__(
@@ -270,7 +279,8 @@ class ChildProcessPool:
             self.children.append(self._fork_child())
 
     def _fork_child(self) -> ApacheServer:
-        child = ApacheServer(self.policy_factory, config=self.config)
+        child = ApacheServer(self.policy_factory, config=self.config,
+                             history_limit=DEFAULT_HISTORY_LIMIT)
         if self._template_image is None:
             child.start()
             image = child.boot_image

@@ -103,6 +103,11 @@ class ServerError(Exception):
     """
 
 
+#: Per-request history bound of the long-running harnesses: every fleet
+#: instance (``run_fleet``'s default) and every Apache pool child.
+DEFAULT_HISTORY_LIMIT = 256
+
+
 def bounded_history_limit(
     limit: Optional[int],
     allow_unbounded: bool = False,

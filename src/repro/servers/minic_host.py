@@ -29,6 +29,7 @@ global pointing at the restored memory bytes.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional
 
 from repro.memory.pointer import FatPointer
@@ -64,6 +65,9 @@ def _freeze_value(value: object) -> tuple:
     return ("int", int(value))
 
 
+_compile_once = functools.lru_cache(maxsize=None)(compile_program)
+
+
 class MiniCServer(Server):
     """A server whose request handlers are functions of a mini-C program.
 
@@ -92,8 +96,13 @@ class MiniCServer(Server):
     # -- lifecycle ---------------------------------------------------------------
 
     def compile(self) -> Program:
-        """Compile :attr:`source` with the span-lowering pass."""
-        return compile_program(self.source)
+        """The span-lowered :class:`Program` for :attr:`source`.
+
+        A ``Program`` is immutable and instantiates against any build, so
+        each source is compiled once per process and shared by every server
+        (and every clone and restart) that runs it.
+        """
+        return _compile_once(self.source)
 
     def startup(self) -> None:
         self.program = self.compile()

@@ -44,21 +44,23 @@ as runs.
   faults, all flowing through the same stream so ``fleet report`` rebuilds
   recovery tallies from an export exactly.
 
-Every event type serializes to a flat JSON record via :func:`to_record` and
-back via :func:`from_record`; the round trip is exact (property-tested), which
-is what lets ``repro trace`` re-summarize an exported run offline with the
-same aggregate counts the live run produced.
+Every event class is a :func:`~repro.errors.frozen_record`: a frozen, slotted
+dataclass built in one step, because the continuation emits several per
+invalid access. Every event type serializes to a flat JSON record via
+:func:`to_record` and back via :func:`from_record`; the round trip is exact
+(property-tested), which is what lets ``repro trace`` re-summarize an exported
+run offline with the same aggregate counts the live run produced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
-from repro.errors import AccessKind, ErrorKind, MemoryErrorEvent
+from repro.errors import AccessKind, ErrorKind, MemoryErrorEvent, frozen_record
 
 
-@dataclass(frozen=True)
+@frozen_record
 class InvalidAccess:
     """One attempted invalid memory access (the §3 error-log entry).
 
@@ -73,9 +75,7 @@ class InvalidAccess:
 
     def expand(self) -> Iterator[MemoryErrorEvent]:
         """Yield the per-byte error events this record stands for."""
-        yield self.error
-        for i in range(1, self.count):
-            yield replace(self.error, offset=self.error.offset + self.stride * i)
+        return iter(self.error.run(self.stride, 0, self.count))
 
 
 def expand_invalid_accesses(events: Iterable["InvalidAccess"]) -> List[MemoryErrorEvent]:
@@ -86,7 +86,7 @@ def expand_invalid_accesses(events: Iterable["InvalidAccess"]) -> List[MemoryErr
     return out
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Discard:
     """An invalid write whose bytes the policy dropped (or stored, boundless)."""
 
@@ -101,7 +101,7 @@ class Discard:
     count: int = 1
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Manufacture:
     """Manufactured bytes supplied for an invalid read."""
 
@@ -112,7 +112,7 @@ class Manufacture:
     count: int = 1
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Redirect:
     """An out-of-bounds access wrapped back into its unit (§5.1 redirect)."""
 
@@ -126,7 +126,7 @@ class Redirect:
     count: int = 1
 
 
-@dataclass(frozen=True)
+@frozen_record
 class AllocFree:
     """One heap allocator operation (``malloc`` or ``free``)."""
 
@@ -137,7 +137,7 @@ class AllocFree:
     request_id: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RequestStart:
     """A server began processing one request; ``request_id`` is the trace id."""
 
@@ -146,7 +146,7 @@ class RequestStart:
     is_attack: bool = False
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RequestEnd:
     """A server finished one request, with its classified outcome.
 
@@ -166,7 +166,7 @@ class RequestEnd:
     error_sites: Tuple[Tuple[str, int], ...] = ()
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ScenarioStart:
     """One experiment scenario began (one ScenarioSpec dispatched by the engine)."""
 
@@ -177,7 +177,7 @@ class ScenarioStart:
     scale: float = 1.0
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ScenarioEnd:
     """The scenario finished after ``seconds`` of wall clock."""
 
@@ -185,7 +185,7 @@ class ScenarioEnd:
     seconds: float = 0.0
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SnapshotTaken:
     """A recovery supervisor captured one incremental snapshot.
 
@@ -200,7 +200,7 @@ class SnapshotTaken:
     request_id: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RollbackPerformed:
     """A server was rolled back after a fatal fault (or restarted from boot).
 
@@ -224,7 +224,7 @@ class RollbackPerformed:
     backoff_virtual_seconds: float = 0.0
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RequestQuarantined:
     """A poison request was dropped after killing the server repeatedly.
 
@@ -239,7 +239,7 @@ class RequestQuarantined:
     attempts: int = 0
 
 
-@dataclass(frozen=True)
+@frozen_record
 class FaultInjected:
     """The fault injector fired once (corruption, failed alloc, or abort)."""
 

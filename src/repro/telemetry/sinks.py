@@ -11,8 +11,7 @@ emitters knowing or caring.  Exports go through
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import replace
-from typing import Deque, Iterable, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.errors import MemoryErrorEvent
 from repro.telemetry.events import (
@@ -309,13 +308,9 @@ class CoalescingRingSink(Sink):
         return len(self._runs)
 
     @staticmethod
-    def _expand(run: list) -> Iterable[MemoryErrorEvent]:
+    def _expand(run: list) -> List[MemoryErrorEvent]:
         first, stride, start, count = run
-        for i in range(start, start + count):
-            if i == 0:
-                yield first
-            else:
-                yield replace(first, offset=first.offset + stride * i)
+        return first.run(stride, start, start + count)
 
     def events(self) -> List[MemoryErrorEvent]:
         """Return the retained events, oldest first, expanded from their runs."""

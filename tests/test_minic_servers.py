@@ -204,6 +204,20 @@ class TestCheckpointRestart:
         result = server.process(deliver(b"carol@example.net"))
         assert result.outcome is RequestOutcome.SERVED
 
+    def test_servers_share_one_compiled_program(self):
+        """Each source is compiled once: servers, clones and restarts under
+        any build run the same Program object."""
+        first, _ = make_pine("failure-oblivious")
+        second, _ = make_pine("bounds-check")
+        assert second.program is first.program
+        clone = MiniCPineServer(POLICY_CLASSES["failure-oblivious"])
+        clone.adopt_image(first.boot_image)
+        first.restart()
+        assert clone.program is first.program
+        assert first.program is second.program
+        sendmail, _ = make_sendmail("failure-oblivious")
+        assert sendmail.program is not first.program
+
     def test_restarted_globals_point_at_restored_bytes(self):
         server, _ = make_pine("failure-oblivious")
         server.restart()

@@ -121,8 +121,9 @@ class TestComparisons:
 
 
 class TestFastConstruction:
-    """Arithmetic results are built without the frozen ``__init__``; they must
-    be indistinguishable from constructor-built pointers."""
+    """Arithmetic results go through the one-step ``frozen_record``
+    constructor; they must be indistinguishable from pointers built
+    directly."""
 
     steps = st.integers(min_value=-4096, max_value=4096)
 

@@ -1,6 +1,10 @@
 """JSONL serialization round-trips and the fork-pool spill/merge path."""
 
+import copy
+import dataclasses
+import io
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -8,8 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import AccessKind, ErrorKind, MemoryErrorEvent, RequestOutcome
+from repro.core.policy import AccessDecision, DecisionAction
+from repro.errors import (
+    AccessKind,
+    BoundsCheckViolation,
+    ErrorKind,
+    MemoryErrorEvent,
+    RequestOutcome,
+)
 from repro.harness.engine import ENGINE, ScenarioSpec
+from repro.memory.data_unit import NULL_UNIT, UnitKind, make_unit
+from repro.memory.pointer import FatPointer
+from repro.minic import ast_nodes as ast
+from repro.minic.interpreter import TypedPointer
 from repro.telemetry import (
     AllocFree,
     Discard,
@@ -91,6 +106,139 @@ events = st.one_of(
               request_id=request_ids, address=counts, length=counts,
               point=st.sampled_from(["before", "after"])),
 )
+
+
+# ---------------------------------------------------------------------------
+# Every frozen_record class: construction, copying, immutability, fields.
+# ---------------------------------------------------------------------------
+
+#: Objects that compare by identity (data units, exceptions).  Round trips
+#: carry them by reference, so a record holding one can compare equal to
+#: its copy, the way a record is compared within one process.
+SHARED = [
+    NULL_UNIT,
+    make_unit(name="buf", base=0x2000, size=16, kind=UnitKind.HEAP),
+    make_unit(name="frame", base=0x9000, size=8, kind=UnitKind.STACK),
+]
+SHARED.append(BoundsCheckViolation(MemoryErrorEvent(
+    ErrorKind.OUT_OF_BOUNDS, AccessKind.WRITE, "buf", 16, 16, 1)))
+
+pointers = st.builds(FatPointer, referent=st.sampled_from(SHARED[:3]), offset=offsets)
+record_values = st.one_of(
+    events,
+    memory_errors,
+    st.builds(AccessDecision, action=st.sampled_from(DecisionAction),
+              data=st.none() | st.binary(max_size=8),
+              exception=st.none() | st.just(SHARED[3]),
+              redirect_offset=st.none() | offsets),
+    pointers,
+    st.builds(TypedPointer, pointer=pointers, elem_size=st.integers(1, 16),
+              ctype=st.none() | st.just(ast.CType("int", pointer_depth=1))),
+)
+
+#: Field names and defaults of every frozen_record class, as they were
+#: before the classes shared one constructor (a bare name has no default).
+RECORD_FIELDS = {
+    MemoryErrorEvent: ("kind", "access", "unit_name", "unit_size", "offset", "length",
+                       ("site", ""), ("request_id", None)),
+    AccessDecision: ("action", ("data", None), ("exception", None),
+                     ("redirect_offset", None)),
+    FatPointer: ("referent", ("offset", 0)),
+    TypedPointer: ("pointer", ("elem_size", 1), ("ctype", None)),
+    InvalidAccess: ("error", ("count", 1), ("stride", 1)),
+    Discard: ("length", ("site", ""), ("request_id", None), ("stored", False), ("count", 1)),
+    Manufacture: ("length", ("site", ""), ("request_id", None), ("count", 1)),
+    Redirect: ("offset", "redirect_offset", "length", ("access", "read"), ("site", ""),
+               ("request_id", None), ("count", 1)),
+    AllocFree: ("op", "unit_name", "size", "base", ("request_id", None)),
+    RequestStart: ("request_id", "kind", ("is_attack", False)),
+    RequestEnd: ("request_id", "kind", "outcome", ("is_attack", False),
+                 ("elapsed_seconds", 0.0), ("memory_errors", 0), ("error_sites", ())),
+    ScenarioStart: ("scenario_id", "server", "policy", "workload", ("scale", 1.0)),
+    ScenarioEnd: ("scenario_id", ("seconds", 0.0)),
+    SnapshotTaken: ("index", ("blocks", 0), ("delta_bytes", 0), ("request_id", None)),
+    RollbackPerformed: ("snapshot_index", ("request_id", None), ("kind", ""),
+                        ("is_attack", False), ("blocks_restored", 0),
+                        ("to_boot_image", False), ("backoff_virtual_seconds", 0.0)),
+    RequestQuarantined: ("request_id", "kind", ("is_attack", False), ("attempts", 0)),
+    FaultInjected: ("kind", ("request_id", None), ("address", 0), ("length", 0),
+                    ("point", "")),
+}
+
+
+class _SharedPickler(pickle.Pickler):
+    def persistent_id(self, obj):
+        for index, shared in enumerate(SHARED):
+            if obj is shared:
+                return index
+        return None
+
+
+class _SharedUnpickler(pickle.Unpickler):
+    def persistent_load(self, pid):
+        return SHARED[pid]
+
+
+def _pickle_round_trip(value):
+    buffer = io.BytesIO()
+    _SharedPickler(buffer).dump(value)
+    buffer.seek(0)
+    return _SharedUnpickler(buffer).load()
+
+
+def _assert_same(built, expected):
+    assert type(built) is type(expected)
+    assert built == expected
+    assert hash(built) == hash(expected)
+    assert repr(built) == repr(expected)
+
+
+class TestRecordTypes:
+    def test_every_event_type_is_covered(self):
+        assert set(EVENT_TYPES.values()) <= set(RECORD_FIELDS)
+
+    @pytest.mark.parametrize("cls", list(RECORD_FIELDS), ids=lambda cls: cls.__name__)
+    def test_field_names_and_defaults_are_unchanged(self, cls):
+        got = tuple(
+            spec.name if spec.default is dataclasses.MISSING else (spec.name, spec.default)
+            for spec in dataclasses.fields(cls)
+        )
+        assert got == RECORD_FIELDS[cls]
+        # Slotted: instances carry no per-instance ``__dict__``.
+        assert cls.__slots__ == tuple(spec.name for spec in dataclasses.fields(cls))
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=record_values)
+    def test_construction_forms_agree(self, value):
+        cls = type(value)
+        specs = dataclasses.fields(cls)
+        values = {spec.name: getattr(value, spec.name) for spec in specs}
+        _assert_same(cls(*values.values()), value)
+        _assert_same(cls(**values), value)
+        # Leave out every argument whose value is its default (compared by
+        # type and repr, so -0.0 is not taken for a default 0.0).
+        defaults = {spec.name: spec.default for spec in specs}
+        omitted = {name: field_value for name, field_value in values.items()
+                   if type(defaults[name]) is not type(field_value)
+                   or repr(defaults[name]) != repr(field_value)}
+        _assert_same(cls(**omitted), value)
+        _assert_same(dataclasses.replace(value), value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=record_values)
+    def test_pickle_and_deepcopy_round_trips(self, value):
+        _assert_same(_pickle_round_trip(value), value)
+        memo = {id(shared): shared for shared in SHARED}
+        _assert_same(copy.deepcopy(value, memo), value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=record_values, data=st.data())
+    def test_fields_cannot_be_assigned(self, value, data):
+        name = data.draw(st.sampled_from([spec.name for spec in dataclasses.fields(value)]))
+        before = getattr(value, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 0)
+        assert getattr(value, name) is before
 
 
 class TestRoundTrip:
