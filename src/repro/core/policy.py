@@ -61,7 +61,7 @@ class AccessDecision:
     @classmethod
     def raise_(cls, exception: BaseException) -> "AccessDecision":
         """Decision that terminates the computation with ``exception``."""
-        return cls(DecisionAction.RAISE, None, exception)
+        return cls(action=DecisionAction.RAISE, exception=exception)
 
     @staticmethod
     def discard() -> "AccessDecision":
@@ -71,12 +71,12 @@ class AccessDecision:
     @classmethod
     def supply(cls, data: bytes) -> "AccessDecision":
         """Decision that satisfies an invalid read with manufactured ``data``."""
-        return cls(DecisionAction.SUPPLY, data)
+        return cls(action=DecisionAction.SUPPLY, data=data)
 
     @classmethod
     def redirect(cls, offset: int) -> "AccessDecision":
         """Decision that performs the access at in-unit ``offset`` instead."""
-        return cls(DecisionAction.REDIRECT, None, None, offset)
+        return cls(action=DecisionAction.REDIRECT, redirect_offset=offset)
 
     @staticmethod
     def perform_raw() -> "AccessDecision":

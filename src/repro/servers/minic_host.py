@@ -65,7 +65,7 @@ def _freeze_value(value: object) -> tuple:
     return ("int", int(value))
 
 
-_compile_once = functools.lru_cache(maxsize=None)(compile_program)
+_compile_once = functools.cache(compile_program)
 
 
 class MiniCServer(Server):
