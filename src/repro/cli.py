@@ -76,6 +76,7 @@ from repro.fleet.traffic import ARRIVALS
 from repro.harness.engine import ENGINE, ScenarioSpec
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.report import format_trace_summary
+from repro.servers.base import DEFAULT_HISTORY_LIMIT
 from repro.servers.profile import iter_profiles
 from repro.telemetry.session import TelemetrySession
 from repro.telemetry.summary import filter_records, iter_records, summarize_trace
@@ -197,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                        "one shard per instance)")
     fleet_run_parser.add_argument("--scale", type=float, default=0.25,
                                   help="workload scale factor")
-    fleet_run_parser.add_argument("--history-limit", type=int, default=256,
+    fleet_run_parser.add_argument("--history-limit", type=int, default=DEFAULT_HISTORY_LIMIT,
                                   help="per-instance request-history bound")
     fleet_run_parser.add_argument("--unbounded-history", action="store_true",
                                   help="explicitly allow an unbounded "
