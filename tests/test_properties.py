@@ -143,24 +143,94 @@ class TestAllocatorProperties:
 
 # -- decision-cache equivalence --------------------------------------------------
 
-_cache_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("malloc"), st.integers(min_value=1, max_value=32)),
-        st.tuples(st.just("free"), st.integers(min_value=0, max_value=7)),
-        st.tuples(st.just("realloc"), st.integers(min_value=0, max_value=7),
-                  st.integers(min_value=1, max_value=32)),
-        st.tuples(st.just("write"), st.integers(min_value=0, max_value=7),
-                  st.integers(min_value=-8, max_value=40),
-                  st.binary(min_size=1, max_size=16)),
-        st.tuples(st.just("read"), st.integers(min_value=0, max_value=7),
-                  st.integers(min_value=-8, max_value=40),
-                  st.integers(min_value=1, max_value=16)),
-        st.tuples(st.just("checkpoint")),
-        st.tuples(st.just("restore")),
-    ),
-    min_size=1,
-    max_size=25,
+_cache_op = st.one_of(
+    st.tuples(st.just("malloc"), st.integers(min_value=1, max_value=32)),
+    st.tuples(st.just("free"), st.integers(min_value=0, max_value=7)),
+    st.tuples(st.just("realloc"), st.integers(min_value=0, max_value=7),
+              st.integers(min_value=1, max_value=32)),
+    st.tuples(st.just("write"), st.integers(min_value=0, max_value=7),
+              st.integers(min_value=-8, max_value=40),
+              st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("read"), st.integers(min_value=0, max_value=7),
+              st.integers(min_value=-8, max_value=40),
+              st.integers(min_value=1, max_value=16)),
+    st.tuples(st.just("checkpoint")),
+    st.tuples(st.just("restore")),
 )
+
+_cache_ops = st.lists(_cache_op, min_size=1, max_size=25)
+
+#: The span paths: batched run hooks (write_span / read_span) and the
+#: terminator scan (read_span_until with a small byte alphabet, so scans both
+#: hit and miss inside manufactured and redirected runs).
+_span_op = st.one_of(
+    st.tuples(st.just("write_span"), st.integers(min_value=0, max_value=7),
+              st.integers(min_value=-8, max_value=40),
+              st.binary(min_size=1, max_size=48)),
+    st.tuples(st.just("read_span"), st.integers(min_value=0, max_value=7),
+              st.integers(min_value=-8, max_value=40),
+              st.integers(min_value=1, max_value=48)),
+    st.tuples(st.just("read_span_until"), st.integers(min_value=0, max_value=7),
+              st.integers(min_value=-8, max_value=40),
+              st.integers(min_value=0, max_value=3),
+              st.integers(min_value=1, max_value=48)),
+)
+
+_ledger_ops = st.lists(st.one_of(_cache_op, _span_op), min_size=1, max_size=25)
+
+
+def _apply_op(ctx, slots, image, op):
+    """Perform one drawn op; return (trace entry, checkpoint image)."""
+    kind = op[0]
+    if kind == "malloc":
+        slots.append(ctx.malloc(op[1], name="unit"))
+        return "malloc", image
+    if kind == "free":
+        ctx.free(slots[op[1] % len(slots)])
+        return "free", image
+    if kind == "realloc":
+        index = op[1] % len(slots)
+        slots[index] = ctx.realloc(slots[index], op[2])
+        return "realloc", image
+    if kind == "checkpoint":
+        return "checkpoint", ctx.checkpoint()
+    if kind == "restore":
+        ctx.restore(image)
+        return "restore", image
+    ptr = slots[op[1] % len(slots)] + op[2]
+    if kind == "write":
+        ctx.mem.write(ptr, op[3])
+        return "write", image
+    if kind == "write_span":
+        ctx.mem.write_span(ptr, op[3])
+        return "write_span", image
+    if kind == "read":
+        return bytes(ctx.mem.read(ptr, op[3])), image
+    if kind == "read_span":
+        return bytes(ctx.mem.read_span(ptr, op[3])), image
+    data, index = ctx.mem.read_span_until(ptr, op[3], op[4])
+    return (bytes(data), index), image
+
+
+def _run_ops(ctx, ops, after_each=None):
+    """Drive ``ops`` against ``ctx``; return the trace of their results.
+
+    Every op works on a slot list seeded with one 16-byte unit and on one
+    checkpoint image taken up front; exceptions land in the trace instead of
+    propagating, so any divergence between two runs shows up there.
+    """
+    slots = [ctx.malloc(16, name="seed")]
+    image = ctx.checkpoint()
+    trace = []
+    for op in ops:
+        try:
+            entry, image = _apply_op(ctx, slots, image, op)
+            trace.append(entry)
+        except Exception as exc:  # every divergence shows up in the trace
+            trace.append(("raised", type(exc).__name__))
+        if after_each is not None:
+            after_each(ctx)
+    return trace
 
 
 class TestDecisionCacheEquivalence:
@@ -187,36 +257,7 @@ class TestDecisionCacheEquivalence:
                                 heap_size=32 * 1024, stack_size=8 * 1024,
                                 globals_size=4 * 1024)
             counters = ctx.bus.attach(CounterSink())
-            slots = [ctx.malloc(16, name="seed")]
-            image = ctx.checkpoint()
-            trace = []
-            for op in ops:
-                kind = op[0]
-                try:
-                    if kind == "malloc":
-                        slots.append(ctx.malloc(op[1], name="unit"))
-                        trace.append("malloc")
-                    elif kind == "free":
-                        ctx.free(slots[op[1] % len(slots)])
-                        trace.append("free")
-                    elif kind == "realloc":
-                        index = op[1] % len(slots)
-                        slots[index] = ctx.realloc(slots[index], op[2])
-                        trace.append("realloc")
-                    elif kind == "write":
-                        ctx.mem.write(slots[op[1] % len(slots)] + op[2], op[3])
-                        trace.append("write")
-                    elif kind == "read":
-                        trace.append(bytes(ctx.mem.read(
-                            slots[op[1] % len(slots)] + op[2], op[3])))
-                    elif kind == "checkpoint":
-                        image = ctx.checkpoint()
-                        trace.append("checkpoint")
-                    else:
-                        ctx.restore(image)
-                        trace.append("restore")
-                except Exception as exc:  # every divergence shows up in the trace
-                    trace.append(("raised", type(exc).__name__))
+            trace = _run_ops(ctx, ops)
             log = ctx.error_log
             observations.append({
                 "trace": trace,
@@ -242,3 +283,43 @@ class TestDecisionCacheEquivalence:
                 },
             })
         assert observations[0] == observations[1]
+
+
+# -- the policy statistics and the error log's counters --------------------------
+
+
+def _assert_one_ledger(ctx):
+    """Policy statistics equal the error log's own counters, fact by fact.
+
+    The sink's tallies are read through the log's checkpoint (its pure-data
+    snapshot of exactly those counters), so the restored state is compared
+    too.
+    """
+    stats = ctx.policy.stats
+    log = ctx.error_log
+    _ring, counts = log.checkpoint()
+    assert stats.invalid_reads == log.count_reads()
+    assert stats.invalid_writes == log.count_writes()
+    assert stats.manufactured_values == counts["manufactured_bytes"]
+    assert stats.discarded_bytes == counts["discarded_bytes"]
+    assert stats.stored_out_of_bounds_bytes == counts["stored_bytes"]
+    assert stats.redirected_accesses == counts["redirected_accesses"]
+
+
+class TestStatisticsMatchErrorLog:
+    """Every continuation fact the policy statistics report is also counted
+    by the error log's :class:`~repro.telemetry.sinks.CounterSink`, and the
+    two agree after every op — scalar and span accesses, scans, frees,
+    reallocs, checkpoints and restores — under all five policies."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(policy_name=st.sampled_from(["standard", "bounds-check",
+                                        "failure-oblivious", "boundless", "redirect"]),
+           ops=_ledger_ops)
+    def test_statistics_equal_log_counters(self, policy_name, ops):
+        from tests.conftest import POLICY_CLASSES
+
+        ctx = MemoryContext(POLICY_CLASSES[policy_name](),
+                            heap_size=32 * 1024, stack_size=8 * 1024,
+                            globals_size=4 * 1024)
+        _run_ops(ctx, ops, after_each=_assert_one_ledger)
