@@ -455,7 +455,7 @@ def _command_minic_run(args: argparse.Namespace) -> int:
             print()
     print()
     print(instance.ctx.error_log.summary())
-    print(f"bounds checks     : {instance.ctx.check_cost()}")
+    print(f"bounds checks     : {instance.ctx.policy.checks_performed}")
     return 1 if fault is not None else 0
 
 

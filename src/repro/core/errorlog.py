@@ -55,9 +55,11 @@ class MemoryErrorLog:
         self.capacity = capacity
         self.bus = bus if bus is not None else EventBus()
         self._ring = CoalescingRingSink(capacity)
-        self._counts = CounterSink()
+        #: Aggregate tallies of everything published on the bus: the
+        #: queries below and the policy statistics read them.
+        self.counters = CounterSink()
         self.bus.attach(self._ring)
-        self.bus.attach(self._counts)
+        self.bus.attach(self.counters)
 
     def record(self, event: MemoryErrorEvent) -> None:
         """Publish one event on the bus (the ring evicts the oldest when full)."""
@@ -84,11 +86,11 @@ class MemoryErrorLog:
     def clear(self) -> None:
         """Discard all recorded events and reset counters."""
         self._ring.clear()
-        self._counts.clear()
+        self.counters.clear()
 
     def checkpoint(self) -> tuple:
         """Snapshot the ring and the aggregate counters (pure data)."""
-        return (self._ring.checkpoint(), self._counts.checkpoint())
+        return (self._ring.checkpoint(), self.counters.checkpoint())
 
     def restore(self, cp: tuple) -> None:
         """Reset ring and counters to a snapshot taken by :meth:`checkpoint`.
@@ -99,7 +101,7 @@ class MemoryErrorLog:
         """
         ring_cp, counts_cp = cp
         self._ring.restore(ring_cp)
-        self._counts.restore(counts_cp)
+        self.counters.restore(counts_cp)
 
     # -- queries ----------------------------------------------------------------
 
@@ -112,7 +114,7 @@ class MemoryErrorLog:
     @property
     def total_recorded(self) -> int:
         """Number of events recorded over the log's lifetime (including evicted)."""
-        return self._counts.invalid_total
+        return self.counters.invalid_total
 
     @property
     def dropped(self) -> int:
@@ -133,19 +135,19 @@ class MemoryErrorLog:
 
     def count_by_site(self) -> Counter:
         """Return error counts keyed by source site label."""
-        return Counter(self._counts.invalid_by_site)
+        return Counter(self.counters.invalid_by_site)
 
     def count_by_kind(self) -> Counter:
         """Return error counts keyed by :class:`~repro.errors.ErrorKind`."""
-        return Counter(self._counts.invalid_by_kind)
+        return Counter(self.counters.invalid_by_kind)
 
     def count_reads(self) -> int:
         """Return how many invalid reads were recorded."""
-        return self._counts.invalid_by_access.get(AccessKind.READ, 0)
+        return self.counters.invalid_by_access.get(AccessKind.READ, 0)
 
     def count_writes(self) -> int:
         """Return how many invalid writes were recorded."""
-        return self._counts.invalid_by_access.get(AccessKind.WRITE, 0)
+        return self.counters.invalid_by_access.get(AccessKind.WRITE, 0)
 
     def events_for_request(self, request_id: int) -> List[MemoryErrorEvent]:
         """Return retained events tagged with the given request id."""
@@ -153,7 +155,7 @@ class MemoryErrorLog:
 
     def most_common_sites(self, n: int = 5) -> List[tuple]:
         """Return the ``n`` sites with the most recorded errors."""
-        return self._counts.invalid_by_site.most_common(n)
+        return self.counters.invalid_by_site.most_common(n)
 
     def summary(self) -> str:
         """Return a multi-line human readable summary, as an administrator would read."""
@@ -162,10 +164,10 @@ class MemoryErrorLog:
             + (f" ({self.dropped} evicted)" if self.dropped else "")
         ]
         for kind, count in sorted(
-            self._counts.invalid_by_kind.items(), key=lambda kv: -kv[1]
+            self.counters.invalid_by_kind.items(), key=lambda kv: -kv[1]
         ):
             lines.append(f"  {kind.value}: {count}")
-        for site, count in self._counts.invalid_by_site.most_common(5):
+        for site, count in self.counters.invalid_by_site.most_common(5):
             lines.append(f"  site {site or '<unknown>'}: {count}")
         return "\n".join(lines)
 

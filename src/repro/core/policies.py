@@ -22,12 +22,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.errorlog import MemoryErrorLog
 from repro.core.manufacture import ManufacturedValueSequence
 from repro.core.policy import AccessDecision, AccessPolicy
 from repro.errors import BoundsCheckViolation, MemoryErrorEvent, UseAfterFree, ErrorKind
-from repro.telemetry.events import AllocFree, Discard, Manufacture, Redirect
-from repro.telemetry.sinks import Sink
+from repro.telemetry.events import Discard, Manufacture, Redirect
 
 
 class StandardPolicy(AccessPolicy):
@@ -93,31 +91,23 @@ class FailureObliviousPolicy(AccessPolicy):
         Generator of manufactured values.  Defaults to the paper's sequence
         (small integers, 0 and 1 favoured).  Ablation benchmarks pass the
         degenerate sequences from :mod:`repro.core.manufacture`.
-    error_log:
-        Optional shared memory-error log (the §3 administrator log).
     """
 
     name = "failure-oblivious"
     performs_checks = True
 
-    def __init__(
-        self,
-        error_log: Optional[MemoryErrorLog] = None,
-        sequence: Optional[ManufacturedValueSequence] = None,
-    ) -> None:
-        super().__init__(error_log=error_log)
+    def __init__(self, sequence: Optional[ManufacturedValueSequence] = None) -> None:
+        super().__init__()
         self.sequence = sequence if sequence is not None else ManufacturedValueSequence()
 
     def on_invalid_read(self, event: MemoryErrorEvent, length: int) -> AccessDecision:
         self.record_event(event)
         data = self.sequence.next_bytes(length)
-        self.stats.manufactured_values += length
         self.emit(Manufacture(length=length, site=event.site, request_id=event.request_id))
         return AccessDecision.supply(data)
 
     def on_invalid_write(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
         self.record_event(event)
-        self.stats.discarded_bytes += len(data)
         self.emit(Discard(length=len(data), site=event.site, request_id=event.request_id))
         return AccessDecision.discard()
 
@@ -126,7 +116,6 @@ class FailureObliviousPolicy(AccessPolicy):
     def on_invalid_read_run(self, event: MemoryErrorEvent, count: int) -> AccessDecision:
         self.record_event_run(event, count)
         data = self.sequence.next_bytes(count)
-        self.stats.manufactured_values += count
         self.emit(Manufacture(length=count, count=count, site=event.site,
                               request_id=event.request_id))
         return AccessDecision.supply(data)
@@ -134,7 +123,6 @@ class FailureObliviousPolicy(AccessPolicy):
     def on_invalid_write_run(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
         count = len(data)
         self.record_event_run(event, count)
-        self.stats.discarded_bytes += count
         self.emit(Discard(length=count, count=count, site=event.site,
                           request_id=event.request_id))
         return AccessDecision.discard()
@@ -152,7 +140,6 @@ class FailureObliviousPolicy(AccessPolicy):
         produced = len(out)
         if produced:
             self.record_event_run(event, produced)
-            self.stats.manufactured_values += produced
             self.emit(Manufacture(length=produced, count=produced, site=event.site,
                                   request_id=event.request_id))
         return AccessDecision.supply(bytes(out))
@@ -165,30 +152,6 @@ class FailureObliviousPolicy(AccessPolicy):
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
         self.sequence.restore(state["sequence"])
-
-
-class _BoundlessReclaimSink(Sink):
-    """Bus listener that releases a freed unit's boundless side store.
-
-    Attached by :class:`BoundlessPolicy` to its own bus, on which the heap
-    allocator publishes :class:`~repro.telemetry.events.AllocFree`; a ``free``
-    drops every byte stored for that unit, so long soaks no longer leak
-    toward ``max_stored_bytes`` and silently degrade to discard mode.
-
-    Heap frees only: stack locals die by frame pop, which never reaches the
-    bus.  :class:`~repro.memory.context.MemoryContext` therefore additionally
-    wires :meth:`BoundlessPolicy.release_unit` to the object table's death
-    hook, the single choke point both heap and stack retirement go through;
-    this sink remains for policies used standalone (no context) whose events
-    arrive over a shared bus.  Releasing twice is a harmless no-op.
-    """
-
-    def __init__(self, policy: "BoundlessPolicy") -> None:
-        self._policy = policy
-
-    def emit(self, event: object) -> None:
-        if isinstance(event, AllocFree) and event.op == "free":
-            self._policy.release_unit(event.unit_name, event.size)
 
 
 class BoundlessPolicy(FailureObliviousPolicy):
@@ -211,18 +174,16 @@ class BoundlessPolicy(FailureObliviousPolicy):
 
     def __init__(
         self,
-        error_log: Optional[MemoryErrorLog] = None,
         sequence: Optional[ManufacturedValueSequence] = None,
         max_stored_bytes: int = 1 << 20,
     ) -> None:
-        super().__init__(error_log=error_log, sequence=sequence)
+        super().__init__(sequence=sequence)
         self.max_stored_bytes = max_stored_bytes
         #: (unit_name, unit_size) → {offset: byte}.  The unit name carries the
         #: allocation serial (``DataUnit.label()``), so buckets are unique per
         #: allocation and can be reclaimed when the allocation is freed.
         self._store: Dict[Tuple[str, int], Dict[int, int]] = {}
         self._stored_total = 0
-        self.bus.attach(_BoundlessReclaimSink(self))
 
     def _unit_store(self, event: MemoryErrorEvent, create: bool = False) -> Optional[Dict[int, int]]:
         key = (event.unit_name, event.unit_size)
@@ -242,17 +203,14 @@ class BoundlessPolicy(FailureObliviousPolicy):
                 (event.offset + i, byte) for i, byte in enumerate(data)
             )
             self._stored_total += new_bytes
-            self.stats.stored_out_of_bounds_bytes += new_bytes
-            # length counts only the newly stored offsets, mirroring
-            # stats.stored_out_of_bounds_bytes, so trace summaries and the
-            # paper-facing policy statistics agree; pure overwrites emit
+            # length counts only the newly stored offsets (it is what
+            # stats.stored_out_of_bounds_bytes reads); pure overwrites emit
             # nothing, like the zero-manufacture guard on the read path.
             if new_bytes:
                 self.emit(Discard(length=new_bytes, site=event.site,
                                   request_id=event.request_id, stored=True))
             return AccessDecision.discard()
         # Store full: degrade gracefully to plain failure-oblivious behaviour.
-        self.stats.discarded_bytes += len(data)
         self.emit(Discard(length=len(data), site=event.site, request_id=event.request_id))
         return AccessDecision.discard()
 
@@ -260,7 +218,6 @@ class BoundlessPolicy(FailureObliviousPolicy):
         self.record_event(event)
         data, manufactured = self._lookup_bytes(event, length)
         if manufactured:
-            self.stats.manufactured_values += manufactured
             self.emit(Manufacture(length=manufactured, site=event.site,
                                   request_id=event.request_id))
         return AccessDecision.supply(data)
@@ -328,11 +285,9 @@ class BoundlessPolicy(FailureObliviousPolicy):
                 else:
                     discarded += 1
         if stored_new:
-            self.stats.stored_out_of_bounds_bytes += stored_new
             self.emit(Discard(length=stored_new, count=stored_new, site=event.site,
                               request_id=event.request_id, stored=True))
         if discarded:
-            self.stats.discarded_bytes += discarded
             self.emit(Discard(length=discarded, count=discarded, site=event.site,
                               request_id=event.request_id))
         return AccessDecision.discard()
@@ -341,7 +296,6 @@ class BoundlessPolicy(FailureObliviousPolicy):
         self.record_event_run(event, count)
         data, manufactured = self._lookup_bytes(event, count)
         if manufactured:
-            self.stats.manufactured_values += manufactured
             self.emit(Manufacture(length=manufactured, count=manufactured,
                                   site=event.site, request_id=event.request_id))
         return AccessDecision.supply(data)
@@ -363,7 +317,6 @@ class BoundlessPolicy(FailureObliviousPolicy):
         if produced:
             self.record_event_run(event, produced)
             if manufactured:
-                self.stats.manufactured_values += manufactured
                 self.emit(Manufacture(length=manufactured, count=manufactured,
                                       site=event.site, request_id=event.request_id))
         return AccessDecision.supply(bytes(out))
@@ -410,9 +363,8 @@ class RedirectPolicy(FailureObliviousPolicy):
         return event.kind is not ErrorKind.USE_AFTER_FREE and event.unit_size > 0
 
     def _redirect(self, event: MemoryErrorEvent, length: int, count: int = 1) -> AccessDecision:
-        """Count and publish the wrap of ``count`` per-byte accesses (one
-        scalar access of ``length`` bytes, or a run of ``count`` bytes)."""
-        self.stats.redirected_accesses += count
+        """Publish the wrap of ``count`` per-byte accesses (one scalar
+        access of ``length`` bytes, or a run of ``count`` bytes)."""
         target = event.offset % event.unit_size
         self.emit(Redirect(offset=event.offset, redirect_offset=target,
                            length=length, access=event.access.value, count=count,

@@ -16,13 +16,13 @@ The concrete policies live in :mod:`repro.core.policies`.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.errorlog import MemoryErrorLog
-from repro.errors import MemoryErrorEvent, frozen_record
+from repro.errors import AccessKind, MemoryErrorEvent, frozen_record
 from repro.telemetry.bus import EventBus
 
 
@@ -88,13 +88,18 @@ _DISCARD = AccessDecision(DecisionAction.DISCARD)
 _PERFORM_RAW = AccessDecision(DecisionAction.PERFORM_RAW)
 
 
-@dataclass
+@dataclasses.dataclass(frozen=True)
 class PolicyStatistics:
-    """Aggregate counters maintained by every policy.
+    """A read-only snapshot of one policy's counters (see :attr:`AccessPolicy.stats`).
 
     ``checks_performed`` counts bounds checks executed (the overhead source in
-    the paper's performance figures); the invalid counters track continuation
-    code executions.
+    the paper's performance figures); the policy keeps that one itself.  The
+    other six count continuation code executions and are read from the error
+    log's :class:`~repro.telemetry.sinks.CounterSink`, which tallies the
+    events every policy publishes: invalid reads and writes from
+    ``InvalidAccess`` records, manufactured bytes from ``Manufacture``,
+    discarded and stored bytes from ``Discard``, and redirected accesses from
+    ``Redirect``.
     """
 
     checks_performed: int = 0
@@ -105,27 +110,9 @@ class PolicyStatistics:
     redirected_accesses: int = 0
     stored_out_of_bounds_bytes: int = 0
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.checks_performed = 0
-        self.invalid_reads = 0
-        self.invalid_writes = 0
-        self.manufactured_values = 0
-        self.discarded_bytes = 0
-        self.redirected_accesses = 0
-        self.stored_out_of_bounds_bytes = 0
-
     def as_dict(self) -> dict:
         """Return the counters as a plain dictionary (for reports)."""
-        return {
-            "checks_performed": self.checks_performed,
-            "invalid_reads": self.invalid_reads,
-            "invalid_writes": self.invalid_writes,
-            "manufactured_values": self.manufactured_values,
-            "discarded_bytes": self.discarded_bytes,
-            "redirected_accesses": self.redirected_accesses,
-            "stored_out_of_bounds_bytes": self.stored_out_of_bounds_bytes,
-        }
+        return dataclasses.asdict(self)
 
 
 class AccessPolicy(ABC):
@@ -144,12 +131,12 @@ class AccessPolicy(ABC):
     #: build sets this to False, which is also why it is the fastest build.
     performs_checks: bool = True
 
-    def __init__(self, error_log: Optional[MemoryErrorLog] = None) -> None:
-        self.error_log = error_log if error_log is not None else MemoryErrorLog()
-        self.stats = PolicyStatistics()
-        # Scope exported telemetry records with the build name; setdefault so
-        # a log (and bus) shared between policies keeps its first owner.
-        self.bus.scope.setdefault("policy", self.name)
+    def __init__(self) -> None:
+        self.error_log = MemoryErrorLog()
+        #: Bounds checks executed: the one counter no published event carries.
+        self.checks_performed = 0
+        # Scope exported telemetry records with the build name.
+        self.bus.scope["policy"] = self.name
 
     # -- hooks ---------------------------------------------------------------
 
@@ -229,15 +216,11 @@ class AccessPolicy(ABC):
 
     def note_check(self) -> None:
         """Record that one bounds check was executed."""
-        self.stats.checks_performed += 1
+        self.checks_performed += 1
 
     def record_event(self, event: MemoryErrorEvent) -> None:
-        """Log an invalid access attempt and bump the per-direction counter."""
+        """Log an invalid access attempt."""
         self.error_log.record(event)
-        if event.access.value == "read":
-            self.stats.invalid_reads += 1
-        else:
-            self.stats.invalid_writes += 1
 
     def record_event_run(self, event: MemoryErrorEvent, count: int) -> None:
         """Log a contiguous run of ``count`` per-byte invalid accesses.
@@ -246,37 +229,41 @@ class AccessPolicy(ABC):
         offsets step by one byte — every error-log query and statistic answers
         identically — but published as a single run record.
         """
-        if count <= 0:
-            return
         self.error_log.record_run(event, count, stride=1)
-        if event.access.value == "read":
-            self.stats.invalid_reads += count
-        else:
-            self.stats.invalid_writes += count
 
-    def reset_statistics(self) -> None:
-        """Zero the statistics counters (the error log is left untouched)."""
-        self.stats.reset()
+    @property
+    def stats(self) -> PolicyStatistics:
+        """Snapshot of the check count and the error log's continuation tallies."""
+        counts = self.error_log.counters
+        by_access = counts.invalid_by_access
+        return PolicyStatistics(
+            checks_performed=self.checks_performed,
+            invalid_reads=by_access[AccessKind.READ],
+            invalid_writes=by_access[AccessKind.WRITE],
+            manufactured_values=counts.manufactured_bytes,
+            discarded_bytes=counts.discarded_bytes,
+            redirected_accesses=counts.redirected_accesses,
+            stored_out_of_bounds_bytes=counts.stored_bytes,
+        )
 
     # -- checkpoint / restore --------------------------------------------------
     #
-    # A policy carries per-process-image side state: the statistics counters,
-    # the error log, and (in subclasses) manufactured-value generators and
-    # out-of-bounds stores.  The process-image checkpoint captures it all so
+    # A policy carries per-process-image side state: the check count, the
+    # error log (whose counters the statistics read), and (in subclasses)
+    # manufactured-value generators and out-of-bounds stores.  The process-image checkpoint captures it all so
     # a restored image answers every query exactly as a from-scratch reboot
     # would.  Subclasses extend the returned dict via super().
 
     def checkpoint_state(self) -> dict:
         """Snapshot the policy's per-image side state (pure data)."""
         return {
-            "stats": dict(self.stats.as_dict()),
+            "checks": self.checks_performed,
             "log": self.error_log.checkpoint(),
         }
 
     def restore_state(self, state: dict) -> None:
         """Reset the policy's side state to a :meth:`checkpoint_state` snapshot."""
-        for field_name, value in state["stats"].items():
-            setattr(self.stats, field_name, value)
+        self.checks_performed = state["checks"]
         self.error_log.restore(state["log"])
 
     def describe(self) -> str:

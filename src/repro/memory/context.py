@@ -35,7 +35,7 @@ class MemoryImage:
 
     Composes the per-component checkpoints (address space bytes, object
     table, allocator, call stack) with the accessor's attribution labels and
-    the policy's side state (statistics, error log, manufactured-value
+    the policy's side state (check count, error log, manufactured-value
     generators, boundless store).  Because no live object is referenced, one
     image can be restored into its own context any number of times *and*
     into other compatible contexts — which is how the pre-fork child pool
@@ -189,10 +189,6 @@ class MemoryContext:
         """Stamp subsequent error and telemetry events with a request id."""
         self.mem.set_request(request_id)
         self.bus.current_request_id = request_id
-
-    def check_cost(self) -> int:
-        """Number of bounds checks executed so far (the overhead measure)."""
-        return self.policy.stats.checks_performed
 
     # -- checkpoint / restore --------------------------------------------------------
 

@@ -184,12 +184,6 @@ class TestRegistry:
         with pytest.raises(KeyError):
             make_policy("no-such-policy")
 
-    def test_statistics_reset(self):
-        policy = FailureObliviousPolicy()
-        policy.on_invalid_write(oob_event(), b"x")
-        policy.reset_statistics()
-        assert policy.stats.invalid_writes == 0
-
     def test_describe_mentions_checking(self):
         assert "checks=off" in StandardPolicy().describe()
         assert "checks=on" in FailureObliviousPolicy().describe()
