@@ -159,6 +159,12 @@ class AccessKind(enum.Enum):
     READ = "read"
     WRITE = "write"
 
+    # Members are singletons and compare by identity, so identity hashing
+    # keeps every dict, Counter and pickle answer; it runs in C, where
+    # ``Enum.__hash__`` runs Python code on each key the error log's
+    # counters touch (four per invalid-access record).
+    __hash__ = object.__hash__
+
 
 class ErrorKind(enum.Enum):
     """Classification of a detected memory error."""
@@ -168,6 +174,9 @@ class ErrorKind(enum.Enum):
     UNINITIALIZED = "uninitialized"
     NULL_DEREF = "null-dereference"
     INVALID_FREE = "invalid-free"
+
+    # C-level identity hashing, as for AccessKind.
+    __hash__ = object.__hash__
 
 
 @frozen_record

@@ -87,6 +87,30 @@ class TestCounterSink:
         assert sink.allocations == 1 and sink.frees == 1
         assert sink.requests_by_outcome["served"] == 1
 
+    def test_attack_request_never_runs_enum_hash(self):
+        """The counters key by ErrorKind/AccessKind on every invalid access;
+        their hashing must stay in C, not run ``Enum.__hash__``."""
+        import cProfile
+        import pstats
+
+        profile = ENGINE.profile("apache")
+        server = ENGINE.build_server("apache", "failure-oblivious", plant_attack=True)
+        server.start()
+        try:
+            for request in profile.make_follow_ups():
+                server.process(request)
+            recorded = server.ctx.error_log.total_recorded
+            profiler = cProfile.Profile()
+            profiler.enable()
+            server.process(profile.make_attack_request())
+            profiler.disable()
+            assert server.ctx.error_log.total_recorded > recorded
+        finally:
+            server.stop()
+        enum_hashes = [where for where in pstats.Stats(profiler).stats
+                       if where[2] == "__hash__" and where[0].endswith("enum.py")]
+        assert enum_hashes == []
+
 
 class NaiveRing:
     """Reference model: an unbounded-cost list with oldest-first eviction."""
