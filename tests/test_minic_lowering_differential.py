@@ -125,6 +125,28 @@ bytes_values = st.integers(min_value=1, max_value=255)
 counts = st.integers(min_value=0, max_value=96)
 
 
+# -- loop budget -----------------------------------------------------------------
+
+#: The loop budget the scanner and copy tests run under, on both builds.  An
+#: unterminated scan or copy under the redirect policy wraps around its unit
+#: and never meets a terminator, so it runs until the budget raises
+#: InfiniteLoopGuard; at the interpreter's default of 1 000 000 iterations
+#: one such draw cost minutes on the per-byte tree-walk.  12 000 stays above
+#: the error log's 10 000-event ring capacity, so those runs still evict and
+#: the eviction is still compared.
+DIFFERENTIAL_LOOP_LIMIT = 12_000
+
+
+@pytest.fixture(scope="class")
+def differential_loop_limit():
+    """Run a test class under :data:`DIFFERENTIAL_LOOP_LIMIT` (both builds
+    read the interpreter's module global at call time)."""
+    original = minic_interpreter.LOOP_LIMIT
+    minic_interpreter.LOOP_LIMIT = DIFFERENTIAL_LOOP_LIMIT
+    yield
+    minic_interpreter.LOOP_LIMIT = original
+
+
 # -- program templates ---------------------------------------------------------
 
 SCANNER_SOURCE = """
@@ -214,6 +236,7 @@ int uaf_fill_then_scan(int size, int n, int c) {{
 """
 
 
+@pytest.mark.usefixtures("differential_loop_limit")
 class TestScannerLoops:
     """``while (*p) p++`` and ``while ((c = *p++) != 0)`` versus per byte."""
 
@@ -232,6 +255,7 @@ class TestScannerLoops:
         _assert_equivalent(SCANNER_SOURCE.format(size=size), policy, calls)
 
 
+@pytest.mark.usefixtures("differential_loop_limit")
 class TestCopyLoops:
     """The strcpy idiom ``while ((*d++ = *s++) != 0)`` versus per byte."""
 
