@@ -250,9 +250,10 @@ class AccessPolicy(ABC):
     #
     # A policy carries per-process-image side state: the check count, the
     # error log (whose counters the statistics read), and (in subclasses)
-    # manufactured-value generators and out-of-bounds stores.  The process-image checkpoint captures it all so
-    # a restored image answers every query exactly as a from-scratch reboot
-    # would.  Subclasses extend the returned dict via super().
+    # manufactured-value generators and out-of-bounds stores.  The
+    # process-image checkpoint captures it all so a restored image answers
+    # every query exactly as a from-scratch reboot would.  Subclasses extend
+    # the returned dict via super().
 
     def checkpoint_state(self) -> dict:
         """Snapshot the policy's per-image side state (pure data)."""
