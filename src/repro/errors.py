@@ -160,8 +160,8 @@ class AccessKind(enum.Enum):
     WRITE = "write"
 
     # Members are singletons and compare by identity, so identity hashing
-    # keeps every dict, Counter and pickle answer; it runs in C, where
-    # ``Enum.__hash__`` runs Python code on each key the error log's
+    # keeps every dict, Counter and pickle answer.  It runs in C, whereas
+    # ``Enum.__hash__`` is Python code, run on each key the error log's
     # counters touch (four per invalid-access record).
     __hash__ = object.__hash__
 
