@@ -6,7 +6,8 @@ faster: a pointer step or an accessor call that became cheaper must still be
 one check, one object-table lookup and one raw byte.  This module runs fixed
 request streams through the servers whose handlers walk memory one byte at a
 time — hand Sendmail (``recv_large``, ``send_small``), Pine ``compose``, Mutt
-``read`` and the compiled ``minic-sendmail`` ``deliver`` — and through the
+``read``, Midnight Commander ``mkdir`` (its session-log store) and the
+compiled ``minic-sendmail`` ``deliver`` — and through the
 Apache rewrite overflow (``small`` fetches around one attack URL, the path
 the failure-oblivious pool serves under attack), under all five policies,
 and compares every counter with ``data/per_byte_counters.json``.
@@ -28,7 +29,9 @@ The counters were captured before the per-byte path was made cheaper (fast
 pointer construction, stored ``Segment.end``, one-read accessor byte path),
 and the error streams and Apache cells before the error records were given
 their one-step constructor, so a pass proves the faster paths do the same
-counted work and record the same errors.
+counted work and record the same errors.  The Midnight Commander cells were
+captured before the servers' byte-copy loops became one
+:meth:`~repro.memory.accessor.MemoryAccessor.write_each` call.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ STREAMS = (
     ("sendmail", "send_small"),
     ("pine", "compose"),
     ("mutt", "read"),
+    ("midnight-commander", "mkdir"),
     ("minic-sendmail", "deliver"),
     ("apache", "small"),
 )
