@@ -214,9 +214,9 @@ class AccessPolicy(ABC):
         """Publish one telemetry event (continuation decisions, mostly)."""
         self.error_log.bus.emit(event)
 
-    def note_check(self) -> None:
-        """Record that one bounds check was executed."""
-        self.checks_performed += 1
+    def note_check(self, count: int = 1) -> None:
+        """Record that ``count`` bounds checks were executed."""
+        self.checks_performed += count
 
     def record_event(self, event: MemoryErrorEvent) -> None:
         """Log an invalid access attempt."""

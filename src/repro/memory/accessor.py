@@ -370,6 +370,46 @@ class MemoryAccessor:
                 return
         self._invalid_write(ptr, bytes([value & 0xFF]))
 
+    def write_each(self, ptr: FatPointer, data: bytes) -> None:
+        """Store ``data`` byte by byte: exactly
+        ``for i, b in enumerate(data): write_byte(ptr + i, b)``.
+
+        This is the shape of a C loop that stores a buffer one character at a
+        time, and it is charged as that loop: one check, one object-table
+        lookup and one raw write per byte.  When the whole range is valid
+        (checking builds: the referent alive and ``[offset, offset + n)``
+        inside it; Standard: the range inside one segment) the bytes go down
+        in one raw store, leaving the decision cache and the dirty blocks as
+        the loop would.  Any other range runs the loop itself, so error
+        records, Standard's partial store before a fault and error order are
+        the per-byte ones.
+        """
+        length = len(data)
+        if not length:
+            return
+        unit = ptr.referent
+        address = unit.base + ptr.offset
+        policy = self.policy
+        if not policy.performs_checks:
+            if self.space.is_mapped(address, length):
+                self.space.write(address, data)
+                return
+        elif unit.alive and unit.contains_offset(ptr.offset, length):
+            policy.note_check(length)
+            if unit is self._cached_unit:
+                self.table.lookups += length
+            else:
+                # The first byte's lookup; the loop's other bytes hit the
+                # cache (or, with it off, repeat the same bisect).
+                self.table.find(address)
+                self.table.lookups += length - 1
+                if self._cache_enabled:
+                    self._cached_unit = unit
+            self.space.write(address, data)
+            return
+        for index, byte in enumerate(data):
+            self.write_byte(ptr + index, byte)
+
     def read_int(self, ptr: FatPointer, size: int = 4, signed: bool = True) -> int:
         """Read a little-endian integer of ``size`` bytes."""
         data = self.read(ptr, size)
