@@ -140,11 +140,7 @@ class ApacheServer(Server):
         lines += ["KeepAlive On", "MaxClients 150", "Timeout 300"] * 20
         text = ("\n".join(lines) + "\n").encode()
         conf = ctx.malloc(len(text) + 1, name="httpd_conf")
-        cursor = conf
-        for byte in text:
-            ctx.mem.write_byte(cursor, byte)
-            cursor = cursor + 1
-        ctx.mem.write_byte(cursor, 0)
+        ctx.mem.write_each(conf, text + b"\x00")
         # Tokenize the configuration (byte scan) to model directive parsing.
         directives = 0
         scan = conf

@@ -331,11 +331,7 @@ class MidnightCommanderServer(Server):
         ctx.set_site("mc.session_log")
         data = note.encode() + b"\n"
         buf = ctx.malloc(len(data) + 1, name="session_log_entry")
-        cursor = buf
-        for byte in data:
-            ctx.mem.write_byte(cursor, byte)
-            cursor = cursor + 1
-        ctx.mem.write_byte(cursor, 0)
+        ctx.mem.write_each(buf, data + b"\x00")
         ctx.free(buf)
         ctx.set_site("")
 

@@ -185,11 +185,7 @@ class MuttServer(Server):
         header = b"From: " + message["from"] + b"\nSubject: " + message["subject"] + b"\n\n"
         text = header + message.get("body", b"") + b"\n"
         buf = ctx.malloc(len(text) + 1, name="pager_buffer")
-        cursor = buf
-        for byte in text:
-            ctx.mem.write_byte(cursor, byte)
-            cursor = cursor + 1
-        ctx.mem.write_byte(cursor, 0)
+        ctx.mem.write_each(buf, text + b"\x00")
         display = ctx.read_c_string(buf)
         ctx.free(buf)
         ctx.set_site("")

@@ -225,11 +225,7 @@ class PineServer(Server):
         ctx.set_site("pine.render_screen")
         text = b"\n".join(lines) + b"\n"
         buf = ctx.malloc(len(text) + 1, name="screen_buffer")
-        cursor = buf
-        for byte in text:
-            ctx.mem.write_byte(cursor, byte)
-            cursor = cursor + 1
-        ctx.mem.write_byte(cursor, 0)
+        ctx.mem.write_each(buf, text + b"\x00")
         rendered = ctx.read_c_string(buf)
         ctx.free(buf)
         ctx.set_site("")
