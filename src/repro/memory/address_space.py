@@ -464,7 +464,7 @@ class AddressSpace:
         self._clean_epoch = epoch
         return written
 
-    def restore(self, cp: AddressSpaceCheckpoint) -> None:
+    def restore(self, cp: AddressSpaceCheckpoint) -> int:
         """Reset every segment to the checkpointed contents.
 
         When the space is clean with respect to ``cp`` (the common restart
@@ -478,11 +478,13 @@ class AddressSpace:
         afterwards, so cloned process images get the dirty-block fast path on
         *their* subsequent restores too.  Segments mapped after the
         checkpoint are unmapped; a checkpointed segment whose size changed is
-        a substrate bug and raises.
+        a substrate bug and raises.  Returns the number of blocks copied, the
+        counted cost of the restore.
         """
         fast = self._clean_epoch == cp.epoch
         touched_map = dict(cp.touched_blocks)
         wanted = {name for name, _base, _data in cp.segments}
+        copied = 0
         if not fast and any(segment.name not in wanted for segment in self._ordered):
             self._ordered = [s for s in self._ordered if s.name in wanted]
             self._segments = {s.name: s for s in self._ordered}
@@ -504,9 +506,11 @@ class AddressSpace:
                 start = start_block << _DIRTY_SHIFT
                 end = end_block << _DIRTY_SHIFT
                 data[start:end] = contents[start:end]
+            copied += len(stale)
             segment.touched = set(cp_touched)
             segment.dirty.clear()
         self.raw_reads = cp.raw_reads
         self.raw_writes = cp.raw_writes
         self._last_segment = None
         self._clean_epoch = cp.epoch
+        return copied

@@ -21,10 +21,14 @@ from repro.fleet import scheduler
 from repro.fleet.scheduler import InstanceSpec, run_fleet
 from repro.memory.context import MemoryContext
 from repro.memory.shared_image import SharedImageStore
-from repro.servers.apache import ChildProcessPool
+from repro.servers.apache import ApacheServer, ChildProcessPool
 from repro.workloads.attacks import apache_vulnerable_config
 
 SHM_DIR = "/dev/shm"
+#: The heap sizes of the timed clone gate
+#: (``benchmarks/test_substrate_throughput.py``), 10x apart.
+CLONE_HEAP_SMALL = 4 * 1024 * 1024
+CLONE_HEAP_LARGE = 40 * 1024 * 1024
 
 
 def _shm_entries() -> set:
@@ -150,3 +154,40 @@ class TestPoolAndSchedulerCleanup:
         store = scheduler._LAST_IMAGE_STORE
         assert store is not None and store.closed
         assert _shm_entries() <= before
+
+
+class TestCloneCost:
+    """Counted twin of the timed clone gate
+    (``benchmarks/test_substrate_throughput.py::test_clone_cost_flat_as_image_grows``).
+
+    That gate times adopting a shared Apache boot image and asks the time not
+    to grow when the heap grows 10x.  This one states the same claim in
+    counted work: the restore into a fresh clone copies the same number of
+    blocks whatever the heap size, because it copies only blocks either side
+    has ever written.
+    """
+
+    @staticmethod
+    def _clone_blocks(heap_size: int) -> int:
+        """Blocks copied restoring a shared Apache boot image into a fresh
+        server's address space (the byte-copying step of ``adopt_image``)."""
+        template = ApacheServer(FailureObliviousPolicy, config=apache_vulnerable_config(),
+                                heap_size=heap_size)
+        template.start()
+        clone = ApacheServer(FailureObliviousPolicy, config=apache_vulnerable_config(),
+                             heap_size=heap_size)
+        with SharedImageStore() as store:
+            shared = store.share_image(template.boot_image.ctx)
+            copied = clone.ctx.space.restore(shared.space)
+        clone.stop()
+        template.stop()
+        return copied
+
+    def test_clone_copies_the_same_blocks_as_the_image_grows(self):
+        small = self._clone_blocks(CLONE_HEAP_SMALL)
+        large = self._clone_blocks(CLONE_HEAP_LARGE)
+        assert small > 0
+        assert large == small, (
+            f"a clone copied {small} blocks on a {CLONE_HEAP_SMALL}-byte heap and "
+            f"{large} on a 10x heap: cloning is no longer O(touched bytes)"
+        )
