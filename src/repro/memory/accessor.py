@@ -41,12 +41,16 @@ class MemoryAccessor:
     (unchecked) policy skips the lookup entirely, exactly like uninstrumented
     code.
 
-    What the wall time of a per-byte access is made of, as measured: the
+    Per-byte work is *counted* per byte: each byte a handler loop stores or
+    loads is one check, one lookup and one raw access, whichever method
+    carries it.  Its wall time is another matter.  A per-byte access costs the
     caller's pointer arithmetic, then the dispatch into this class, then the
-    check.  The first two are paid by every build, so the slowdown columns of
-    the paper's Figures 2-6 come out at 1.06-1.28x here (``results.txt``), not
-    the paper's up to 8x.  A modeled slowdown column built from the
-    per-request counters is ROADMAP item 1.
+    check, and the first two are paid by every build, so the measured
+    slowdown columns of the paper's Figures 2-6 come out near 1x here
+    (``results.txt``), not the paper's up to 8x.  :meth:`write_each` carries
+    a valid byte-copy loop in one call: the count stays per byte, the wall
+    time is one store.  A modeled slowdown column built from the per-request
+    counters is ROADMAP item 1.
     """
 
     def __init__(
