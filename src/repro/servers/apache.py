@@ -140,7 +140,14 @@ class ApacheServer(Server):
         lines += ["KeepAlive On", "MaxClients 150", "Timeout 300"] * 20
         text = ("\n".join(lines) + "\n").encode()
         conf = ctx.malloc(len(text) + 1, name="httpd_conf")
-        ctx.mem.write_each(conf, text + b"\x00")
+        # A per-byte loop on purpose, unlike the request paths' byte copies
+        # (``MemoryAccessor.write_each``): its wall time is part of the boot
+        # that the reboot-per-death baselines time (see ``startup``).
+        cursor = conf
+        for byte in text:
+            ctx.mem.write_byte(cursor, byte)
+            cursor = cursor + 1
+        ctx.mem.write_byte(cursor, 0)
         # Tokenize the configuration (byte scan) to model directive parsing.
         directives = 0
         scan = conf
