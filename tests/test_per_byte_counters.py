@@ -6,8 +6,10 @@ faster: a pointer step or an accessor call that became cheaper must still be
 one check, one object-table lookup and one raw byte.  This module runs fixed
 request streams through the servers whose handlers walk memory one byte at a
 time — hand Sendmail (``recv_large``, ``send_small``), Pine ``compose``, Mutt
-``read``, Midnight Commander ``mkdir`` (its session-log store) and the
-compiled ``minic-sendmail`` ``deliver`` — and through the
+``read``, Midnight Commander ``mkdir`` (its session-log store), the
+compiled ``minic-sendmail`` ``deliver`` and the compiled ``minic-pine``
+``list`` (a linked-list walk with struct member loads and stores through
+pointer handles) — and through the
 Apache rewrite overflow (``small`` fetches around one attack URL, the path
 the failure-oblivious pool serves under attack), under all five policies,
 and compares every counter with ``data/per_byte_counters.json``.
@@ -31,7 +33,9 @@ and the error streams and Apache cells before the error records were given
 their one-step constructor, so a pass proves the faster paths do the same
 counted work and record the same errors.  The Midnight Commander cells were
 captured before the servers' byte-copy loops became one
-:meth:`~repro.memory.accessor.MemoryAccessor.write_each` call.
+:meth:`~repro.memory.accessor.MemoryAccessor.write_each` call, and the
+``minic-pine`` cells while mini-C still ran on the per-node tree walk, before
+it was compiled into closures.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ STREAMS = (
     ("mutt", "read"),
     ("midnight-commander", "mkdir"),
     ("minic-sendmail", "deliver"),
+    ("minic-pine", "list"),
     ("apache", "small"),
 )
 POLICIES = sorted(POLICY_NAMES)
