@@ -899,13 +899,13 @@ class ProgramInstance:
         ):
             # A function-pointer variable called by name: ``cmp(a, b)``.
             return self._call_value(slot.value, args, node=expr)
+        # A program-defined function wins over a builtin of the same name,
+        # exactly as in a call through a function pointer.
+        if any(f.name == expr.name for f in self.unit.functions):
+            return self.call(expr.name, *args)
         if expr.name in BUILTINS:
             return BUILTINS[expr.name](self, args)
-        try:
-            function = self.unit.function(expr.name)
-        except KeyError:
-            raise self._error(f"call to undefined function {expr.name!r}", expr) from None
-        return self.call(function.name, *args)
+        raise self._error(f"call to undefined function {expr.name!r}", expr)
 
     def _call_value(self, callee: Value, args: List[Value], node=None) -> Value:
         """Dispatch a call through a computed (function-pointer) callee."""

@@ -255,6 +255,38 @@ class TestPointersAndMemory:
             instance.call("f", 1, 2)
 
 
+class TestCallResolution:
+    """A program-defined function wins over a builtin of the same name,
+    whether it is called directly or through a function pointer."""
+
+    SOURCE = """
+    int strlen(char *s) { return 42; }
+    int direct(char *s) { return strlen(s); }
+    int through_pointer(char *s) {
+        int (*f)(char *);
+        f = strlen;
+        return f(s);
+    }
+    int builtin_through_pointer(char *s) {
+        int (*f)(char *);
+        f = strcmp;
+        return f(s, s);
+    }
+    """
+
+    def test_direct_call_reaches_the_program_function(self):
+        _, result = run(self.SOURCE, "direct", b"abc")
+        assert result == 42
+
+    def test_pointer_call_reaches_the_program_function(self):
+        _, result = run(self.SOURCE, "through_pointer", b"abc")
+        assert result == 42
+
+    def test_unshadowed_builtin_still_resolves(self):
+        _, result = run(self.SOURCE, "builtin_through_pointer", b"abc")
+        assert result == 0
+
+
 class TestCompileChecks:
     def test_undefined_callee_rejected_at_compile_time(self):
         with pytest.raises(CompileError):
