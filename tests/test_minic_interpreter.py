@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.policies import BoundsCheckPolicy, FailureObliviousPolicy, StandardPolicy
 from repro.errors import BoundsCheckViolation, InfiniteLoopGuard
+from repro.minic import ast_nodes as ast
 from repro.minic import compile_program
+from repro.minic import interpreter
 from repro.minic.lower import CompileError
 from repro.minic.interpreter import MiniCRuntimeError
 
@@ -285,6 +287,54 @@ class TestCallResolution:
     def test_unshadowed_builtin_still_resolves(self):
         _, result = run(self.SOURCE, "builtin_through_pointer", b"abc")
         assert result == 0
+
+
+class TestLoopBudget:
+    """``LOOP_LIMIT`` is read when a loop starts, not when the program is
+    compiled: a budget set after compiling bounds every loop kind."""
+
+    SOURCE = """
+    char buf[64];
+    int count_while(int n) { int i = 0; while (i < n) i++; return i; }
+    int count_for(int n) { int i; int s = 0; for (i = 0; i < n; i++) s++; return s; }
+    int fill(int n) { char *p; p = buf; while (n--) *p++ = 'a'; return 0; }
+    int scan(int n) {
+        char *p;
+        memset(buf, 'a', n);
+        buf[n] = 0;
+        p = buf;
+        while (*p) p++;
+        return p - buf;
+    }
+    """
+    BUDGET = 37
+
+    @pytest.fixture
+    def instance(self):
+        program = compile_program(self.SOURCE)
+        kinds = {type(node) for function in program.unit.functions
+                 for node in function.body.statements}
+        assert {ast.LoweredFillWhile, ast.LoweredScan} <= kinds
+        instance = program.instantiate(FailureObliviousPolicy())
+        original = interpreter.LOOP_LIMIT
+        interpreter.LOOP_LIMIT = self.BUDGET
+        yield instance
+        interpreter.LOOP_LIMIT = original
+
+    @pytest.mark.parametrize("function,kind", [
+        ("count_while", "while"), ("count_for", "for"), ("fill", "while"),
+    ])
+    def test_loop_stops_at_the_new_budget(self, instance, function, kind):
+        instance.call(function, self.BUDGET)
+        with pytest.raises(InfiniteLoopGuard, match=f"^{kind} loop exceeded its iteration budget$"):
+            instance.call(function, self.BUDGET + 1)
+
+    def test_lowered_scan_stops_at_the_new_budget(self, instance):
+        assert instance.call("scan", self.BUDGET) == self.BUDGET
+        # ``memset`` runs no mini-C loop, so the scan over its BUDGET + 1
+        # non-NUL bytes is what runs out.
+        with pytest.raises(InfiniteLoopGuard, match="^while loop exceeded its iteration budget$"):
+            instance.call("scan", self.BUDGET + 1)
 
 
 class TestCompileChecks:
