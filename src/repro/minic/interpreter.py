@@ -129,22 +129,6 @@ class _GotoSignal(Exception):
         self.label = label
 
 
-def _truncate(value: Value, ctype: ast.CType) -> Value:
-    """Apply C conversion rules when storing into a typed slot."""
-    if isinstance(value, (TypedPointer, FunctionRef)) or ctype.is_pointer or ctype.base == "funcptr":
-        return value
-    if ctype.base == "char":
-        value &= 0xFF
-        return value - 256 if value >= 128 else value
-    if ctype.base == "unsigned char":
-        return value & 0xFF
-    if ctype.base == "unsigned int":
-        return value & 0xFFFFFFFF
-    # plain int: wrap to 32-bit two's complement
-    value &= 0xFFFFFFFF
-    return value - (1 << 32) if value >= (1 << 31) else value
-
-
 def _truthy(value: Value) -> bool:
     if isinstance(value, TypedPointer):
         return not value.is_null
@@ -164,12 +148,12 @@ def _apply_binary(op: str, left: Value, right: Value, node=None) -> Value:
         )
     if isinstance(left, TypedPointer) or isinstance(right, TypedPointer):
         return _pointer_binary(op, left, right, node)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
+    int_op = _INT_OPS.get(op)
+    if int_op is not None:
+        return int_op(left, right)
+    compare = _COMPARISONS.get(op)
+    if compare is not None:
+        return 1 if compare(left, right) else 0
     if op == "/":
         if right == 0:
             raise MiniCRuntimeError(f"{_position_prefix(node)}integer division by zero")
@@ -178,29 +162,8 @@ def _apply_binary(op: str, left: Value, right: Value, node=None) -> Value:
     if op == "%":
         if right == 0:
             raise MiniCRuntimeError(f"{_position_prefix(node)}integer modulo by zero")
-        return left - right * ((abs(left) // abs(right)) if (left >= 0) == (right >= 0) else -(abs(left) // abs(right)))
-    if op == "<<":
-        return left << right
-    if op == ">>":
-        return left >> right
-    if op == "&":
-        return left & right
-    if op == "|":
-        return left | right
-    if op == "^":
-        return left ^ right
-    if op == "==":
-        return 1 if left == right else 0
-    if op == "!=":
-        return 1 if left != right else 0
-    if op == "<":
-        return 1 if left < right else 0
-    if op == "<=":
-        return 1 if left <= right else 0
-    if op == ">":
-        return 1 if left > right else 0
-    if op == ">=":
-        return 1 if left >= right else 0
+        quotient = abs(left) // abs(right)
+        return left - right * (quotient if (left >= 0) == (right >= 0) else -quotient)
     raise MiniCRuntimeError(f"{_position_prefix(node)}unsupported binary operator {op!r}")
 
 
@@ -883,6 +846,7 @@ class _Compiler:
         pointer_slot = self._byte_pointer_slot(node.pointer)
         var_slot_of = self.find_slot(node.var)
         original = self.stmt(node.original)
+        conversion = self.conversion
 
         def lowered_scan_consume(instance, frame):
             slot = pointer_slot(instance, frame)
@@ -896,7 +860,7 @@ class _Compiler:
             except InfiniteLoopGuard:
                 raise InfiniteLoopGuard("while loop exceeded its iteration budget") from None
             slot.value = pointer.offset_by(length + 1)
-            var_slot.value = _truncate(0, var_slot.type)
+            var_slot.value = conversion(var_slot.type)(0, None)
 
         return lowered_scan_consume
 
@@ -937,6 +901,7 @@ class _Compiler:
         fill_value = self._fill_value(node.value)
         original = self.stmt(node.original)
         fill_span = self._fill_span
+        conversion = self.conversion
 
         def lowered_fill_while(instance, frame):
             counter_slot = counter_slot_of(instance, frame)
@@ -960,7 +925,7 @@ class _Compiler:
             fill_span(instance, pointer, fill, written)
             if runaway:
                 raise InfiniteLoopGuard("while loop exceeded its iteration budget")
-            counter_slot.value = _truncate(-1, counter_slot.type)
+            counter_slot.value = conversion(counter_slot.type)(-1, None)
             pointer_slot.value = pointer.offset_by(written)
 
         return lowered_fill_while
@@ -972,6 +937,7 @@ class _Compiler:
         limit_value = self._fill_value(node.limit)
         original = self.stmt(node.original)
         fill_span = self._fill_span
+        conversion = self.conversion
 
         def lowered_fill_for(instance, frame):
             index_slot = index_slot_of(instance, frame)
@@ -988,7 +954,7 @@ class _Compiler:
             fill_span(instance, pointer, fill, written)
             if runaway:
                 raise InfiniteLoopGuard("for loop exceeded its iteration budget")
-            index_slot.value = _truncate(max(limit, 0), index_slot.type)
+            index_slot.value = conversion(index_slot.type)(max(limit, 0), None)
 
         return lowered_fill_for
 
