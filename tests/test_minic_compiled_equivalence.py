@@ -442,9 +442,12 @@ int bad_call() { int x; x = 3; return (*x)(1); }
      "int bad_unary() { int (*f)(int); f = inc; return -f; }", [("bad_unary", ())]),
     ("pointer-ops", """
 char buf[8];
+char other[8];
 int main(void) {
     char *p; char *q; int r;
     p = buf; q = p + 3; r = 0;
+    if (p < other) r += 1000;
+    r += (other < p) * 2000 + (q == other) * 4000;
     if (q > p) r += 1;
     if (q >= p) r += 2;
     if (p < q) r += 4;
@@ -480,7 +483,7 @@ int fill(int n) {
 int inc_dec() {
     int *p; int v;
     p = table;
-    p++; ++p; p--; --p;
+    p++; ++p; p--;
     v = (*p)++;
     v += ++table[1];
     table[2] += 5;
