@@ -155,8 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                        "other text as a NUL-terminated C string "
                                        "(repeatable, in order)")
     minic_run_parser.add_argument("--no-lower", action="store_true",
-                                  help="skip the span-lowering pass and run the "
-                                       "frozen per-byte tree-walk reference")
+                                  help="skip the span-lowering pass: every loop "
+                                       "runs per byte (the lowering reference)")
     minic_run_parser.add_argument("--trace", default=None, metavar="OUT",
                                   help="export the run's telemetry event stream "
                                        "as JSONL to this path")
@@ -439,7 +439,8 @@ def _command_minic_run(args: argparse.Namespace) -> int:
     print(f"source            : {args.file}")
     print(f"build             : {args.policy}")
     lowered = lowered_count(program.unit)
-    mode = "tree-walk (lower=False)" if args.no_lower else f"{lowered} span-lowered loop(s)"
+    mode = "per-byte loops, not lowered (lower=False)" if args.no_lower \
+        else f"{lowered} span-lowered loop(s)"
     print(f"compiled          : {mode}")
     if fault is not None:
         print(f"{args.call}({', '.join(args.arg)}) -> {type(fault).__name__}: {fault}")

@@ -3,7 +3,7 @@
 The paper's adoption story is "recompile the same C source with a different
 compiler".  This package makes that story literal inside the reproduction: a
 small C-like language is lexed, preprocessed, parsed, idiom-lowered, and
-interpreted, with every variable, array, and heap block allocated in the
+run, with every variable, array, and heap block allocated in the
 simulated address space and every load and store routed through the active
 access policy.  The same source therefore behaves like the Standard, Bounds
 Check, or Failure Oblivious build depending only on the policy the program
@@ -20,11 +20,14 @@ calls, pointer arithmetic, and the libc routines the ported functions need
 overflow sites run on it; see ``examples/mutt_figure1.py`` and
 ``examples/minic_servers.py``.
 
+Each function is compiled once into Python closures
+(:mod:`repro.minic.interpreter`), so a call pays for the accessor work its
+loads and stores do, not for re-dispatching on every AST node.
 String-walking loops (scans, strcpy-style copies, bounded fills) are
 recognized by :mod:`repro.minic.lower` and executed through the bulk span
 primitives — one policy decision per span or invalid run instead of per
-byte — with ``compile_program(source, lower=False)`` keeping the frozen
-per-byte tree-walk as the reference path.
+byte — with ``compile_program(source, lower=False)`` compiling them as
+per-byte loops instead: the reference path for lowering.
 
 Public API
 ----------

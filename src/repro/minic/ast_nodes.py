@@ -262,8 +262,8 @@ class Empty(Stmt):
 #
 # Produced only by the idiom-recognition pass in :mod:`repro.minic.lower`,
 # never by the parser.  Each node keeps the ``original`` loop statement so the
-# interpreter can fall back to the frozen per-byte tree-walk whenever a
-# runtime precondition (the variable actually holds a byte pointer) fails.
+# interpreter can fall back to running that loop per byte whenever a runtime
+# precondition (the variable actually holds a byte pointer) fails.
 
 
 @dataclass

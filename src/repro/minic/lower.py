@@ -1,9 +1,9 @@
 """Idiom-recognition pass: compile mini-C loops onto the span fast path.
 
-The tree-walking interpreter pays one policy decision per byte for the
-string-walking loops that dominate the paper's vulnerable functions.  This
+Compiled as written, the string-walking loops that dominate the paper's
+vulnerable functions pay one policy decision per byte.  This
 pass recognizes the handful of loop shapes those functions are made of and
-rewrites each into a ``Lowered*`` statement the interpreter executes with the
+rewrites each into a ``Lowered*`` statement the interpreter runs with the
 bulk ``scan_span``/``read_span_until``/``write_span`` primitives — one policy
 decision per contiguous span (PR 2) or invalid run (PR 4) instead of per byte.
 
@@ -16,10 +16,10 @@ Recognized idioms
 * ``for (i = 0; i < n; i++) p[i] = c;`` — indexed fill.
 
 Each lowered node keeps the ``original`` statement, and the interpreter falls
-back to tree-walking it whenever a runtime precondition fails (the matched
-variable does not hold a byte pointer), so lowering is always meaning-
-preserving.  The differential Hypothesis suite
-(``tests/test_minic_lowering_differential.py``) proves lowered and tree-walk
+back to running it, compiled as written, whenever a runtime precondition
+fails (the matched variable does not hold a byte pointer), so lowering is
+always meaning-preserving.  The differential Hypothesis suite
+(``tests/test_minic_lowering_differential.py``) proves lowered and per-byte
 execution observably identical under all five policies.
 
 Deliberately **not** lowered: ``while (*src) *dst++ = *src++;`` reads the
@@ -291,10 +291,10 @@ def _collect_calls(node, found, declared) -> None:
 def compile_program(source: str, lower: bool = True, includes=None, defines=None):
     """Parse ``source``, check well-formedness, and (by default) span-lower it.
 
-    ``lower=False`` keeps the frozen per-byte tree-walk — the reference path
-    the differential suite compares against.  There is still no code
-    generation: the policy is chosen when the returned Program is
-    *instantiated*, exactly as before.
+    ``lower=False`` compiles without idiom lowering: every loop runs per
+    byte, the reference path the lowering differential compares against.
+    The returned Program compiles its functions into closures once; the
+    policy is chosen when it is *instantiated*.
     """
     from repro.minic.interpreter import Program
 

@@ -17,7 +17,7 @@ on the span fast path after idiom lowering.
   that is mostly parentheses walks the cursor past the fixed buffer.
 
 Both sources are plain strings: tests and examples can recompile them with
-``lower=False`` to run the frozen per-byte tree-walk reference instead.
+``lower=False`` to run every loop per byte, without idiom lowering.
 """
 
 from __future__ import annotations

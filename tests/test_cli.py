@@ -94,7 +94,7 @@ class TestMinicRun:
                      "--arg", "short", "--no-lower"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "tree-walk (lower=False)" in out
+        assert "per-byte loops, not lowered (lower=False)" in out
         assert "copy(short) -> 6" in out
 
     def test_trace_exports_telemetry(self, tmp_path, capsys):
