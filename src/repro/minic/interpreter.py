@@ -1569,17 +1569,6 @@ class ProgramInstance:
             self._handles[handle] = value
         return handle
 
-    def handle_state(self) -> tuple:
-        """Snapshot of the handle registry (for server checkpoint/restore)."""
-        return dict(self._handles), dict(self._handle_ids), self._next_handle
-
-    def restore_handle_state(self, state: tuple) -> None:
-        """Restore a snapshot taken by :meth:`handle_state`."""
-        handles, handle_ids, next_handle = state
-        self._handles = dict(handles)
-        self._handle_ids = dict(handle_ids)
-        self._next_handle = next_handle
-
     # -- strings --------------------------------------------------------------------
 
     def alloc_string(self, data: bytes, name: str = "argument") -> TypedPointer:
