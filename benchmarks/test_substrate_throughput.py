@@ -956,7 +956,7 @@ def test_no_regression_against_committed_baseline(substrate_report):
 
 
 def test_minic_scanner_meets_speedup_floor(minic_report):
-    """PR 9 acceptance: the span-lowered scanner loop must beat the same
+    """Acceptance: the span-lowered scanner loop must beat the same
     loop compiled unlowered by at least 50x under failure-oblivious."""
     speedup = minic_report["scanner_speedup_vs_tree_walk"]
     assert speedup is not None and speedup >= REQUIRED_MINIC_SPEEDUP, (
