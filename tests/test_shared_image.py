@@ -19,6 +19,7 @@ import pytest
 from repro.core.policies import FailureObliviousPolicy
 from repro.fleet import scheduler
 from repro.fleet.scheduler import InstanceSpec, run_fleet
+from repro.memory.address_space import DIRTY_BLOCK
 from repro.memory.context import MemoryContext
 from repro.memory.shared_image import SharedImageStore
 from repro.servers.apache import ApacheServer, ChildProcessPool
@@ -190,4 +191,60 @@ class TestCloneCost:
         assert large == small, (
             f"a clone copied {small} blocks on a {CLONE_HEAP_SMALL}-byte heap and "
             f"{large} on a 10x heap: cloning is no longer O(touched bytes)"
+        )
+
+
+class TestShareCost:
+    """Counted cost of sharing a template image, beside :class:`TestCloneCost`.
+
+    A freshly created shared-memory block is zero-filled, and every block of
+    a checkpoint outside its ``touched_blocks`` is all zeros.  So sharing an
+    image needs to write only the touched blocks: the copy, and the pages of
+    the block that become resident, must not grow when the heap grows 10x.
+    """
+
+    @staticmethod
+    def _share(heap_size: int):
+        """Share an Apache boot image; returns (touched blocks, store, names)
+        with the store still open so its block can be inspected."""
+        template = ApacheServer(FailureObliviousPolicy, config=apache_vulnerable_config(),
+                                heap_size=heap_size)
+        template.start()
+        space = template.boot_image.ctx.space
+        touched = sum(len(blocks) for _name, blocks in space.touched_blocks)
+        store = SharedImageStore()
+        store.share_space(space)
+        template.stop()
+        return touched, store
+
+    @staticmethod
+    def _resident_blocks(store: SharedImageStore) -> int:
+        """DIRTY_BLOCK-sized blocks of storage the store's shared blocks hold."""
+        allocated = sum(
+            os.stat(os.path.join(SHM_DIR, name)).st_blocks * 512 for name in store.names
+        )
+        return allocated // DIRTY_BLOCK
+
+    @pytest.mark.skipif(not _supports_shm(), reason="no /dev/shm")
+    def test_shared_block_holds_the_same_pages_as_the_image_grows(self):
+        touched_small, store_small = self._share(CLONE_HEAP_SMALL)
+        touched_large, store_large = self._share(CLONE_HEAP_LARGE)
+        with store_small, store_large:
+            small = self._resident_blocks(store_small)
+            large = self._resident_blocks(store_large)
+        assert touched_small == touched_large > 0
+        assert small == large, (
+            f"sharing backed {small} blocks for a {CLONE_HEAP_SMALL}-byte heap and "
+            f"{large} for a 10x heap: sharing is no longer O(touched bytes)"
+        )
+
+    def test_share_copies_exactly_the_touched_blocks(self):
+        touched_small, store_small = self._share(CLONE_HEAP_SMALL)
+        touched_large, store_large = self._share(CLONE_HEAP_LARGE)
+        with store_small, store_large:
+            small = store_small.blocks_copied
+            large = store_large.blocks_copied
+        assert small == large == touched_small == touched_large > 0, (
+            f"sharing copied {small} blocks on a {CLONE_HEAP_SMALL}-byte heap and "
+            f"{large} on a 10x heap; the image touched {touched_small} and {touched_large}"
         )
