@@ -13,19 +13,26 @@ from __future__ import annotations
 
 import os
 import signal
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.policies import FailureObliviousPolicy
 from repro.fleet import scheduler
 from repro.fleet.scheduler import InstanceSpec, run_fleet
-from repro.memory.address_space import DIRTY_BLOCK
+from repro.memory.address_space import DIRTY_BLOCK, AddressSpace
+from repro.memory.checkpoint_stream import CheckpointStream
 from repro.memory.context import MemoryContext
+from repro.memory.pointer import FatPointer
 from repro.memory.shared_image import SharedImageStore
+from repro.recovery.forensics import load_snapshot, save_snapshot
 from repro.servers.apache import ApacheServer, ChildProcessPool
 from repro.workloads.attacks import apache_vulnerable_config
+from tests.conftest import POLICY_CLASSES
 
 SHM_DIR = "/dev/shm"
+POLICY_NAMES = sorted(POLICY_CLASSES)
 #: The heap sizes of the timed clone gate
 #: (``benchmarks/test_substrate_throughput.py``), 10x apart.
 CLONE_HEAP_SMALL = 4 * 1024 * 1024
@@ -248,3 +255,127 @@ class TestShareCost:
             f"sharing copied {small} blocks on a {CLONE_HEAP_SMALL}-byte heap and "
             f"{large} on a 10x heap; the image touched {touched_small} and {touched_large}"
         )
+
+
+# -- sharing is invisible to every checkpoint producer ------------------------
+
+#: Small, unaligned segments keep each example cheap and give every segment
+#: a final partial block.
+_SIZES = dict(globals_size=3 * DIRTY_BLOCK + 100, heap_size=16 * DIRTY_BLOCK + 9,
+              stack_size=4 * DIRTY_BLOCK + 1)
+
+_SHARE_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["malloc", "write", "oob_write", "raw_write", "free",
+                         "stack", "snapshot", "restore", "clone"]),
+        st.integers(min_value=0, max_value=10**6),
+    ),
+    max_size=30,
+)
+
+
+def _space_state(space: AddressSpace) -> dict:
+    return {
+        segment.name: (bytes(segment.data), set(segment.touched), set(segment.dirty))
+        for segment in space.segments()
+    }
+
+
+def _restore_twins(cp, shared, scribbles) -> None:
+    """Restore ``cp`` and its shared copy into twin spaces and compare them:
+    fresh, after the same scribbles, and again after writes on top (the
+    dirty-block fast path)."""
+    plain, twin = AddressSpace(**_SIZES), AddressSpace(**_SIZES)
+    for space in (plain, twin):
+        for address, data in scribbles:
+            space.write(address, data)
+    for round_ in range(2):
+        assert plain.restore(cp) == twin.restore(shared)
+        assert _space_state(plain) == _space_state(twin)
+        assert (plain.raw_reads, plain.raw_writes) == (twin.raw_reads, twin.raw_writes)
+        for space in (plain, twin):
+            for address, data in scribbles[round_::2]:
+                space.write(address, data)
+
+
+class TestShareEquivalence:
+    """A shared checkpoint is the original, whichever producer made it.
+
+    Sharing writes only the touched blocks into a zero-filled block, so it
+    leans on every producer keeping untouched blocks zero: the live space's
+    ``checkpoint()``, a checkpoint stream's replay and a loaded forensics
+    snapshot.  Random heap, stack and raw traffic with snapshots, rollbacks
+    and clones, under all five policies.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(steps=_SHARE_STEPS, policy_name=st.sampled_from(POLICY_NAMES),
+           seed=st.integers(min_value=0, max_value=2**31))
+    def test_shared_checkpoints_equal_the_originals(self, steps, policy_name, seed):
+        import random
+
+        rng = random.Random(seed)
+        policy_class = POLICY_CLASSES[policy_name]
+        checkpoints = []
+        scribbles = []
+        with SharedImageStore() as stream_store:
+            ctx = MemoryContext(policy_class(), **_SIZES)
+            stream = CheckpointStream(ctx, store=stream_store)
+            streams = [stream]
+            live = []
+            for op, arg in steps:
+                try:
+                    if op == "malloc":
+                        live.append(ctx.malloc(1 + arg % (3 * DIRTY_BLOCK), name="prop"))
+                    elif op in ("write", "oob_write") and live:
+                        ptr = live[arg % len(live)]
+                        size = ptr.referent.size
+                        offset = arg % size if op == "write" else size
+                        data = bytes(rng.randrange(256) for _ in range(1 + arg % 64))
+                        ctx.mem.write(ptr + offset, data[: size - offset] or data)
+                    elif op == "raw_write":
+                        segment = list(ctx.space.segments())[arg % 3]
+                        offset = rng.randrange(segment.size)
+                        data = bytes([1 + arg % 255]) * min(1 + arg % 64, segment.size - offset)
+                        ctx.space.write(segment.base + offset, data)
+                        scribbles.append((segment.base + offset, data))
+                    elif op == "free" and live:
+                        ctx.free(live.pop(arg % len(live)))
+                    elif op == "stack":
+                        with ctx.stack_frame("prop"):
+                            local = ctx.stack_buffer("local", 1 + arg % 256)
+                            ctx.seal_frame()
+                            ctx.mem.write(local, bytes([arg % 256]) * (1 + arg % 256))
+                except Exception:
+                    pass  # policy faults are part of the image, not failures
+                if op == "snapshot":
+                    stream.snapshot()
+                elif op == "restore":
+                    stream.restore(arg % len(stream))
+                    live = [FatPointer.to_unit(u) for u in ctx.table.live_units()]
+                elif op == "clone":
+                    image = stream.image_at(arg % len(stream))
+                    ctx = MemoryContext(policy_class(), **_SIZES)
+                    ctx.restore(image)
+                    stream = CheckpointStream(ctx, store=stream_store)
+                    streams.append(stream)
+                    live = [FatPointer.to_unit(u) for u in ctx.table.live_units()]
+            for each in streams:
+                checkpoints.extend(each.space_checkpoint(k) for k in range(len(each)))
+            checkpoints.append(ctx.space.checkpoint())
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "snapshot")
+            for cp in checkpoints[-3:]:
+                save_snapshot(path, cp)
+                checkpoints.append(load_snapshot(path)[0])
+
+        for cp in checkpoints:
+            with SharedImageStore() as store:
+                shared = store.share_space(cp)
+                assert shared.touched_blocks == cp.touched_blocks
+                for (name, base, contents), (sname, sbase, scontents) in zip(
+                    cp.segments, shared.segments
+                ):
+                    assert (name, base) == (sname, sbase)
+                    assert bytes(scontents) == bytes(contents), f"segment {name} differs"
+                _restore_twins(cp, shared, scribbles)
