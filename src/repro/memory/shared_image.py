@@ -12,7 +12,13 @@ single :mod:`multiprocessing.shared_memory` block, so that
   payload through read-only ``memoryview`` slices, so cloning never
   materializes the image bytes again (the O(1)-per-clone half; the other
   half is the address space's touched-block sparse restore, which writes
-  only the blocks the boot actually touched).
+  only the blocks the boot actually touched);
+* sharing itself costs O(touched bytes): a freshly created shared-memory
+  object is zero-filled, and every block of a checkpoint outside its
+  ``touched_blocks`` is all zeros, so only the touched blocks are written.
+  The untouched ones stay unbacked zero pages — a template with a
+  megabytes-long heap whose boot wrote one block makes one page resident.
+  :attr:`SharedImageStore.blocks_copied` counts the blocks written.
 
 Lifecycle: the store is created by the scheduler that owns the run and
 closed (``close()``: release views, close the mapping, unlink the ``/dev/shm``
@@ -30,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from repro.memory.address_space import AddressSpaceCheckpoint
+from repro.memory.address_space import DIRTY_BLOCK, AddressSpaceCheckpoint, _block_runs
 from repro.memory.context import MemoryImage
 
 try:  # pragma: no cover - exercised indirectly on every supported platform
@@ -53,6 +59,9 @@ class SharedImageStore:
         #: a buffer keeps the underlying mmap pinned.
         self._views: List[memoryview] = []
         self.closed = False
+        #: Running count of DIRTY_BLOCK-sized blocks :meth:`share_space` has
+        #: written into shared memory — the counted cost of sharing.
+        self.blocks_copied = 0
         #: Current append-arena chunk for :meth:`share_payload` (lazy).
         self._arena_block: Optional["_shared_memory.SharedMemory"] = None
         self._arena_offset = 0
@@ -74,9 +83,12 @@ class SharedImageStore:
         """Return a checkpoint whose segment payloads live in shared memory.
 
         The returned checkpoint is equivalent for every reader (payloads are
-        read-only views of identical bytes); the original is left untouched.
-        Returns ``cp`` unchanged when sharing is unavailable, already done,
-        or pointless (empty payloads).
+        full-length read-only views of identical bytes); the original is left
+        untouched.  Only each segment's ``touched_blocks`` are copied: the new
+        block starts zero-filled and every other block of ``cp`` is zero, so
+        the cost is O(touched bytes) and untouched blocks stay unbacked zero
+        pages.  Returns ``cp`` unchanged when sharing is unavailable, already
+        done, or pointless (empty payloads).
         """
         if _shared_memory is None or self.closed:
             return cp
@@ -91,11 +103,18 @@ class SharedImageStore:
             return cp
         self._blocks.append(block)
         buf = block.buf
+        touched_map = dict(cp.touched_blocks)
         offset = 0
         segments = []
         for name, base, contents in cp.segments:
-            end = offset + len(contents)
-            buf[offset:end] = contents
+            size = len(contents)
+            end = offset + size
+            blocks = touched_map[name]
+            for start_block, end_block in _block_runs(blocks):
+                start = start_block * DIRTY_BLOCK
+                stop = min(end_block * DIRTY_BLOCK, size)
+                buf[offset + start : offset + stop] = contents[start:stop]
+            self.blocks_copied += len(blocks)
             view = buf[offset:end].toreadonly()
             self._views.append(view)
             segments.append((name, base, view))
