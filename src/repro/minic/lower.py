@@ -31,7 +31,7 @@ This module also owns the compile entry point (``compile_program``).
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import List, Optional, Set
 
 from repro.errors import MiniCError
 from repro.minic import ast_nodes as ast
@@ -288,8 +288,25 @@ def _collect_calls(node, found, declared) -> None:
             _collect_calls(value, found, declared)
 
 
+def _loose_jumps(node, in_loop: bool, found: List[ast.Stmt]) -> None:
+    """Collect the ``break``/``continue`` statements no enclosing loop catches."""
+    if isinstance(node, (ast.Break, ast.Continue)):
+        if not in_loop:
+            found.append(node)
+        return
+    in_loop = in_loop or isinstance(node, (ast.While, ast.For))
+    for value in vars(node).values():
+        for item in value if isinstance(value, list) else (value,):
+            if isinstance(item, ast.Stmt):
+                _loose_jumps(item, in_loop, found)
+
+
 def compile_program(source: str, lower: bool = True, includes=None, defines=None):
     """Parse ``source``, check well-formedness, and (by default) span-lower it.
+
+    Well-formed means: no function defined twice, every call names a
+    function, a builtin or a function-pointer variable, and every
+    ``break``/``continue`` sits inside a loop of its own function.
 
     ``lower=False`` compiles without idiom lowering: every loop runs per
     byte, the reference path the lowering differential compares against.
@@ -313,6 +330,16 @@ def compile_program(source: str, lower: bool = True, includes=None, defines=None
     unknown = called - set(defined) - set(BUILTINS) - variables
     if unknown:
         raise CompileError(f"call(s) to undefined function(s): {sorted(unknown)}")
+    for function in unit.functions:
+        loose: List[ast.Stmt] = []
+        _loose_jumps(function.body, False, loose)
+        if loose:
+            keyword = "break" if isinstance(loose[0], ast.Break) else "continue"
+            line, column = loose[0].pos
+            raise CompileError(
+                f"line {line}, column {column}: '{keyword}' outside a loop "
+                f"in function {function.name!r}"
+            )
     if lower:
         lower_unit(unit)
     return Program(unit, source=source)

@@ -34,7 +34,7 @@ from repro.memory.pointer import FatPointer
 from repro.minic import interpreter as minic_interpreter
 from repro.minic.figure1 import FIGURE1_SOURCE
 from repro.minic.interpreter import FunctionRef, TypedPointer
-from repro.minic.lower import compile_program
+from repro.minic.lower import CompileError, compile_program
 from repro.minic.programs import PINE_EST_SIZE_SOURCE, SENDMAIL_CRACKADDR_SOURCE
 from repro.workloads.attacks import mutt_attack_folder_name
 from tests.conftest import POLICY_CLASSES
@@ -527,10 +527,6 @@ done:
 }
 int into_block() { goto inner; { inner: return 1; } return 2; }
 """, [("main", ()), ("into_block", ())]),
-    ("break-in-callee", """
-int leaves() { break; return 1; }
-int main(void) { int i; for (i = 0; i < 3; i++) { leaves(); } return i; }
-""", [("main", ())]),
 ]
 
 
@@ -547,3 +543,27 @@ def test_the_corpus_compiles():
     exercises the evaluator, not only the front end)."""
     for _, source, _ in CORPUS + EXTRA:
         compile_program(source)
+
+
+def test_break_and_continue_outside_a_loop_are_rejected():
+    """A ``break``/``continue`` no loop of its own function encloses is a
+    compile error: at run time it would escape the callee and break or
+    continue the caller's loop."""
+    with pytest.raises(CompileError, match=r"^line 1, column 17: 'break' outside a loop "
+                                           r"in function 'top'$"):
+        compile_program("int top(void) { break; return 1; }")
+    with pytest.raises(CompileError, match=r"^line 2, column 19: 'continue' outside a loop "
+                                           r"in function 'skips'$"):
+        compile_program("""
+int skips(void) { continue; return 1; }
+int main(void) { int i; for (i = 0; i < 3; i++) { skips(); } return i; }
+""")
+    # Inside a loop of their own function, nested in blocks and ifs, both compile.
+    program = compile_program("""
+int main(void) {
+    int i; int n; n = 0;
+    for (i = 0; i < 9; i++) { if (i == 2) { continue; } while (1) { break; } if (i > 4) break; n++; }
+    return n * 10 + i;
+}
+""")
+    assert program.instantiate(POLICY_CLASSES["standard"]()).call("main") == 45
