@@ -215,7 +215,6 @@ class MiniCServer(Server):
             data: self._thaw_value(frozen)
             for data, frozen in snapshot["strings"].items()
         }
-        instance._layouts = {}
         instance._handles = {
             handle: self._thaw_value(frozen)
             for handle, frozen in snapshot["handles"].items()
