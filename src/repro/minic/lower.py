@@ -31,7 +31,7 @@ This module also owns the compile entry point (``compile_program``).
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 from repro.errors import MiniCError
 from repro.minic import ast_nodes as ast
@@ -288,17 +288,18 @@ def _collect_calls(node, found, declared) -> None:
             _collect_calls(value, found, declared)
 
 
-def _loose_jumps(node, in_loop: bool, found: List[ast.Stmt]) -> None:
-    """Collect the ``break``/``continue`` statements no enclosing loop catches."""
+def _loose_jump(node, in_loop: bool) -> Optional[ast.Stmt]:
+    """The first ``break``/``continue`` no enclosing loop catches, or None."""
     if isinstance(node, (ast.Break, ast.Continue)):
-        if not in_loop:
-            found.append(node)
-        return
+        return None if in_loop else node
     in_loop = in_loop or isinstance(node, (ast.While, ast.For))
     for value in vars(node).values():
         for item in value if isinstance(value, list) else (value,):
             if isinstance(item, ast.Stmt):
-                _loose_jumps(item, in_loop, found)
+                found = _loose_jump(item, in_loop)
+                if found is not None:
+                    return found
+    return None
 
 
 def compile_program(source: str, lower: bool = True, includes=None, defines=None):
@@ -331,11 +332,10 @@ def compile_program(source: str, lower: bool = True, includes=None, defines=None
     if unknown:
         raise CompileError(f"call(s) to undefined function(s): {sorted(unknown)}")
     for function in unit.functions:
-        loose: List[ast.Stmt] = []
-        _loose_jumps(function.body, False, loose)
-        if loose:
-            keyword = "break" if isinstance(loose[0], ast.Break) else "continue"
-            line, column = loose[0].pos
+        loose = _loose_jump(function.body, False)
+        if loose is not None:
+            keyword = "break" if isinstance(loose, ast.Break) else "continue"
+            line, column = loose.pos
             raise CompileError(
                 f"line {line}, column {column}: '{keyword}' outside a loop "
                 f"in function {function.name!r}"
