@@ -61,6 +61,19 @@ def ref_strncpy(mem, dst, src, n):
     return dst
 
 
+def ref_strncat(mem, dst, src, n):
+    end = dst + ref_strlen(mem, dst)
+    i = 0
+    while i < n:
+        byte = mem.read_byte(src + i)
+        if byte == 0:
+            break
+        mem.write_byte(end + i, byte)
+        i += 1
+    mem.write_byte(end + i, 0)
+    return dst
+
+
 def ref_strchr(mem, s, ch, limit=None):
     limit = cstring.SCAN_LIMIT if limit is None else limit
     ptr = s

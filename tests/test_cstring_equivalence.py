@@ -32,6 +32,7 @@ from tests.reference_cstring import (
     ref_strcmp,
     ref_strcpy,
     ref_strlen,
+    ref_strncat,
     ref_strncpy,
 )
 
@@ -153,31 +154,80 @@ sizes = st.integers(min_value=1, max_value=64)
 COMMON_SETTINGS = dict(max_examples=40, deadline=None)
 
 
+def _string_unit(ctx, payload, terminated, name):
+    """A heap unit holding ``payload``: NUL-terminated, or filled to its last
+    byte with no NUL at all (at least one byte)."""
+    if terminated:
+        return ctx.alloc_c_string(payload, name=name)
+    stored = payload or b"\x01"
+    buf = ctx.malloc(len(stored), name=name)
+    ctx.mem.write(buf, stored)
+    return buf
+
+
+def _copy_units(ctx, payload, dst_size, terminated, src_first, neighbour):
+    """Destination and source units of a copy property.
+
+    An unterminated source makes the copy read past the source unit.
+    ``src_first`` picks the allocation order, so under Standard the raw bytes
+    after the source are the destination's own (the copy self-propagates) or
+    free heap, and ``neighbour`` puts a terminated string right after the
+    source, so those bytes belong to another live unit.
+    """
+    if not src_first:
+        dst = ctx.malloc(dst_size, name="dst")
+    src = _string_unit(ctx, payload, terminated, "src")
+    if neighbour:
+        ctx.alloc_c_string(b"neighbour", name="neighbour")
+    if src_first:
+        dst = ctx.malloc(dst_size, name="dst")
+    return dst, src
+
+
 class TestStrcpyFamily:
     @settings(**COMMON_SETTINGS)
-    @given(policy=policies, payload=text, dst_size=sizes)
-    def test_strcpy_including_partial_overflow(self, policy, payload, dst_size):
-        """dst smaller than src straddles the unit boundary mid-copy."""
+    @given(policy=policies, payload=text, dst_size=sizes, terminated=st.booleans(),
+           src_first=st.booleans(), neighbour=st.booleans())
+    def test_strcpy_including_partial_overflow(self, policy, payload, dst_size, terminated,
+                                               src_first, neighbour):
+        """dst smaller than src straddles the unit boundary mid-copy; an
+        unterminated src is read past its own unit as well."""
 
         def setup(ctx):
-            src = ctx.alloc_c_string(payload)
-            dst = ctx.malloc(dst_size)
-            return dst, src
+            return _copy_units(ctx, payload, dst_size, terminated, src_first, neighbour)
 
         _run_twin(policy, setup, ref_strcpy, cstring.strcpy)
 
     @settings(**COMMON_SETTINGS)
     @given(policy=policies, payload=text, dst_size=sizes,
-           n=st.integers(min_value=0, max_value=96))
-    def test_strncpy_with_nul_padding(self, policy, payload, dst_size, n):
+           n=st.integers(min_value=0, max_value=96), terminated=st.booleans(),
+           src_first=st.booleans(), neighbour=st.booleans())
+    def test_strncpy_with_nul_padding(self, policy, payload, dst_size, n, terminated,
+                                      src_first, neighbour):
         def setup(ctx):
-            src = ctx.alloc_c_string(payload)
-            dst = ctx.malloc(dst_size)
-            return dst, src
+            return _copy_units(ctx, payload, dst_size, terminated, src_first, neighbour)
 
         _run_twin(policy, setup,
                   lambda mem, d, s: ref_strncpy(mem, d, s, n),
                   lambda mem, d, s: cstring.strncpy(mem, d, s, n))
+
+    @settings(**COMMON_SETTINGS)
+    @given(policy=policies, payload=text, head=text, dst_size=sizes,
+           n=st.integers(min_value=0, max_value=96), terminated=st.booleans(),
+           src_first=st.booleans(), neighbour=st.booleans())
+    def test_strncat(self, policy, payload, head, dst_size, n, terminated, src_first,
+                     neighbour):
+        """The destination already holds a string (``head``, cut to fit its
+        unit), so the appended bytes start mid-unit and may overflow it."""
+
+        def setup(ctx):
+            dst, src = _copy_units(ctx, payload, dst_size, terminated, src_first, neighbour)
+            cstring.write_c_string(ctx.mem, dst, head[:dst_size - 1])
+            return dst, src
+
+        _run_twin(policy, setup,
+                  lambda mem, d, s: ref_strncat(mem, d, s, n),
+                  lambda mem, d, s: cstring.strncat(mem, d, s, n))
 
     @settings(**COMMON_SETTINGS)
     @given(policy=policies, payload=text, delta=st.integers(min_value=-8, max_value=8))
@@ -228,6 +278,42 @@ class TestScanFamily:
             return ctx.alloc_c_string(left), ctx.alloc_c_string(right)
 
         _run_twin(policy, setup, ref_strcmp, cstring.strcmp)
+
+    @settings(**COMMON_SETTINGS)
+    @given(policy=policies, payload=text, ch=st.integers(min_value=0, max_value=255),
+           limit=st.integers(min_value=0, max_value=80), neighbour=st.booleans())
+    def test_strchr_unterminated(self, policy, payload, ch, limit, neighbour):
+        """No NUL in the unit: the scan leaves it and the policy decides what
+        it reads next, until ``ch``, a NUL or the limit."""
+
+        def setup(ctx):
+            buf = _string_unit(ctx, payload, False, "unterminated")
+            if neighbour:
+                ctx.alloc_c_string(b"neighbour", name="neighbour")
+            return (buf,)
+
+        def fast(mem, s):
+            found = cstring.strchr(mem, s, ch, limit)
+            return None if found is None else found - s
+
+        def reference(mem, s):
+            found = ref_strchr(mem, s, ch, limit)
+            return None if found is None else found - s
+
+        _run_twin(policy, setup, reference, fast)
+
+    @settings(**COMMON_SETTINGS)
+    @given(policy=policies, left=text, right=text, left_terminated=st.booleans(),
+           right_terminated=st.booleans(), limit=st.integers(min_value=0, max_value=80))
+    def test_strcmp_unterminated(self, policy, left, right, left_terminated,
+                                 right_terminated, limit):
+        def setup(ctx):
+            return (_string_unit(ctx, left, left_terminated, "left"),
+                    _string_unit(ctx, right, right_terminated, "right"))
+
+        _run_twin(policy, setup,
+                  lambda mem, a, b: ref_strcmp(mem, a, b, limit),
+                  lambda mem, a, b: cstring.strcmp(mem, a, b, limit))
 
     @settings(**COMMON_SETTINGS)
     @given(policy=policies, payload=text, missing_nul=st.booleans(),
