@@ -259,15 +259,15 @@ class MemoryAccessor:
         self.space.write(oob_ptr.address, oob_data)
 
     def _scan_redirected(
-        self, unit: DataUnit, offset: int, count: int, target: int
+        self, unit: DataUnit, offset: int, count: int, until: "tuple[int, ...]"
     ) -> "tuple[bytes, bool]":
-        """Terminator scan over a redirected (wrapped) range: the commit side
+        """Stop-set scan over a redirected (wrapped) range: the commit side
         of the redirect policy's preview/commit scan protocol.
 
         Visits the unit bytes at ``(offset + i) % size`` for ``i`` in
-        ``[0, count)``, stopping after the first ``target`` — exactly the
-        bytes the per-byte loop would have observed, in the same order.
-        Returns the bytes visited (terminator included) and whether it was
+        ``[0, count)``, stopping after the first byte in ``until`` — exactly
+        the bytes the per-byte loop would have observed, in the same order.
+        Returns the bytes visited (stop byte included) and whether one was
         found.  One full wrap covers every unit offset, so a miss after
         ``size`` visited bytes can never become a hit later (nothing writes
         the unit mid-scan); the remainder is tiled without re-searching.
@@ -276,7 +276,7 @@ class MemoryAccessor:
         space = self.space
         start = offset % size
         first_len = min(count, size - start)
-        index = space.find_byte(unit.base + start, target, first_len, charge_reads=False)
+        index = self._find_any(unit.base + start, until, first_len)
         if index >= 0:
             return space.read(unit.base + start, index + 1), True
         head = space.read(unit.base + start, first_len)
@@ -285,7 +285,7 @@ class MemoryAccessor:
             return head, False
         second_len = min(rest, start)
         if second_len > 0:
-            index = space.find_byte(unit.base, target, second_len, charge_reads=False)
+            index = self._find_any(unit.base, until, second_len)
             if index >= 0:
                 return head + space.read(unit.base, index + 1), True
         if rest <= start:
@@ -611,19 +611,40 @@ class MemoryAccessor:
             self._invalid_write_run(here, data[pos:pos + run])
             pos += run
 
-    def read_span_until(
-        self, ptr: FatPointer, value: int, limit: int
-    ) -> "tuple[bytes | memoryview, int]":
-        """Read up to and including the first ``value``; one check per span/run.
+    def _find_any(
+        self, address: int, stops: "tuple[int, ...]", length: int, charge_reads: bool = False
+    ) -> int:
+        """:meth:`AddressSpace.find_byte` for a tuple of stop bytes.
 
-        Returns ``(data, index)`` where ``index`` is the offset of ``value``
-        relative to ``ptr`` (or -1 on a miss) and ``data`` holds the bytes up
-        to and including the hit.  This is the ``strcpy``/``read_c_string``
-        shape: locating the terminator and fetching the bytes is a single
-        span-sized read per safe span.  When the scan resolves inside the
-        first safe span, ``data`` is a read-only :class:`memoryview` of the
-        live segment (same zero-copy contract as :meth:`read_span`);
-        multi-span scans return ``bytes``.
+        Returns the offset of the first byte in ``[address, address+length)``
+        that is in ``stops``, or -1.  Each later stop is searched only before
+        the earliest hit so far.
+        """
+        find = self.space.find_byte
+        index = -1
+        for stop in stops:
+            hit = find(address, stop, length if index < 0 else index, charge_reads=False)
+            if hit >= 0:
+                index = hit
+        if charge_reads:
+            self.space.raw_reads += index + 1 if index >= 0 else length
+        return index
+
+    def read_span_until(
+        self, ptr: FatPointer, until: "int | tuple[int, ...]", limit: int
+    ) -> "tuple[bytes | memoryview, int]":
+        """Read up to and including the first stop byte; one check per span/run.
+
+        ``until`` is one stop byte (``0`` for a C string) or a tuple of byte
+        values (``(ch, 0)`` for ``strchr``).  Returns ``(data, index)`` where
+        ``index`` is the offset of the first stop byte relative to ``ptr``
+        (or -1 on a miss) and ``data`` holds the bytes up to and including
+        it.  This is the ``strcpy``/``read_c_string`` shape: locating the
+        terminator and fetching the bytes is a single span-sized read per
+        safe span.  When the scan resolves inside the first safe span,
+        ``data`` is a read-only :class:`memoryview` of the live segment (same
+        zero-copy contract as :meth:`read_span`); multi-span scans return
+        ``bytes``.
 
         Beyond the safe span the scan continues through invalid runs via the
         policy's ``scan_invalid_read_run`` hook: failure-oblivious and
@@ -632,14 +653,18 @@ class MemoryAccessor:
         exactly where a per-byte loop would.  On a miss ``data`` holds all
         ``limit`` bytes scanned.
         """
-        target = value & 0xFF
+        if type(until) is int:
+            until &= 0xFF
+            find = self.space.find_byte
+        else:
+            find = self._find_any
         # Fast path for the dominant case: the hit (or the whole limit)
         # inside the first safe span — one raw read, no accumulator.
         span = min(self.scan_span(ptr), limit)
         if span > 0:
             self._note_span_check(ptr)
             # The follow-up read charges the raw-access counter for these bytes.
-            index = self.space.find_byte(ptr.address, target, span, charge_reads=False)
+            index = find(ptr.address, until, span, charge_reads=False)
             if index >= 0:
                 return self.space.read_view(ptr.address, index + 1), index
             first = self.space.read_view(ptr.address, span)
@@ -647,6 +672,7 @@ class MemoryAccessor:
                 return first, -1
         else:
             first = b""
+        stops = (until,) if type(until) is int else until
         policy = self.policy
         out = bytearray(first)
         pos = span
@@ -655,7 +681,7 @@ class MemoryAccessor:
             span = min(self.scan_span(here), limit - pos)
             if span > 0:
                 self._note_span_check(here)
-                index = self.space.find_byte(here.address, target, span, charge_reads=False)
+                index = find(here.address, until, span, charge_reads=False)
                 length = index + 1 if index >= 0 else span
                 out += self.space.read_view(here.address, length)
                 if index >= 0:
@@ -666,7 +692,7 @@ class MemoryAccessor:
             policy.note_check()
             self.table.find(here.address)
             event = self._classify(here, 1, AccessKind.READ)
-            decision = policy.scan_invalid_read_run(event, run, (target,))
+            decision = policy.scan_invalid_read_run(event, run, stops)
             if decision.action is DecisionAction.RAISE:
                 raise decision.exception
             if decision.action is DecisionAction.REDIRECT:
@@ -674,7 +700,7 @@ class MemoryAccessor:
                 # accessor performs the wrapped scan and reports the consumed
                 # length back for the deferred per-byte recording.
                 data, hit = self._scan_redirected(
-                    here.referent, decision.redirect_offset, run, target
+                    here.referent, decision.redirect_offset, run, stops
                 )
                 policy.commit_scan_run(event, len(data))
                 out += data
@@ -684,7 +710,7 @@ class MemoryAccessor:
                 continue
             data = decision.data
             out += data
-            if data[-1] == target:
+            if data[-1] in stops:
                 return bytes(out), pos + len(data) - 1
             pos += len(data)
         return bytes(out), -1

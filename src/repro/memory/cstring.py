@@ -14,11 +14,16 @@ window reported by :meth:`MemoryAccessor.scan_span`) using the accessor's
 bulk primitives, paying one policy check per span instead of one per byte.
 
 Past the span boundary — where accesses become invalid — the continuation is
-*also* batched, under every checking policy: a copy whose destination has
-left its unit hands the whole out-of-bounds suffix to the policy as a single
-run (the attack-flood shape: one ``on_invalid_write_run`` per source span
-instead of one decision per byte), and terminator scans continue through
-invalid runs via the policy's scan hook — failure-oblivious and boundless
+*also* batched, under every checking policy.  All three copies (``strcpy``,
+``strncpy``, ``strncat``) run one loop, which moves a chunk with one
+``read_span_until`` and one ``write_span`` whenever the two pointers are in
+distinct units and at least one of them is in a safe span: an overflowing
+destination takes the whole out-of-bounds suffix as a single run (the
+attack-flood shape: one ``on_invalid_write_run`` per source span instead of
+one decision per byte), and a source that has left its unit is read by one
+batched scan.  Terminator scans (``strlen``, ``strchr``, ``read_c_string``)
+continue through invalid runs via the policy's scan hook, ``strchr`` with a
+stop set of its character and the NUL — failure-oblivious and boundless
 generate their own bytes, while redirect (whose bytes live in the unit)
 batches through the accessor's preview/commit scan protocol.  Under the
 unchecked Standard build the span reaches the end of the segment and the
@@ -29,9 +34,13 @@ addresses — as proven by the equivalence suite; only the policy's
 ``checks_performed`` counter sees one check per span/run rather than per
 byte.
 
-The byte loop survives where per-byte semantics are genuinely load-bearing:
-copies whose source has no safe span, and overlapping copies within one unit
-(redirected writes could alias the bytes still being read).
+Two byte steps survive, where per-byte order is load-bearing:
+
+* a copy step with both pointers out of bounds, or one out of bounds in the
+  other's unit — the byte loop interleaves the read and write records, and
+  a redirected write can land on a source byte not yet read;
+* ``strcmp`` once either string has left its span — where it stops depends
+  on the other string's byte at the same position.
 
 Overlapping copies are chunked to the pointer distance so the forward
 byte-copy propagation of the C originals is preserved exactly.
@@ -51,7 +60,7 @@ from repro.memory.pointer import FatPointer
 #: Upper bound on the number of bytes any single string scan may visit.  The
 #: paper notes that manufactured values can drive loop conditions; this guard
 #: converts a non-terminating scan into an observable HUNG outcome instead of
-#: wedging the process.
+#: wedging the process.  Every scan given no ``limit`` reads it at call time.
 SCAN_LIMIT = 1 << 20
 
 #: Upper bound on the chunks used by span operations that must materialize
@@ -61,23 +70,10 @@ SCAN_LIMIT = 1 << 20
 CHUNK = 4096
 
 
-def _copy_span(mem: MemoryAccessor, dst: FatPointer, src: FatPointer, n: int) -> int:
-    """Largest bulk-copyable chunk size for a ``src`` → ``dst`` copy of ``n`` bytes.
-
-    Zero means the byte loop must be used (no safe span on one side, or the
-    regions coincide).  Overlapping forward copies are capped at the pointer
-    distance, which makes chunked bulk copies reproduce the byte loop's
-    self-propagation exactly.
-    """
-    span = min(mem.scan_span(src), mem.scan_span(dst), n)
-    distance = abs(dst.address - src.address)
-    if distance == 0:
-        return 0
-    return min(span, distance)
-
-
-def strlen(mem: MemoryAccessor, s: FatPointer, limit: int = SCAN_LIMIT) -> int:
+def strlen(mem: MemoryAccessor, s: FatPointer, limit: Optional[int] = None) -> int:
     """Return the number of bytes before the first NUL, scanning through memory."""
+    if limit is None:
+        limit = SCAN_LIMIT
     length = 0
     ptr = s
     while True:
@@ -105,18 +101,68 @@ def strlen(mem: MemoryAccessor, s: FatPointer, limit: int = SCAN_LIMIT) -> int:
         raise InfiniteLoopGuard(f"strlen scanned {limit} bytes without finding NUL")
 
 
-def _oob_copy_span(mem: MemoryAccessor, dst: FatPointer, src: FatPointer, n: int) -> int:
-    """Source-span size for a batched out-of-bounds copy chunk, or 0.
+def _copy_chunk(mem: MemoryAccessor, dst: FatPointer, src: FatPointer, n: int) -> int:
+    """Bytes the next step of a ``src`` → ``dst`` copy of ``n`` bytes moves as
+    one span read plus one span write, or 0 for a single byte step.
 
-    Nonzero when the destination has left its safe span (the attack-flood
-    shape) but the source still reads from one, and the whole chunk can be
-    handed to the policy as one invalid-write run.  Requires distinct units:
-    writes redirected back into a shared unit would alias bytes the byte loop
-    had not yet read.
+    With both pointers in safe spans the chunk is capped at the pointer
+    distance, which makes chunked copies reproduce the byte loop's forward
+    self-propagation exactly.  With only one of them in a span the pointers
+    must be in distinct units: the other side's bytes are then the policy's
+    (manufactured, stored aside, or wrapped into its own unit), and neither
+    side can alias the other.
     """
-    if dst.same_unit(src) or mem.scan_span(dst) != 0:
+    src_span = mem.scan_span(src)
+    dst_span = mem.scan_span(dst)
+    if src_span and dst_span:
+        return min(src_span, dst_span, n, abs(dst.address - src.address))
+    if dst.same_unit(src):
         return 0
-    return min(mem.scan_span(src), n)
+    return min(src_span or dst_span, n)
+
+
+def _copy_string(
+    mem: MemoryAccessor, dst: FatPointer, src: FatPointer, n: int, keep_nul: bool
+) -> "tuple[int, bool]":
+    """Copy bytes from ``src`` to ``dst`` up to the first NUL or ``n`` bytes.
+
+    The one copy loop under ``strcpy``, ``strncpy`` and ``strncat``.  The
+    NUL is read either way and written only when ``keep_nul``.  Returns
+    ``(written, hit_nul)``.
+
+    Each chunk is one ``read_span_until`` and one ``write_span``: a source
+    span into a destination span, a source span into an out-of-bounds
+    destination (one invalid-write run: the attack-flood shape), or an
+    out-of-bounds source (one batched scan) into a destination span.  The
+    side that stays in bounds records nothing, so the event stream is the
+    byte loop's.
+    """
+    d, s = dst, src
+    i = 0
+    while i < n:
+        chunk = _copy_chunk(mem, d, s, n - i)
+        if chunk:
+            data, index = mem.read_span_until(s, 0, chunk)
+            if index >= 0 and not keep_nul:
+                data = data[:index]
+            mem.write_span(d, data)
+            i += len(data)
+            if index >= 0:
+                return i, True
+            d, s = d + chunk, s + chunk
+            continue
+        # Both pointers out of bounds, or out of bounds within one unit: the
+        # byte loop interleaves the read and write records here, and a
+        # redirected write can land on a source byte not yet read.
+        byte = mem.read_byte(s)
+        if byte == 0 and not keep_nul:
+            return i, True
+        mem.write_byte(d, byte)
+        i += 1
+        if byte == 0:
+            return i, True
+        d, s = d + 1, s + 1
+    return i, False
 
 
 def copy_c_string(
@@ -127,41 +173,14 @@ def copy_c_string(
     This is ``strcpy`` with an explicit scan budget and a byte count, so the
     mini-C lowering pass can advance both loop pointers past the terminator
     and fire its iteration guard after exactly as many copied bytes as the
-    per-byte loop it replaces.  ``limit=None`` reads :data:`SCAN_LIMIT` at
-    call time, matching the byte loops (and the equivalence suite, which
-    shrinks the module global for runaway self-propagating copies).
+    per-byte loop it replaces (``limit + 1`` bytes).
     """
     if limit is None:
         limit = SCAN_LIMIT
-    d, s = dst, src
-    copied = 0
-    while True:
-        if copied > limit:
-            raise InfiniteLoopGuard("strcpy copied too many bytes")
-        chunk = _copy_span(mem, d, s, limit - copied + 1)
-        if chunk <= 1:
-            # Destination out of bounds, source still spanning: one policy
-            # decision for the whole chunk (write_span batches the invalid
-            # run).  In-bounds source reads emit no events, so the event
-            # stream is exactly the byte loop's write-event stream.
-            chunk = _oob_copy_span(mem, d, s, limit - copied + 1)
-        if chunk > 1:
-            # One span-sized read (locating the NUL included) and one
-            # span-sized write: one policy check per pointer per chunk.
-            data, index = mem.read_span_until(s, 0, chunk)
-            mem.write_span(d, data)
-            if index >= 0:
-                return copied + index + 1
-            n = len(data)
-            d, s = d + n, s + n
-            copied += n
-            continue
-        byte = mem.read_byte(s)
-        mem.write_byte(d, byte)
-        if byte == 0:
-            return copied + 1
-        d, s = d + 1, s + 1
-        copied += 1
+    copied, hit_nul = _copy_string(mem, dst, src, limit + 1, keep_nul=True)
+    if not hit_nul:
+        raise InfiniteLoopGuard("strcpy copied too many bytes")
+    return copied
 
 
 def strcpy(mem: MemoryAccessor, dst: FatPointer, src: FatPointer) -> FatPointer:
@@ -172,33 +191,12 @@ def strcpy(mem: MemoryAccessor, dst: FatPointer, src: FatPointer) -> FatPointer:
 
 def strncpy(mem: MemoryAccessor, dst: FatPointer, src: FatPointer, n: int) -> FatPointer:
     """Copy at most ``n`` bytes, NUL-padding like the C function."""
-    s = src
-    i = 0
-    hit_nul = False
-    while i < n and not hit_nul:
-        chunk = _copy_span(mem, dst + i, s, n - i)
-        if chunk <= 1:
-            # Batched continuation for the overflowed-destination phase, as
-            # in strcpy.
-            chunk = _oob_copy_span(mem, dst + i, s, n - i)
-        if chunk > 1:
-            data, index = mem.read_span_until(s, 0, chunk)
-            mem.write_span(dst + i, data)
-            hit_nul = index >= 0
-            i += len(data)
-            s = s + len(data)
-            continue
-        byte = mem.read_byte(s)
-        mem.write_byte(dst + i, byte)
-        if byte == 0:
-            hit_nul = True
-        s = s + 1
-        i += 1
+    copied, _hit_nul = _copy_string(mem, dst, src, n, keep_nul=True)
     # NUL-padding tail.  write_span alternates memset-style span writes with
     # batched invalid runs, so one call covers the whole tail — an
     # overflowing pad is one policy decision per run, not per byte.
-    if i < n:
-        mem.write_span(dst + i, b"\x00" * (n - i))
+    if copied < n:
+        mem.write_span(dst + copied, b"\x00" * (n - copied))
     return dst
 
 
@@ -213,69 +211,49 @@ def strncat(mem: MemoryAccessor, dst: FatPointer, src: FatPointer, n: int) -> Fa
     """Append at most ``n`` bytes of ``src`` to ``dst``, always NUL-terminating.
 
     Like the C function the paper's servers call: the destination end is
-    found with a span scan, up to ``n`` source bytes are copied through the
-    span fast path (stopping early at the source NUL), and a terminator is
+    found with a span scan, up to ``n`` source bytes are copied (stopping
+    early at the source NUL, which is not copied), and a terminator is
     written after the appended bytes — so a too-large ``n`` overflows the
     destination under whatever policy is bound, one decision per span/run.
     """
     end = dst + strlen(mem, dst)
-    i = 0
-    hit_nul = False
-    while i < n and not hit_nul:
-        chunk = _copy_span(mem, end + i, src + i, n - i)
-        if chunk <= 1:
-            chunk = _oob_copy_span(mem, end + i, src + i, n - i)
-        if chunk > 1:
-            data, index = mem.read_span_until(src + i, 0, chunk)
-            if index >= 0:
-                # Do not copy the source NUL itself; the terminator below is
-                # the byte loop's separate final write.
-                data = data[:index]
-                hit_nul = True
-            if len(data):
-                mem.write_span(end + i, data)
-            i += len(data)
-            continue
-        byte = mem.read_byte(src + i)
-        if byte == 0:
-            hit_nul = True
-            break
-        mem.write_byte(end + i, byte)
-        i += 1
-    mem.write_byte(end + i, 0)
+    appended, _hit_nul = _copy_string(mem, end, src, n, keep_nul=False)
+    mem.write_byte(end + appended, 0)
     return dst
 
 
-def strchr(mem: MemoryAccessor, s: FatPointer, ch: int, limit: int = SCAN_LIMIT) -> Optional[FatPointer]:
+def strchr(
+    mem: MemoryAccessor, s: FatPointer, ch: int, limit: Optional[int] = None
+) -> Optional[FatPointer]:
     """Return a pointer to the first occurrence of ``ch``, or None at NUL."""
+    if limit is None:
+        limit = SCAN_LIMIT
     ptr = s
     scanned = 0
     target = ch & 0xFF
-    while scanned < limit:
-        span = min(mem.scan_span(ptr), limit - scanned)
-        if span > 1:
-            hit, nul = mem.find_bytes(ptr, (target, 0), span)
-            # The byte loop tests ``== ch`` before ``== 0`` at each position,
-            # so a hit at the NUL's own index still returns the pointer.
-            if hit >= 0 and (nul < 0 or hit <= nul):
-                return ptr + hit
-            if nul >= 0:
-                return None
-            ptr = ptr + span
-            scanned += span
-            continue
-        byte = mem.read_byte(ptr)
-        if byte == target:
-            return ptr
-        if byte == 0:
+    span = min(mem.scan_span(ptr), limit)
+    if span > 1:
+        hit, nul = mem.find_bytes(ptr, (target, 0), span)
+        # The byte loop tests ``== ch`` before ``== 0`` at each position,
+        # so a hit at the NUL's own index still returns the pointer.
+        if hit >= 0 and (nul < 0 or hit <= nul):
+            return ptr + hit
+        if nul >= 0:
             return None
-        ptr = ptr + 1
-        scanned += 1
+        ptr = ptr + span
+        scanned = span
+    # Past the span: one scan that stops at either byte finishes the search,
+    # crossing invalid runs in one policy call each.
+    data, index = mem.read_span_until(ptr, (target, 0), limit - scanned)
+    if index >= 0:
+        return ptr + index if data[index] == target else None
     raise InfiniteLoopGuard(f"strchr scanned {limit} bytes")
 
 
-def strcmp(mem: MemoryAccessor, a: FatPointer, b: FatPointer, limit: int = SCAN_LIMIT) -> int:
+def strcmp(mem: MemoryAccessor, a: FatPointer, b: FatPointer, limit: Optional[int] = None) -> int:
     """Standard three-way string comparison."""
+    if limit is None:
+        limit = SCAN_LIMIT
     pa, pb = a, b
     scanned = 0
     # Grow the comparison chunk geometrically: short strings (the common
@@ -302,6 +280,8 @@ def strcmp(mem: MemoryAccessor, a: FatPointer, b: FatPointer, limit: int = SCAN_
             if 0 in da[:diff]:  # both strings end before the first difference
                 return 0
             return -1 if da[diff] < db[diff] else 1
+        # Byte step: where one string's bytes run out of its span, the
+        # stop depends on the other string's byte at the same position.
         ba = mem.read_byte(pa)
         bb = mem.read_byte(pb)
         if ba != bb:
@@ -341,8 +321,10 @@ def write_c_string(mem: MemoryAccessor, dst: FatPointer, text: bytes) -> None:
     mem.write(dst, text + b"\x00")
 
 
-def read_c_string(mem: MemoryAccessor, src: FatPointer, limit: int = SCAN_LIMIT) -> bytes:
+def read_c_string(mem: MemoryAccessor, src: FatPointer, limit: Optional[int] = None) -> bytes:
     """Read a NUL-terminated string back into Python bytes."""
+    if limit is None:
+        limit = SCAN_LIMIT
     # One scan covers safe spans and invalid runs alike; on a miss it has
     # visited all ``limit`` bytes.
     data, nul = mem.read_span_until(src, 0, limit)
