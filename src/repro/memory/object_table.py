@@ -145,13 +145,6 @@ class ObjectTable:
             return unit
         return None
 
-    def find_range(self, address: int, length: int) -> Optional[DataUnit]:
-        """Return the live unit containing the whole range, or None."""
-        unit = self.find(address)
-        if unit is not None and unit.contains_address(address, max(length, 1)):
-            return unit
-        return None
-
     def find_retired(self, address: int) -> Optional[DataUnit]:
         """Return a dead unit that used to contain ``address`` (for UAF reporting)."""
         for unit in reversed(self._retired):

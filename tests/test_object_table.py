@@ -57,12 +57,6 @@ class TestRegistration:
 
 
 class TestLookup:
-    def test_find_range_fully_inside(self):
-        table = ObjectTable()
-        u = table.register(unit(100, 16))
-        assert table.find_range(100, 16) is u
-        assert table.find_range(110, 10) is None
-
     def test_lookup_counter_increments(self):
         table = ObjectTable()
         table.register(unit(100, 16))

@@ -39,12 +39,26 @@ CLONE_HEAP_SMALL = 4 * 1024 * 1024
 CLONE_HEAP_LARGE = 40 * 1024 * 1024
 
 
-def _shm_entries() -> set:
-    """Current /dev/shm entries (empty set when the platform has none)."""
-    try:
-        return set(os.listdir(SHM_DIR))
-    except OSError:
-        return set()
+def _record_store_names(monkeypatch) -> list:
+    """Collect the shared-memory names every store holds as it closes.
+
+    The leak checks look only at the ``/dev/shm`` entries this run's stores
+    created, so another process's segments cannot fail them.
+    """
+    names: list = []
+    close = SharedImageStore.close
+
+    def recording_close(self, unlink: bool = True) -> None:
+        names.extend(self.names)
+        close(self, unlink)
+
+    monkeypatch.setattr(SharedImageStore, "close", recording_close)
+    return names
+
+
+def _still_present(names) -> list:
+    """Those of ``names`` that still exist in /dev/shm."""
+    return [name for name in names if os.path.exists(os.path.join(SHM_DIR, name))]
 
 
 def _supports_shm() -> bool:
@@ -110,8 +124,8 @@ class TestSharedImageStore:
 
 
 class TestPoolAndSchedulerCleanup:
-    def test_child_pool_close_releases_template(self):
-        before = _shm_entries()
+    def test_child_pool_close_releases_template(self, monkeypatch):
+        created = _record_store_names(monkeypatch)
         pool = ChildProcessPool(
             FailureObliviousPolicy, pool_size=2, config=apache_vulnerable_config()
         )
@@ -119,15 +133,18 @@ class TestPoolAndSchedulerCleanup:
 
         pool.dispatch(Request(kind="GET", payload=b"/index.html"))
         pool.close()
-        assert _shm_entries() <= before
+        assert created or not _supports_shm()
+        assert not _still_present(created)
         # A dispatch after close re-forks through the closed store and still
         # serves; it simply no longer uses shared memory.
+        shared = len(created)
         pool.dispatch(Request(kind="GET", payload=b"/index.html"))
         pool.close()
-        assert _shm_entries() <= before
+        assert len(created) == shared
+        assert not _still_present(created)
 
-    def test_run_fleet_closes_its_store(self):
-        before = _shm_entries()
+    def test_run_fleet_closes_its_store(self, monkeypatch):
+        created = _record_store_names(monkeypatch)
         result = run_fleet(
             [InstanceSpec("apache", "failure-oblivious", count=2)],
             total_requests=40,
@@ -137,7 +154,8 @@ class TestPoolAndSchedulerCleanup:
         assert result.instances
         store = scheduler._LAST_IMAGE_STORE
         assert store is not None and store.closed
-        assert _shm_entries() <= before
+        assert created or not _supports_shm()
+        assert not _still_present(created)
 
     @pytest.mark.skipif(not _supports_shm(), reason="no /dev/shm")
     def test_worker_killed_mid_run_leaks_nothing(self, monkeypatch):
@@ -150,7 +168,7 @@ class TestPoolAndSchedulerCleanup:
             os.kill(os.getpid(), signal.SIGKILL)
 
         monkeypatch.setattr(scheduler, "_run_fleet_shard", _die)
-        before = _shm_entries()
+        created = _record_store_names(monkeypatch)
         with pytest.raises(BrokenProcessPool):
             run_fleet(
                 [InstanceSpec("apache", "failure-oblivious", count=2)],
@@ -161,7 +179,8 @@ class TestPoolAndSchedulerCleanup:
             )
         store = scheduler._LAST_IMAGE_STORE
         assert store is not None and store.closed
-        assert _shm_entries() <= before
+        assert created
+        assert not _still_present(created)
 
 
 class TestCloneCost:
