@@ -151,7 +151,8 @@ def _run_twin(policy_name, setup, reference_op, fast_op):
 policies = st.sampled_from(POLICY_NAMES)
 text = st.binary(min_size=0, max_size=48).map(lambda b: b.replace(b"\x00", b"\x01"))
 sizes = st.integers(min_value=1, max_value=64)
-#: Explicit small scan limits, or ``None`` for the default limit.
+#: Explicit small scan limits, or ``None`` for the default (the shrunk
+#: SCAN_LIMIT, read at call time).
 scan_limits = st.none() | st.integers(min_value=0, max_value=80)
 COMMON_SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -267,39 +268,14 @@ class TestScanFamily:
                   lambda mem, s: cstring.strlen(mem, s, limit))
 
     @settings(**COMMON_SETTINGS)
-    @given(policy=policies, payload=text, ch=st.integers(min_value=0, max_value=255))
-    def test_strchr(self, policy, payload, ch):
-        def setup(ctx):
-            return (ctx.alloc_c_string(payload),)
-
-        def fast(mem, s):
-            found = cstring.strchr(mem, s, ch)
-            return None if found is None else found - s
-
-        def reference(mem, s):
-            found = ref_strchr(mem, s, ch)
-            return None if found is None else found - s
-
-        _run_twin(policy, setup, reference, fast)
-
-    @settings(**COMMON_SETTINGS)
-    @given(policy=policies, left=text, right=text)
-    def test_strcmp(self, policy, left, right):
-        def setup(ctx):
-            return ctx.alloc_c_string(left), ctx.alloc_c_string(right)
-
-        _run_twin(policy, setup, ref_strcmp, cstring.strcmp)
-
-    @settings(**COMMON_SETTINGS)
     @given(policy=policies, payload=text, ch=st.integers(min_value=0, max_value=255),
-           limit=scan_limits, neighbour=st.booleans())
-    def test_strchr_unterminated(self, policy, payload, ch, limit, neighbour):
-        """No NUL in the unit: the scan leaves it and the policy decides what
-        it reads next, until ``ch``, a NUL or the limit (``None``: the
-        default, which reads the shrunk SCAN_LIMIT)."""
+           terminated=st.booleans(), neighbour=st.booleans(), limit=scan_limits)
+    def test_strchr(self, policy, payload, ch, terminated, neighbour, limit):
+        """An unterminated unit makes the scan leave it, and the policy
+        decides what it reads next, until ``ch``, a NUL or the limit."""
 
         def setup(ctx):
-            buf = _string_unit(ctx, payload, False, "unterminated")
+            buf = _string_unit(ctx, payload, terminated, "string")
             if neighbour:
                 ctx.alloc_c_string(b"neighbour", name="neighbour")
             return (buf,)
@@ -317,11 +293,10 @@ class TestScanFamily:
     @settings(**COMMON_SETTINGS)
     @given(policy=policies, left=text, right=text, left_terminated=st.booleans(),
            right_terminated=st.booleans(), limit=scan_limits)
-    def test_strcmp_unterminated(self, policy, left, right, left_terminated,
-                                 right_terminated, limit):
+    def test_strcmp(self, policy, left, right, left_terminated, right_terminated, limit):
         def setup(ctx):
-            return (_string_unit(ctx, left, left_terminated, "left"),
-                    _string_unit(ctx, right, right_terminated, "right"))
+            return (_string_unit(ctx, left, left_terminated, "string"),
+                    _string_unit(ctx, right, right_terminated, "string"))
 
         _run_twin(policy, setup,
                   lambda mem, a, b: ref_strcmp(mem, a, b, limit),
@@ -337,11 +312,7 @@ class TestScanFamily:
         NUL-free unit forever — bounded."""
 
         def setup(ctx):
-            if missing_nul:
-                buf = ctx.malloc(max(1, len(payload)), name="unterminated")
-                ctx.mem.write(buf, payload[: max(1, len(payload))] or b"\x01")
-                return (buf,)
-            return (ctx.alloc_c_string(payload),)
+            return (_string_unit(ctx, payload, not missing_nul, "string"),)
 
         _run_twin(policy, setup,
                   lambda mem, s: ref_read_c_string(mem, s, limit),
