@@ -720,8 +720,8 @@ class MemoryAccessor:
 
         Returns the offset relative to ``ptr`` of the first occurrence within
         ``min(limit, scan_span(ptr))`` bytes, or -1 if the value does not
-        occur there.  A -1 only means "not in the span": callers continue with
-        the per-byte path at the span boundary.
+        occur there.  A -1 only means "not in the span": callers continue the
+        search past the span boundary themselves (with :meth:`read_span_until`).
         """
         span = min(self.scan_span(ptr), limit)
         if span <= 0:

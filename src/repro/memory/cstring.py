@@ -14,16 +14,13 @@ window reported by :meth:`MemoryAccessor.scan_span`) using the accessor's
 bulk primitives, paying one policy check per span instead of one per byte.
 
 Past the span boundary — where accesses become invalid — the continuation is
-*also* batched, under every checking policy.  All three copies (``strcpy``,
-``strncpy``, ``strncat``) run one loop, which moves a chunk with one
-``read_span_until`` and one ``write_span`` whenever the two pointers are in
-distinct units and at least one of them is in a safe span: an overflowing
-destination takes the whole out-of-bounds suffix as a single run (the
-attack-flood shape: one ``on_invalid_write_run`` per source span instead of
-one decision per byte), and a source that has left its unit is read by one
-batched scan.  Terminator scans (``strlen``, ``strchr``, ``read_c_string``)
-continue through invalid runs via the policy's scan hook, ``strchr`` with a
-stop set of its character and the NUL — failure-oblivious and boundless
+*also* batched, under every checking policy.  The copies share one loop: a
+copy whose destination has left its unit hands the whole out-of-bounds
+suffix to the policy as a single run (the attack-flood shape: one
+``on_invalid_write_run`` per source span instead of one decision per byte),
+and a source that has left its unit is read by one batched scan.  Terminator
+scans (``strchr``'s stops at its character or the NUL) continue through
+invalid runs via the policy's scan hook — failure-oblivious and boundless
 generate their own bytes, while redirect (whose bytes live in the unit)
 batches through the accessor's preview/commit scan protocol.  Under the
 unchecked Standard build the span reaches the end of the segment and the
@@ -34,13 +31,9 @@ addresses — as proven by the equivalence suite; only the policy's
 ``checks_performed`` counter sees one check per span/run rather than per
 byte.
 
-Two byte steps survive, where per-byte order is load-bearing:
-
-* a copy step with both pointers out of bounds, or one out of bounds in the
-  other's unit — the byte loop interleaves the read and write records, and
-  a redirected write can land on a source byte not yet read;
-* ``strcmp`` once either string has left its span — where it stops depends
-  on the other string's byte at the same position.
+The byte step survives where per-byte order is load-bearing: in a copy with
+both pointers out of bounds or in one unit (see :func:`_copy_string`), and in
+``strcmp`` past a span, where the stop depends on the other string.
 
 Overlapping copies are chunked to the pointer distance so the forward
 byte-copy propagation of the C originals is preserved exactly.
@@ -72,8 +65,7 @@ CHUNK = 4096
 
 def strlen(mem: MemoryAccessor, s: FatPointer, limit: Optional[int] = None) -> int:
     """Return the number of bytes before the first NUL, scanning through memory."""
-    if limit is None:
-        limit = SCAN_LIMIT
+    limit = SCAN_LIMIT if limit is None else limit
     length = 0
     ptr = s
     while True:
@@ -102,15 +94,11 @@ def strlen(mem: MemoryAccessor, s: FatPointer, limit: Optional[int] = None) -> i
 
 
 def _copy_chunk(mem: MemoryAccessor, dst: FatPointer, src: FatPointer, n: int) -> int:
-    """Bytes the next step of a ``src`` → ``dst`` copy of ``n`` bytes moves as
-    one span read plus one span write, or 0 for a single byte step.
+    """Bytes the next copy step moves as one span read and one span write, or 0.
 
     With both pointers in safe spans the chunk is capped at the pointer
-    distance, which makes chunked copies reproduce the byte loop's forward
-    self-propagation exactly.  With only one of them in a span the pointers
-    must be in distinct units: the other side's bytes are then the policy's
-    (manufactured, stored aside, or wrapped into its own unit), and neither
-    side can alias the other.
+    distance, so chunked copies self-propagate like the byte loop.  With one
+    pointer in a span the units must differ, so neither side aliases the other.
     """
     src_span = mem.scan_span(src)
     dst_span = mem.scan_span(dst)
@@ -124,18 +112,11 @@ def _copy_chunk(mem: MemoryAccessor, dst: FatPointer, src: FatPointer, n: int) -
 def _copy_string(
     mem: MemoryAccessor, dst: FatPointer, src: FatPointer, n: int, keep_nul: bool
 ) -> "tuple[int, bool]":
-    """Copy bytes from ``src`` to ``dst`` up to the first NUL or ``n`` bytes.
+    """The copy loop under ``strcpy``, ``strncpy`` and ``strncat``.
 
-    The one copy loop under ``strcpy``, ``strncpy`` and ``strncat``.  The
-    NUL is read either way and written only when ``keep_nul``.  Returns
-    ``(written, hit_nul)``.
-
-    Each chunk is one ``read_span_until`` and one ``write_span``: a source
-    span into a destination span, a source span into an out-of-bounds
-    destination (one invalid-write run: the attack-flood shape), or an
-    out-of-bounds source (one batched scan) into a destination span.  The
-    side that stays in bounds records nothing, so the event stream is the
-    byte loop's.
+    Copies up to the first NUL or ``n`` bytes, writing the NUL only when
+    ``keep_nul``, and returns ``(written, hit_nul)``.  In a chunk the side
+    that stays in bounds records nothing, so its events are the byte loop's.
     """
     d, s = dst, src
     i = 0
@@ -155,10 +136,9 @@ def _copy_string(
         # byte loop interleaves the read and write records here, and a
         # redirected write can land on a source byte not yet read.
         byte = mem.read_byte(s)
-        if byte == 0 and not keep_nul:
-            return i, True
-        mem.write_byte(d, byte)
-        i += 1
+        if byte or keep_nul:
+            mem.write_byte(d, byte)
+            i += 1
         if byte == 0:
             return i, True
         d, s = d + 1, s + 1
@@ -175,8 +155,7 @@ def copy_c_string(
     and fire its iteration guard after exactly as many copied bytes as the
     per-byte loop it replaces (``limit + 1`` bytes).
     """
-    if limit is None:
-        limit = SCAN_LIMIT
+    limit = SCAN_LIMIT if limit is None else limit
     copied, hit_nul = _copy_string(mem, dst, src, limit + 1, keep_nul=True)
     if not hit_nul:
         raise InfiniteLoopGuard("strcpy copied too many bytes")
@@ -226,8 +205,7 @@ def strchr(
     mem: MemoryAccessor, s: FatPointer, ch: int, limit: Optional[int] = None
 ) -> Optional[FatPointer]:
     """Return a pointer to the first occurrence of ``ch``, or None at NUL."""
-    if limit is None:
-        limit = SCAN_LIMIT
+    limit = SCAN_LIMIT if limit is None else limit
     ptr = s
     scanned = 0
     target = ch & 0xFF
@@ -252,8 +230,7 @@ def strchr(
 
 def strcmp(mem: MemoryAccessor, a: FatPointer, b: FatPointer, limit: Optional[int] = None) -> int:
     """Standard three-way string comparison."""
-    if limit is None:
-        limit = SCAN_LIMIT
+    limit = SCAN_LIMIT if limit is None else limit
     pa, pb = a, b
     scanned = 0
     # Grow the comparison chunk geometrically: short strings (the common
@@ -323,8 +300,7 @@ def write_c_string(mem: MemoryAccessor, dst: FatPointer, text: bytes) -> None:
 
 def read_c_string(mem: MemoryAccessor, src: FatPointer, limit: Optional[int] = None) -> bytes:
     """Read a NUL-terminated string back into Python bytes."""
-    if limit is None:
-        limit = SCAN_LIMIT
+    limit = SCAN_LIMIT if limit is None else limit
     # One scan covers safe spans and invalid runs alike; on a miss it has
     # visited all ``limit`` bytes.
     data, nul = mem.read_span_until(src, 0, limit)
