@@ -168,47 +168,54 @@ def _string_unit(ctx, payload, terminated, name):
     return buf
 
 
-def _copy_units(ctx, payload, dst_size, terminated, src_first, neighbour):
+#: A copy's source: a C string, a unit with no NUL, or a freed C string.
+sources = st.sampled_from(("terminated", "unterminated", "freed"))
+
+
+def _copy_units(ctx, payload, dst_size, source, src_first, neighbour):
     """Destination and source units of a copy property.
 
-    An unterminated source makes the copy read past the source unit.
-    ``src_first`` picks the allocation order, so under Standard the raw bytes
-    after the source are the destination's own (the copy self-propagates) or
-    free heap, and ``neighbour`` puts a terminated string right after the
-    source, so those bytes belong to another live unit.
+    An unterminated source makes the copy read past the source unit, and a
+    freed one makes every source read a use-after-free.  ``src_first`` picks
+    the allocation order, so under Standard the raw bytes after the source
+    are the destination's own (the copy self-propagates) or free heap, and
+    ``neighbour`` puts a terminated string right after the source, so those
+    bytes belong to another live unit.
     """
     if not src_first:
         dst = ctx.malloc(dst_size, name="dst")
-    src = _string_unit(ctx, payload, terminated, "src")
+    src = _string_unit(ctx, payload, source != "unterminated", "src")
     if neighbour:
         ctx.alloc_c_string(b"neighbour", name="neighbour")
     if src_first:
         dst = ctx.malloc(dst_size, name="dst")
+    if source == "freed":
+        ctx.free(src)
     return dst, src
 
 
 class TestStrcpyFamily:
     @settings(**COMMON_SETTINGS)
-    @given(policy=policies, payload=text, dst_size=sizes, terminated=st.booleans(),
+    @given(policy=policies, payload=text, dst_size=sizes, source=sources,
            src_first=st.booleans(), neighbour=st.booleans())
-    def test_strcpy_including_partial_overflow(self, policy, payload, dst_size, terminated,
+    def test_strcpy_including_partial_overflow(self, policy, payload, dst_size, source,
                                                src_first, neighbour):
         """dst smaller than src straddles the unit boundary mid-copy; an
-        unterminated src is read past its own unit as well."""
+        unterminated or freed src is read out of bounds as well."""
 
         def setup(ctx):
-            return _copy_units(ctx, payload, dst_size, terminated, src_first, neighbour)
+            return _copy_units(ctx, payload, dst_size, source, src_first, neighbour)
 
         _run_twin(policy, setup, ref_strcpy, cstring.strcpy)
 
     @settings(**COMMON_SETTINGS)
     @given(policy=policies, payload=text, dst_size=sizes,
-           n=st.integers(min_value=0, max_value=96), terminated=st.booleans(),
+           n=st.integers(min_value=0, max_value=96), source=sources,
            src_first=st.booleans(), neighbour=st.booleans())
-    def test_strncpy_with_nul_padding(self, policy, payload, dst_size, n, terminated,
+    def test_strncpy_with_nul_padding(self, policy, payload, dst_size, n, source,
                                       src_first, neighbour):
         def setup(ctx):
-            return _copy_units(ctx, payload, dst_size, terminated, src_first, neighbour)
+            return _copy_units(ctx, payload, dst_size, source, src_first, neighbour)
 
         _run_twin(policy, setup,
                   lambda mem, d, s: ref_strncpy(mem, d, s, n),
@@ -216,21 +223,21 @@ class TestStrcpyFamily:
 
     @settings(**COMMON_SETTINGS)
     @given(policy=policies, payload=text, head=text, dst_size=sizes,
-           n=st.integers(min_value=0, max_value=96), terminated=st.booleans(),
+           n=st.integers(min_value=0, max_value=96), source=sources,
            src_first=st.booleans(), neighbour=st.booleans(), dst_terminated=st.booleans())
     # An unterminated destination under redirect: finding its end wraps
     # forever, so the scan stops at the shrunk SCAN_LIMIT on both sides only
     # when strlen reads the module global at call time.
-    @example(policy="redirect", payload=b"", head=b"x", dst_size=1, n=0, terminated=True,
+    @example(policy="redirect", payload=b"", head=b"x", dst_size=1, n=0, source="terminated",
              src_first=True, neighbour=False, dst_terminated=False)
-    def test_strncat(self, policy, payload, head, dst_size, n, terminated, src_first,
+    def test_strncat(self, policy, payload, head, dst_size, n, source, src_first,
                      neighbour, dst_terminated):
         """The destination already holds a string (``head``, cut to fit its
         unit), so the appended bytes start mid-unit and may overflow it; an
         unterminated destination is scanned past its unit to find its end."""
 
         def setup(ctx):
-            dst, src = _copy_units(ctx, payload, dst_size, terminated, src_first, neighbour)
+            dst, src = _copy_units(ctx, payload, dst_size, source, src_first, neighbour)
             if dst_terminated:
                 cstring.write_c_string(ctx.mem, dst, head[:dst_size - 1])
             else:
