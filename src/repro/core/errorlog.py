@@ -66,10 +66,11 @@ class MemoryErrorLog:
         self.bus.emit(InvalidAccess(error=event))
 
     def record_run(self, event: MemoryErrorEvent, count: int, stride: int = 1) -> None:
-        """Publish a contiguous run of ``count`` per-byte events in one record.
+        """Publish a contiguous run of ``count`` events in one record.
 
         Equivalent to recording ``count`` copies of ``event`` whose offsets
-        step by ``stride`` — every query answers identically — but the ring
+        step by ``stride`` (1 for a per-byte run, the element width for an
+        element-wise store) — every query answers identically — but the ring
         stores the run directly and aggregate counters add ``count`` once,
         which is what makes the batched out-of-bounds continuation as cheap
         per span as a single event.

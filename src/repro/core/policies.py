@@ -63,14 +63,16 @@ class BoundsCheckPolicy(AccessPolicy):
         self.record_event(event)
         return AccessDecision.raise_(self._exception_for(event))
 
-    # A per-byte loop terminates at its first byte, so a batched run records
-    # exactly one single-byte event before raising — bit-identical logs.
+    # A per-element loop terminates at its first element, so a batched run
+    # records exactly that one event before raising — bit-identical logs.
 
     def on_invalid_read_run(self, event: MemoryErrorEvent, count: int) -> AccessDecision:
         return self.on_invalid_read(event, 1)
 
-    def on_invalid_write_run(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
-        return self.on_invalid_write(event, data[:1])
+    def on_invalid_write_run(
+        self, event: MemoryErrorEvent, data: bytes, stride: int = 1
+    ) -> AccessDecision:
+        return self.on_invalid_write(event, data[:stride])
 
     def scan_invalid_read_run(self, event, count, until):
         return self.on_invalid_read(event, 1)
@@ -120,10 +122,12 @@ class FailureObliviousPolicy(AccessPolicy):
                               request_id=event.request_id))
         return AccessDecision.supply(data)
 
-    def on_invalid_write_run(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
-        count = len(data)
-        self.record_event_run(event, count)
-        self.emit(Discard(length=count, count=count, site=event.site,
+    def on_invalid_write_run(
+        self, event: MemoryErrorEvent, data: bytes, stride: int = 1
+    ) -> AccessDecision:
+        count = len(data) // stride
+        self.record_event_run(event, count, stride)
+        self.emit(Discard(length=len(data), count=count, site=event.site,
                           request_id=event.request_id))
         return AccessDecision.discard()
 
@@ -240,15 +244,19 @@ class BoundlessPolicy(FailureObliviousPolicy):
 
     # -- batched runs -----------------------------------------------------------
     #
-    # The run hooks reproduce the *per-byte* capacity semantics, not the
-    # block hooks' all-or-nothing check: when the store is nearly full, a
-    # per-byte loop stores the first bytes that fit and discards the rest,
-    # and so does a batched run.
+    # The run hooks reproduce the per-element capacity semantics of the
+    # loop they batch.  A per-byte loop stores the first bytes that fit when
+    # the store is nearly full and discards the rest, and so does a batched
+    # byte run.  A loop of wider elements runs the block hook's
+    # all-or-nothing check on each element, and so does a strided run.
 
-    def on_invalid_write_run(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
+    def on_invalid_write_run(
+        self, event: MemoryErrorEvent, data: bytes, stride: int = 1
+    ) -> AccessDecision:
+        if stride > 1:
+            return self._write_element_run(event, data, stride)
         count = len(data)
         self.record_event_run(event, count)
-        bucket = self._unit_store(event, create=True)
         offsets = range(event.offset, event.offset + count)
         stored_new = 0
         discarded = 0
@@ -256,13 +264,16 @@ class BoundlessPolicy(FailureObliviousPolicy):
             # Fast path: everything fits even if every offset is new.  One
             # C-level dict update; the new-offset count falls out of the
             # bucket growth.
+            bucket = self._unit_store(event, create=True)
             before = len(bucket)
             bucket.update(zip(offsets, data))
             stored_new = len(bucket) - before
             self._stored_total += stored_new
         elif self._stored_total >= self.max_stored_bytes:
             # Store already full: overwrites still land (they consume no
-            # capacity), every new offset is discarded.
+            # capacity), every new offset is discarded, and no bucket is
+            # made for a unit that has none (the scalar hook makes none).
+            bucket = self._unit_store(event)
             if bucket:
                 hits = bucket.keys() & frozenset(offsets)
                 for offset in hits:
@@ -274,6 +285,7 @@ class BoundlessPolicy(FailureObliviousPolicy):
             # Crossing capacity mid-run: byte-at-a-time accounting, exactly
             # like the per-byte loop (overwrites always land; new
             # offsets land only while there is room).
+            bucket = self._unit_store(event, create=True)
             for i, byte in enumerate(data):
                 offset = event.offset + i
                 if offset in bucket:
@@ -290,6 +302,35 @@ class BoundlessPolicy(FailureObliviousPolicy):
         if discarded:
             self.emit(Discard(length=discarded, count=discarded, site=event.site,
                               request_id=event.request_id))
+        return AccessDecision.discard()
+
+    def _write_element_run(self, event: MemoryErrorEvent, data: bytes,
+                           stride: int) -> AccessDecision:
+        """A run of ``stride``-byte elements, each stored whole or dropped whole."""
+        length = len(data)
+        count = length // stride
+        if self._stored_total + length > self.max_stored_bytes:
+            # Some element might not fit: run the block hook per element,
+            # which is the loop's own capacity check, element by element.
+            for i, element in enumerate(event.run(stride, 0, count)):
+                self.on_invalid_write(element, data[i * stride:(i + 1) * stride])
+            return AccessDecision.discard()
+        # Every element fits even if all its offsets are new.  An element
+        # publishes a stored Discard only when it has a new offset.
+        self.record_event_run(event, count, stride)
+        bucket = self._unit_store(event, create=True)
+        first = event.offset
+        fresh = sum(
+            1 for start in range(first, first + length, stride)
+            if any(offset not in bucket for offset in range(start, start + stride))
+        )
+        before = len(bucket)
+        bucket.update(zip(range(first, first + length), data))
+        stored_new = len(bucket) - before
+        self._stored_total += stored_new
+        if stored_new:
+            self.emit(Discard(length=stored_new, count=fresh, site=event.site,
+                              request_id=event.request_id, stored=True))
         return AccessDecision.discard()
 
     def on_invalid_read_run(self, event: MemoryErrorEvent, count: int) -> AccessDecision:
@@ -363,8 +404,8 @@ class RedirectPolicy(FailureObliviousPolicy):
         return event.kind is not ErrorKind.USE_AFTER_FREE and event.unit_size > 0
 
     def _redirect(self, event: MemoryErrorEvent, length: int, count: int = 1) -> AccessDecision:
-        """Publish the wrap of ``count`` per-byte accesses (one scalar
-        access of ``length`` bytes, or a run of ``count`` bytes)."""
+        """Publish the wrap of ``count`` accesses covering ``length`` bytes
+        (one scalar access, or a run of ``count`` elements)."""
         target = event.offset % event.unit_size
         self.emit(Redirect(offset=event.offset, redirect_offset=target,
                            length=length, access=event.access.value, count=count,
@@ -388,8 +429,10 @@ class RedirectPolicy(FailureObliviousPolicy):
     # A contiguous run of per-byte accesses at offsets o, o+1, ... lands at
     # (o + i) % size — i.e. exactly a wrapped contiguous range starting at
     # o % size, which the accessor's redirected bulk read/write reproduces.
-    # One Redirect record carries the run (count per-byte accesses); the
-    # redirected_accesses statistic counts each of them, like the loop did.
+    # A run of stride-byte elements lands its bytes at the same places, so
+    # it is the same wrapped range.  One Redirect record carries the run
+    # (count element accesses); the redirected_accesses statistic counts
+    # each of them, like the loop did.
 
     def on_invalid_read_run(self, event: MemoryErrorEvent, count: int) -> AccessDecision:
         if not self._wraps(event):
@@ -397,11 +440,14 @@ class RedirectPolicy(FailureObliviousPolicy):
         self.record_event_run(event, count)
         return self._redirect(event, count, count)
 
-    def on_invalid_write_run(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
+    def on_invalid_write_run(
+        self, event: MemoryErrorEvent, data: bytes, stride: int = 1
+    ) -> AccessDecision:
         if not self._wraps(event):
-            return super().on_invalid_write_run(event, data)
-        self.record_event_run(event, len(data))
-        return self._redirect(event, len(data), len(data))
+            return super().on_invalid_write_run(event, data, stride)
+        count = len(data) // stride
+        self.record_event_run(event, count, stride)
+        return self._redirect(event, len(data), count)
 
     # -- batched terminator scans: the preview/commit protocol -------------------
     #

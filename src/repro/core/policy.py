@@ -150,11 +150,13 @@ class AccessPolicy(ABC):
 
     # -- batched run hooks -----------------------------------------------------
     #
-    # A *run* is a contiguous sequence of per-byte invalid accesses — the
-    # out-of-bounds suffix of a span operation.  The run hooks receive the
-    # first per-byte event (length 1) plus the run size and must behave
-    # exactly like ``count`` calls of the scalar hook on events whose offsets
-    # step by one: same statistics, same error-log contents (recorded as one
+    # A *run* is a contiguous sequence of invalid element accesses — the
+    # out-of-bounds suffix of a span operation (one-byte elements) or of an
+    # element-wise store (``MemoryAccessor.write_each``, ``stride``-byte
+    # elements).  The run hooks receive the first element's event (length
+    # ``stride``) plus the run size and must behave exactly like one call of
+    # the scalar hook per element, on events whose offsets step by
+    # ``stride``: same statistics, same error-log contents (recorded as one
     # run via record_event_run), same manufactured-sequence consumption, and
     # one decision covering the whole run.  Every checking policy implements
     # them: they are the only protocol between the span helpers and a policy.
@@ -163,8 +165,11 @@ class AccessPolicy(ABC):
         """Decide a contiguous run of ``count`` per-byte invalid reads at once."""
         raise NotImplementedError(f"{type(self).__name__} lacks on_invalid_read_run")
 
-    def on_invalid_write_run(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
-        """Decide a contiguous run of ``len(data)`` per-byte invalid writes at once."""
+    def on_invalid_write_run(
+        self, event: MemoryErrorEvent, data: bytes, stride: int = 1
+    ) -> AccessDecision:
+        """Decide a contiguous run of ``len(data) // stride`` invalid element
+        writes of ``stride`` bytes each at once."""
         raise NotImplementedError(f"{type(self).__name__} lacks on_invalid_write_run")
 
     def scan_invalid_read_run(
@@ -222,14 +227,14 @@ class AccessPolicy(ABC):
         """Log an invalid access attempt."""
         self.error_log.record(event)
 
-    def record_event_run(self, event: MemoryErrorEvent, count: int) -> None:
-        """Log a contiguous run of ``count`` per-byte invalid accesses.
+    def record_event_run(self, event: MemoryErrorEvent, count: int, stride: int = 1) -> None:
+        """Log a contiguous run of ``count`` invalid element accesses.
 
         Equivalent to ``count`` calls of :meth:`record_event` on events whose
-        offsets step by one byte — every error-log query and statistic answers
-        identically — but published as a single run record.
+        offsets step by ``stride`` bytes — every error-log query and statistic
+        answers identically — but published as a single run record.
         """
-        self.error_log.record_run(event, count, stride=1)
+        self.error_log.record_run(event, count, stride)
 
     @property
     def stats(self) -> PolicyStatistics:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.policy import AccessPolicy, DecisionAction
+from repro.core.policy import AccessDecision, AccessPolicy, DecisionAction
 from repro.errors import (
     AccessKind,
     ErrorKind,
@@ -47,10 +47,12 @@ class MemoryAccessor:
     caller's pointer arithmetic, then the dispatch into this class, then the
     check, and the first two are paid by every build, so the measured
     slowdown columns of the paper's Figures 2-6 come out near 1x here
-    (``results.txt``), not the paper's up to 8x.  :meth:`write_each` carries
-    a valid byte-copy loop in one call: the count stays per byte, the wall
-    time is one store.  A modeled slowdown column built from the per-request
-    counters is ROADMAP item 1.
+    (``results.txt``), not the paper's up to 8x.  :meth:`write_each` and
+    :meth:`read_each` carry a loop of fixed-width element accesses (bytes, or
+    Apache's 4-byte capture offsets) in one call: the count stays per
+    element, the wall time is one store or load for the valid elements and
+    one strided policy run for an out-of-bounds suffix.  A modeled slowdown
+    column built from the per-request counters is ROADMAP item 1.
     """
 
     def __init__(
@@ -374,45 +376,120 @@ class MemoryAccessor:
                 return
         self._invalid_write(ptr, bytes([value & 0xFF]))
 
-    def write_each(self, ptr: FatPointer, data: bytes) -> None:
-        """Store ``data`` byte by byte: exactly
-        ``for i, b in enumerate(data): write_byte(ptr + i, b)``.
+    def write_each(self, ptr: FatPointer, data: bytes, width: int = 1) -> None:
+        """Store ``data`` as ``width``-byte elements, one at a time: exactly
+        ``for i in range(n): write(ptr + i*width, data[i*width:(i+1)*width])``
+        with ``n = len(data) // width`` (at width 1, ``write_byte`` per byte).
 
-        This is the shape of a C loop that stores a buffer one character at a
-        time, and it is charged as that loop: one check, one object-table
-        lookup and one raw write per byte.  When the whole range is valid
-        (checking builds: the referent alive and ``[offset, offset + n)``
-        inside it; Standard: the range inside one segment) the bytes go down
-        in one raw store, leaving the decision cache and the dirty blocks as
-        the loop would.  Any other range runs the loop itself, so error
-        records, Standard's partial store before a fault and error order are
-        the per-byte ones.
+        This is the shape of a C loop that stores a buffer one character (or
+        one ``int``) at a time, and it is charged as that loop: one check, one
+        object-table lookup and ``width`` raw writes per element.  The valid
+        leading elements (checking builds: the referent alive and each
+        element inside it; Standard: the whole range inside one segment) go
+        down in one raw store, leaving the decision cache and the dirty
+        blocks as the loop would.  When the elements after them are all
+        wholly past the unit's end (or the unit is dead), they are one
+        strided invalid run: one call of the policy's
+        ``on_invalid_write_run`` with ``stride=width``, recorded as the
+        loop's per-element events.  Any other range — one starting below the
+        unit, an element straddling its end, Standard off a segment — runs
+        the loop itself, so error records, Standard's per-element fault and
+        error order are the loop's.
         """
         length = len(data)
         if not length:
             return
+        count, partial = divmod(length, width)
+        if partial:
+            raise ValueError(f"{length} bytes are not whole {width}-byte elements")
         unit = ptr.referent
         address = unit.base + ptr.offset
-        policy = self.policy
-        if not policy.performs_checks:
+        if not self.policy.performs_checks:
             if self.space.is_mapped(address, length):
                 self.space.write(address, data)
                 return
+        else:
+            valid = self._valid_elements(ptr, count, width)
+            if valid is not None:
+                split = valid * width
+                if valid:
+                    self._charge_elements(unit, address, valid)
+                    self.space.write(address, data if valid == count else data[:split])
+                if valid < count:
+                    self._invalid_write_elements(ptr + split, data[split:], width)
+                return
+        for start in range(0, length, width):
+            self.write(ptr + start, data[start:start + width])
+
+    def read_each(self, ptr: FatPointer, count: int, width: int = 1) -> bytes:
+        """Load ``count`` elements of ``width`` bytes one at a time: exactly
+        ``b"".join(read(ptr + i*width, width) for i in range(count))``.
+
+        Charged as that loop (one check, one object-table lookup and
+        ``width`` raw reads per element).  A wholly valid range is one raw
+        read; any other range runs the loop itself.
+        """
+        length = count * width
+        if length <= 0:
+            return b""
+        unit = ptr.referent
+        address = unit.base + ptr.offset
+        if not self.policy.performs_checks:
+            if self.space.is_mapped(address, length):
+                return self.space.read(address, length)
         elif unit.alive and unit.contains_offset(ptr.offset, length):
-            policy.note_check(length)
-            if unit is self._cached_unit:
-                self.table.lookups += length
-            else:
-                # The first byte's lookup; the loop's other bytes hit the
-                # cache (or, with it off, repeat the same bisect).
-                self.table.find(address)
-                self.table.lookups += length - 1
-                if self._cache_enabled:
-                    self._cached_unit = unit
-            self.space.write(address, data)
-            return
-        for index, byte in enumerate(data):
-            self.write_byte(ptr + index, byte)
+            self._charge_elements(unit, address, count)
+            return self.space.read(address, length)
+        return b"".join(self.read(ptr + start, width) for start in range(0, length, width))
+
+    @staticmethod
+    def _valid_elements(ptr: FatPointer, count: int, width: int) -> Optional[int]:
+        """How many leading elements are valid when every later one is a
+        clean invalid run (same classification, no in-bounds bytes of its
+        own), or None when the range has no such shape.
+
+        Below the unit an element's bytes may re-enter it, and an element
+        straddling the unit's end has an in-bounds prefix that the loop
+        stores: both take the element loop.
+        """
+        unit = ptr.referent
+        if not unit.alive:
+            return 0
+        offset = ptr.offset
+        if offset < 0:
+            return None
+        valid = min(count, max(0, unit.size - offset) // width)
+        if valid < count and offset + valid * width < unit.size:
+            return None
+        return valid
+
+    def _charge_elements(self, unit: DataUnit, address: int, count: int) -> None:
+        """Charge ``count`` valid element accesses at ``address`` as the
+        element loop does: one check and one object-table lookup each."""
+        self.policy.note_check(count)
+        if unit is self._cached_unit:
+            self.table.lookups += count
+        else:
+            # The first element's lookup; the loop's other elements hit the
+            # cache (or, with it off, repeat the same bisect).
+            self.table.find(address)
+            self.table.lookups += count - 1
+            if self._cache_enabled:
+                self._cached_unit = unit
+
+    def _invalid_write_elements(self, ptr: FatPointer, data: bytes, width: int) -> None:
+        """The element loop's invalid suffix as one strided policy run."""
+        decision = self._invalid_write_run(ptr, data, width)
+        # The run charged the first element's check and lookup; the loop
+        # charges every element.  A raising policy stopped at the first.
+        rest = len(data) // width - 1
+        self.policy.note_check(rest)
+        self.table.lookups += rest
+        if decision.action is DecisionAction.REDIRECT:
+            # Each element's wrapped store writes at most the unit's size,
+            # and so does the one wrapped store of the whole run.
+            size = ptr.referent.size
+            self.space.raw_writes += (rest + 1) * min(width, size) - min(len(data), size)
 
     def read_int(self, ptr: FatPointer, size: int = 4, signed: bool = True) -> int:
         """Read a little-endian integer of ``size`` bytes."""
@@ -517,22 +594,24 @@ class MemoryAccessor:
         # PERFORM_RAW falls through to the raw access.
         return self.space.read(ptr.address, count)
 
-    def _invalid_write_run(self, ptr: FatPointer, data: bytes) -> None:
-        """One policy decision for a contiguous run of per-byte invalid writes."""
+    def _invalid_write_run(
+        self, ptr: FatPointer, data: bytes, stride: int = 1
+    ) -> AccessDecision:
+        """One policy decision for a contiguous run of invalid element
+        writes (``stride`` bytes each; per-byte runs by default)."""
         policy = self.policy
         policy.note_check()
         self.table.find(ptr.address)
-        event = self._classify(ptr, 1, AccessKind.WRITE)
-        decision = policy.on_invalid_write_run(event, data)
+        event = self._classify(ptr, stride, AccessKind.WRITE)
+        decision = policy.on_invalid_write_run(event, data, stride)
         if decision.action is DecisionAction.RAISE:
             raise decision.exception
-        if decision.action is DecisionAction.DISCARD:
-            return
         if decision.action is DecisionAction.REDIRECT:
             self._write_redirected(ptr.referent, decision.redirect_offset, data)
-            return
-        # PERFORM_RAW: the unchecked behaviour, performed deliberately.
-        self.space.write(ptr.address, data)
+        elif decision.action is DecisionAction.PERFORM_RAW:
+            # The unchecked behaviour, performed deliberately.
+            self.space.write(ptr.address, data)
+        return decision
 
     def read_span(self, ptr: FatPointer, length: int) -> "bytes | memoryview":
         """Bulk read: one policy decision per safe span *and* per invalid run.

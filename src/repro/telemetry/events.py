@@ -19,13 +19,16 @@ invalid run once instead of once per byte.  So that the event stream loses no
 information, the access-level events carry the run explicitly:
 
 * :class:`InvalidAccess` has ``count``/``stride``: the record stands for
-  ``count`` per-byte error events whose offsets are ``error.offset + stride*i``
-  (``count == 1`` is the ordinary single event).  :meth:`InvalidAccess.expand`
-  reproduces the exact per-byte event sequence.
+  ``count`` error events whose offsets are ``error.offset + stride*i``
+  (``count == 1`` is the ordinary single event).  A batched per-byte run has
+  ``stride == 1``; a run of ``stride``-byte elements (an element-wise store
+  such as Apache's 4-byte capture offsets) has events of ``length == stride``.
+  :meth:`InvalidAccess.expand` reproduces the exact event sequence.
 * :class:`Discard` / :class:`Manufacture` / :class:`Redirect` have ``count``:
-  how many per-byte continuation decisions the record batches.  A block access
+  how many element continuation decisions the record batches.  A block access
   (one decision covering ``length`` bytes, the pre-PR-4 behaviour) has
-  ``count == 1``; a batched per-byte run has ``count == length``.
+  ``count == 1``; a batched per-byte run has ``count == length``, and a run
+  of ``stride``-byte elements ``count == length // stride``.
 
 Aggregate consumers (:class:`~repro.telemetry.sinks.CounterSink`, trace
 summaries) weight by these fields, which is what keeps every error-log and
@@ -64,9 +67,10 @@ from repro.errors import AccessKind, ErrorKind, MemoryErrorEvent, frozen_record
 class InvalidAccess:
     """One attempted invalid memory access (the §3 error-log entry).
 
-    ``count > 1`` makes this a *run* record standing for ``count`` per-byte
-    events at offsets ``error.offset + stride * i`` (all other fields equal);
-    :meth:`expand` materializes that sequence.
+    ``count > 1`` makes this a *run* record standing for ``count`` events at
+    offsets ``error.offset + stride * i`` (all other fields equal, so each
+    is ``error.length`` bytes long: 1 for a per-byte run, ``stride`` for a
+    run of elements); :meth:`expand` materializes that sequence.
     """
 
     error: MemoryErrorEvent
@@ -74,12 +78,12 @@ class InvalidAccess:
     stride: int = 1
 
     def expand(self) -> Iterator[MemoryErrorEvent]:
-        """Yield the per-byte error events this record stands for."""
+        """Yield the error events this record stands for."""
         return iter(self.error.run(self.stride, 0, self.count))
 
 
 def expand_invalid_accesses(events: Iterable["InvalidAccess"]) -> List[MemoryErrorEvent]:
-    """Flatten a stream of (possibly run-carrying) records to per-byte events."""
+    """Flatten a stream of (possibly run-carrying) records to single events."""
     out: List[MemoryErrorEvent] = []
     for event in events:
         out.extend(event.expand())
@@ -96,8 +100,10 @@ class Discard:
     #: True when a boundless policy kept the bytes in its side store instead
     #: of dropping them outright.
     stored: bool = False
-    #: Number of per-byte discard decisions batched into this record (1 for a
-    #: block access, ``length`` for a batched per-byte run).
+    #: Number of element discard decisions batched into this record (1 for a
+    #: block access, ``length`` for a batched per-byte run, the element
+    #: count for a run of wider elements; a boundless stored record counts
+    #: the elements that stored a new offset).
     count: int = 1
 
 
@@ -122,7 +128,8 @@ class Redirect:
     access: str = AccessKind.READ.value
     site: str = ""
     request_id: Optional[int] = None
-    #: Number of per-byte redirected accesses batched into this record.
+    #: Number of redirected element accesses (bytes, in a per-byte run)
+    #: batched into this record.
     count: int = 1
 
 
