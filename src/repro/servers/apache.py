@@ -196,24 +196,26 @@ class ApacheServer(Server):
         mem = ctx.mem
         ctx.set_site("apache.rewrite_captures")
         ncaptures = match.re.groups + 1
+        # Start and end of every capture (a group that did not take part
+        # stores (0, 0)), as the handler's 4-byte ints.
+        values: List[int] = []
+        for i in range(ncaptures):
+            span = match.span(i)
+            values += span if span != (-1, -1) else (0, 0)
+        encoded = b"".join(value.to_bytes(4, "little", signed=True) for value in values)
         with ctx.stack_frame("try_rewrite"):
             offsets = ctx.stack_buffer("regmatch", MAX_CAPTURES * CAPTURE_PAIR_SIZE)
             ctx.seal_frame()
-            for i in range(ncaptures):
-                span = match.span(i) if i <= match.re.groups else (-1, -1)
-                start, end = (span if span != (-1, -1) else (0, 0))
-                base = offsets + i * CAPTURE_PAIR_SIZE
-                mem.write_int(base, start, size=4)
-                mem.write_int(base + 4, end, size=4)
+            # One int at a time, as the handler's loop stores them; the pairs
+            # past the buffer's tenth are the overflow.
+            mem.write_each(offsets, encoded, 4)
             # Only the first ten pairs are ever read back, because replacement
             # patterns can only name $0 through $9 (§4.3.2).
-            stored: List[tuple] = []
-            for i in range(min(ncaptures, MAX_CAPTURES)):
-                base = offsets + i * CAPTURE_PAIR_SIZE
-                start = mem.read_int(base, size=4)
-                end = mem.read_int(base + 4, size=4)
-                stored.append((start, end))
+            raw = mem.read_each(offsets, 2 * min(ncaptures, MAX_CAPTURES), 4)
         ctx.set_site("")
+        ints = [int.from_bytes(raw[at:at + 4], "little", signed=True)
+                for at in range(0, len(raw), 4)]
+        stored = list(zip(ints[::2], ints[1::2]))
         result = rule.replacement
         for i, (start, end) in enumerate(stored):
             if f"${i}" in result:
