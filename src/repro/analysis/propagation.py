@@ -39,7 +39,9 @@ class TraceRecorder(Sink):
     correlation from each :class:`~repro.errors.RequestResult`: the recorder
     simply watches the server's bus and indexes
     :class:`~repro.telemetry.events.InvalidAccess` events by the request
-    (trace) id stamped on them.
+    (trace) id stamped on them.  A run record counts as the ``count``
+    events it stands for, so the tallies do not depend on whether a flood
+    was published as singles or as runs.
     """
 
     def __init__(self) -> None:
@@ -47,7 +49,7 @@ class TraceRecorder(Sink):
 
     def emit(self, event: object) -> None:
         if isinstance(event, InvalidAccess) and event.error.request_id is not None:
-            self.invalid_by_request[event.error.request_id] += 1
+            self.invalid_by_request[event.error.request_id] += event.count
 
     def had_errors(self, request_id: int) -> bool:
         """True if the trace for ``request_id`` attempted any memory error."""

@@ -1,12 +1,29 @@
 """Tests for the propagation, availability, and security analyses."""
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis.availability import compare_availability
-from repro.analysis.propagation import measure_propagation
+from repro.analysis.propagation import TraceRecorder, measure_propagation
 from repro.analysis.security import assess_security, summarize_by_policy
+from repro.errors import AccessKind, ErrorKind, MemoryErrorEvent
 from repro.harness.engine import ENGINE
+from repro.telemetry.events import InvalidAccess
 from repro.workloads.streams import mixed_stream
+
+
+class TestTraceRecorder:
+    def test_run_record_counts_as_its_expanded_singles(self):
+        """A strided run and the single events it stands for tally alike."""
+        error = MemoryErrorEvent(ErrorKind.OUT_OF_BOUNDS, AccessKind.WRITE, "regmatch#1",
+                                 80, 80, 4, "apache.rewrite_captures", 7)
+        run = InvalidAccess(error=error, count=10, stride=4)
+        batched, singles = TraceRecorder(), TraceRecorder()
+        batched.emit(run)
+        for single in run.expand():
+            singles.emit(InvalidAccess(error=single))
+        assert batched.invalid_by_request == singles.invalid_by_request == Counter({7: 10})
 
 
 class TestPropagation:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core.policy import AccessDecision, DecisionAction
 from repro.errors import (
     AccessKind,
@@ -27,6 +28,7 @@ from repro.minic import ast_nodes as ast
 from repro.minic.interpreter import TypedPointer
 from repro.telemetry import (
     AllocFree,
+    CounterSink,
     Discard,
     EVENT_TYPES,
     FaultInjected,
@@ -455,3 +457,28 @@ class TestDamagedSpills:
         records = list(iter_records(str(out)))
         assert [(r["scenario"], r["request_id"]) for r in records] == \
             [(0, 3), (1, 4), (2, 1), (2, 2)]
+
+
+class TestStridedRunExport:
+    def test_apache_capture_overflow_exports_one_strided_run(self, tmp_path, capsys):
+        """The ten out-of-bounds capture offsets of a failure-oblivious
+        Apache attack are one 4-byte-stride run record in the export, and
+        the offline summary of the export equals the live counters."""
+        out = tmp_path / "apache.jsonl"
+        profile = ENGINE.profile("apache")
+        with TelemetrySession(str(tmp_path / "spill")) as session:
+            server = ENGINE.build_server("apache", "failure-oblivious", plant_attack=True)
+            live = server.add_telemetry_sink(CounterSink())
+            server.start()
+            result = server.process(profile.make_attack_request())
+            session.merge(str(out))
+        assert result.outcome.value == "rejected-by-error-handling"
+        runs = [record for record in iter_records(str(out))
+                if record["event"] == "invalid-access"]
+        assert [(run["stride"], run["count"], run["offset"], run["length"])
+                for run in runs] == [(4, 10, 80, 4)]
+        assert summarize_trace(str(out)).counters == live
+        assert live.invalid_total == 10
+        assert main(["trace", "summary", str(out)]) == 0
+        assert "invalid" in capsys.readouterr().out
+
