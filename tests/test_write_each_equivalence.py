@@ -156,7 +156,7 @@ WIDTH_SETTINGS = dict(max_examples=100, deadline=None)
 def _window_setup(unit_size, warm, freed, offset_of):
     """Allocate the target unit (and a neighbour), warm the cache, point in.
 
-    The heap is filled with a byte pattern first (raw, the same on both
+    Both units are filled with byte patterns first (raw, the same on both
     twins) so reads return bytes that tell offsets apart.
     """
 
