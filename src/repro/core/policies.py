@@ -247,14 +247,16 @@ class BoundlessPolicy(FailureObliviousPolicy):
     # The run hooks reproduce the per-element capacity semantics of the
     # loop they batch.  A per-byte loop stores the first bytes that fit when
     # the store is nearly full and discards the rest, and so does a batched
-    # byte run.  A loop of wider elements runs the block hook's
-    # all-or-nothing check on each element, and so does a strided run.
+    # byte run.  A strided run is the element loop itself: the block hook's
+    # all-or-nothing check on each element.
 
     def on_invalid_write_run(
         self, event: MemoryErrorEvent, data: bytes, stride: int = 1
     ) -> AccessDecision:
         if stride > 1:
-            return self._write_element_run(event, data, stride)
+            for i, element in enumerate(event.run(stride, 0, len(data) // stride)):
+                self.on_invalid_write(element, data[i * stride:(i + 1) * stride])
+            return AccessDecision.discard()
         count = len(data)
         self.record_event_run(event, count)
         offsets = range(event.offset, event.offset + count)
@@ -302,35 +304,6 @@ class BoundlessPolicy(FailureObliviousPolicy):
         if discarded:
             self.emit(Discard(length=discarded, count=discarded, site=event.site,
                               request_id=event.request_id))
-        return AccessDecision.discard()
-
-    def _write_element_run(self, event: MemoryErrorEvent, data: bytes,
-                           stride: int) -> AccessDecision:
-        """A run of ``stride``-byte elements, each stored whole or dropped whole."""
-        length = len(data)
-        count = length // stride
-        if self._stored_total + length > self.max_stored_bytes:
-            # Some element might not fit: run the block hook per element,
-            # which is the loop's own capacity check, element by element.
-            for i, element in enumerate(event.run(stride, 0, count)):
-                self.on_invalid_write(element, data[i * stride:(i + 1) * stride])
-            return AccessDecision.discard()
-        # Every element fits even if all its offsets are new.  An element
-        # publishes a stored Discard only when it has a new offset.
-        self.record_event_run(event, count, stride)
-        bucket = self._unit_store(event, create=True)
-        first = event.offset
-        fresh = sum(
-            1 for start in range(first, first + length, stride)
-            if any(offset not in bucket for offset in range(start, start + stride))
-        )
-        before = len(bucket)
-        bucket.update(zip(range(first, first + length), data))
-        stored_new = len(bucket) - before
-        self._stored_total += stored_new
-        if stored_new:
-            self.emit(Discard(length=stored_new, count=fresh, site=event.site,
-                              request_id=event.request_id, stored=True))
         return AccessDecision.discard()
 
     def on_invalid_read_run(self, event: MemoryErrorEvent, count: int) -> AccessDecision:

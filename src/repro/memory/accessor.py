@@ -416,7 +416,13 @@ class MemoryAccessor:
                     self._charge_elements(unit, address, valid)
                     self.space.write(address, data if valid == count else data[:split])
                 if valid < count:
-                    self._invalid_write_elements(ptr + split, data[split:], width)
+                    # The run charges the first invalid element's check and
+                    # lookup; the loop charges every element.  A raising
+                    # policy stopped at the first.
+                    self._invalid_write_run(ptr + split, data[split:], width)
+                    rest = count - valid - 1
+                    self.policy.note_check(rest)
+                    self.table.lookups += rest
                 return
         for start in range(0, length, width):
             self.write(ptr + start, data[start:start + width])
@@ -476,20 +482,6 @@ class MemoryAccessor:
             self.table.lookups += count - 1
             if self._cache_enabled:
                 self._cached_unit = unit
-
-    def _invalid_write_elements(self, ptr: FatPointer, data: bytes, width: int) -> None:
-        """The element loop's invalid suffix as one strided policy run."""
-        decision = self._invalid_write_run(ptr, data, width)
-        # The run charged the first element's check and lookup; the loop
-        # charges every element.  A raising policy stopped at the first.
-        rest = len(data) // width - 1
-        self.policy.note_check(rest)
-        self.table.lookups += rest
-        if decision.action is DecisionAction.REDIRECT:
-            # Each element's wrapped store writes at most the unit's size,
-            # and so does the one wrapped store of the whole run.
-            size = ptr.referent.size
-            self.space.raw_writes += (rest + 1) * min(width, size) - min(len(data), size)
 
     def read_int(self, ptr: FatPointer, size: int = 4, signed: bool = True) -> int:
         """Read a little-endian integer of ``size`` bytes."""
@@ -594,9 +586,7 @@ class MemoryAccessor:
         # PERFORM_RAW falls through to the raw access.
         return self.space.read(ptr.address, count)
 
-    def _invalid_write_run(
-        self, ptr: FatPointer, data: bytes, stride: int = 1
-    ) -> AccessDecision:
+    def _invalid_write_run(self, ptr: FatPointer, data: bytes, stride: int = 1) -> None:
         """One policy decision for a contiguous run of invalid element
         writes (``stride`` bytes each; per-byte runs by default)."""
         policy = self.policy
@@ -607,11 +597,17 @@ class MemoryAccessor:
         if decision.action is DecisionAction.RAISE:
             raise decision.exception
         if decision.action is DecisionAction.REDIRECT:
-            self._write_redirected(ptr.referent, decision.redirect_offset, data)
+            unit = ptr.referent
+            self._write_redirected(unit, decision.redirect_offset, data)
+            # Each element's wrapped store writes at most the unit's size,
+            # and so does the one wrapped store of the whole run.
+            size = unit.size
+            self.space.raw_writes += (
+                len(data) // stride * min(stride, size) - min(len(data), size)
+            )
         elif decision.action is DecisionAction.PERFORM_RAW:
             # The unchecked behaviour, performed deliberately.
             self.space.write(ptr.address, data)
-        return decision
 
     def read_span(self, ptr: FatPointer, length: int) -> "bytes | memoryview":
         """Bulk read: one policy decision per safe span *and* per invalid run.

@@ -102,8 +102,7 @@ class Discard:
     stored: bool = False
     #: Number of element discard decisions batched into this record (1 for a
     #: block access, ``length`` for a batched per-byte run, the element
-    #: count for a run of wider elements; a boundless stored record counts
-    #: the elements that stored a new offset).
+    #: count for a run of wider elements).
     count: int = 1
 
 
