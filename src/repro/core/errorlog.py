@@ -4,15 +4,15 @@
     augment the generated code to produce a log containing information about
     the program's attempts to commit memory errors."
 
-Since the telemetry refactor this class is a *compatibility façade* over the
-unified event stream: :meth:`MemoryErrorLog.record` publishes an
-:class:`~repro.telemetry.events.InvalidAccess` event on the log's
-:class:`~repro.telemetry.bus.EventBus`, and every query reads back from the
-bounded :class:`~repro.telemetry.sinks.CoalescingRingSink` and aggregate
-:class:`~repro.telemetry.sinks.CounterSink` the façade keeps attached to that
-bus.  The answers are bit-identical to the pre-refactor log (the equivalence
-is asserted by ``tests/test_telemetry.py``), but the same events now also
-reach any experiment sinks and JSONL export sessions attached to the bus.
+A :class:`MemoryErrorLog` is a policy's record of those attempts.  Recording
+publishes an :class:`~repro.telemetry.events.InvalidAccess` event on the
+log's :class:`~repro.telemetry.bus.EventBus`; the log keeps two sinks
+attached to that bus and answers every query from them: a bounded
+:class:`~repro.telemetry.sinks.CoalescingRingSink` holding the newest events
+(runs of a flood stored as one entry), and a
+:class:`~repro.telemetry.sinks.CounterSink` holding lifetime totals, which
+the policy statistics read as well.  The same events reach any experiment
+sink or JSONL export session attached to the bus.
 
 The stability experiments (§4.4.4, §4.5.4) read this log to make the same
 observations the authors made — e.g. that Sendmail commits a memory error
@@ -65,19 +65,20 @@ class MemoryErrorLog:
         """Publish one event on the bus (the ring evicts the oldest when full)."""
         self.bus.emit(InvalidAccess(error=event))
 
-    def record_run(self, event: MemoryErrorEvent, count: int, stride: int = 1) -> None:
+    def record_run(self, event: MemoryErrorEvent, count: int) -> None:
         """Publish a contiguous run of ``count`` events in one record.
 
         Equivalent to recording ``count`` copies of ``event`` whose offsets
-        step by ``stride`` (1 for a per-byte run, the element width for an
-        element-wise store) — every query answers identically — but the ring
-        stores the run directly and aggregate counters add ``count`` once,
-        which is what makes the batched out-of-bounds continuation as cheap
-        per span as a single event.
+        step by the element width ``event.length`` — every query answers
+        identically — but the ring stores the run directly and aggregate
+        counters add ``count`` once, which is what makes the batched
+        out-of-bounds continuation as cheap per span as a single event.  A
+        run of one element is the plain single record :meth:`record` makes.
         """
-        if count <= 0:
-            return
-        self.bus.emit(InvalidAccess(error=event, count=count, stride=stride))
+        if count == 1:
+            self.bus.emit(InvalidAccess(error=event))
+        elif count > 0:
+            self.bus.emit(InvalidAccess(error=event, count=count, stride=event.length))
 
     def extend(self, events: Iterable[MemoryErrorEvent]) -> None:
         """Record a batch of events."""

@@ -31,22 +31,14 @@ from repro.telemetry.events import Discard, Manufacture, Redirect
 class StandardPolicy(AccessPolicy):
     """The unchecked build: no bounds checks, raw (possibly corrupting) accesses.
 
-    The memory accessor never calls the invalid-access hooks for this policy
-    because ``performs_checks`` is False; they are implemented anyway (raw
-    pass-through) so the policy still behaves sensibly if used with a checking
-    accessor in tests.
+    ``performs_checks`` is False, so the memory accessor never asks this
+    policy about an access and it implements no hooks: every access is
+    performed raw at its computed address, and one that leaves its mapped
+    segment faults there.
     """
 
     name = "standard"
     performs_checks = False
-
-    def on_invalid_read(self, event: MemoryErrorEvent, length: int) -> AccessDecision:
-        self.record_event(event)
-        return AccessDecision.perform_raw()
-
-    def on_invalid_write(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
-        self.record_event(event)
-        return AccessDecision.perform_raw()
 
 
 class BoundsCheckPolicy(AccessPolicy):
@@ -55,33 +47,23 @@ class BoundsCheckPolicy(AccessPolicy):
     name = "bounds-check"
     performs_checks = True
 
-    def on_invalid_read(self, event: MemoryErrorEvent, length: int) -> AccessDecision:
-        self.record_event(event)
-        return AccessDecision.raise_(self._exception_for(event))
-
-    def on_invalid_write(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
-        self.record_event(event)
-        return AccessDecision.raise_(self._exception_for(event))
-
-    # A per-element loop terminates at its first element, so a batched run
-    # records exactly that one event before raising — bit-identical logs.
+    # The program terminates at a run's first element, so a run records
+    # exactly that one event before raising.
 
     def on_invalid_read_run(self, event: MemoryErrorEvent, count: int) -> AccessDecision:
-        return self.on_invalid_read(event, 1)
+        return self._terminate(event)
 
-    def on_invalid_write_run(
-        self, event: MemoryErrorEvent, data: bytes, stride: int = 1
-    ) -> AccessDecision:
-        return self.on_invalid_write(event, data[:stride])
+    def on_invalid_write_run(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
+        return self._terminate(event)
 
     def scan_invalid_read_run(self, event, count, until):
-        return self.on_invalid_read(event, 1)
+        return self._terminate(event)
 
-    @staticmethod
-    def _exception_for(event: MemoryErrorEvent) -> BaseException:
+    def _terminate(self, event: MemoryErrorEvent) -> AccessDecision:
+        self.record_event(event)
         if event.kind is ErrorKind.USE_AFTER_FREE:
-            return UseAfterFree(event)
-        return BoundsCheckViolation(event)
+            return AccessDecision.raise_(UseAfterFree(event))
+        return AccessDecision.raise_(BoundsCheckViolation(event))
 
 
 class FailureObliviousPolicy(AccessPolicy):
@@ -102,31 +84,19 @@ class FailureObliviousPolicy(AccessPolicy):
         super().__init__()
         self.sequence = sequence if sequence is not None else ManufacturedValueSequence()
 
-    def on_invalid_read(self, event: MemoryErrorEvent, length: int) -> AccessDecision:
-        self.record_event(event)
-        data = self.sequence.next_bytes(length)
-        self.emit(Manufacture(length=length, site=event.site, request_id=event.request_id))
-        return AccessDecision.supply(data)
-
-    def on_invalid_write(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
-        self.record_event(event)
-        self.emit(Discard(length=len(data), site=event.site, request_id=event.request_id))
-        return AccessDecision.discard()
-
-    # -- batched runs: one decision per contiguous out-of-bounds suffix ----------
+    # -- runs: one decision per contiguous out-of-bounds run --------------------
 
     def on_invalid_read_run(self, event: MemoryErrorEvent, count: int) -> AccessDecision:
         self.record_event_run(event, count)
-        data = self.sequence.next_bytes(count)
-        self.emit(Manufacture(length=count, count=count, site=event.site,
+        length = count * event.length
+        data = self.sequence.next_bytes(length)
+        self.emit(Manufacture(length=length, count=count, site=event.site,
                               request_id=event.request_id))
         return AccessDecision.supply(data)
 
-    def on_invalid_write_run(
-        self, event: MemoryErrorEvent, data: bytes, stride: int = 1
-    ) -> AccessDecision:
-        count = len(data) // stride
-        self.record_event_run(event, count, stride)
+    def on_invalid_write_run(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
+        count = len(data) // event.length
+        self.record_event_run(event, count)
         self.emit(Discard(length=len(data), count=count, site=event.site,
                           request_id=event.request_id))
         return AccessDecision.discard()
@@ -195,7 +165,9 @@ class BoundlessPolicy(FailureObliviousPolicy):
             return self._store.setdefault(key, {})
         return self._store.get(key)
 
-    def on_invalid_write(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
+    def _store_element(self, event: MemoryErrorEvent, data: bytes) -> None:
+        """Store one invalid element write whole, or discard it whole when
+        its new offsets do not fit."""
         self.record_event(event)
         # Overwriting an already-stored offset consumes no extra capacity and
         # must not inflate the stored-bytes statistic, so only the offsets not
@@ -213,49 +185,47 @@ class BoundlessPolicy(FailureObliviousPolicy):
             if new_bytes:
                 self.emit(Discard(length=new_bytes, site=event.site,
                                   request_id=event.request_id, stored=True))
-            return AccessDecision.discard()
+            return
         # Store full: degrade gracefully to plain failure-oblivious behaviour.
         self.emit(Discard(length=len(data), site=event.site, request_id=event.request_id))
-        return AccessDecision.discard()
 
-    def on_invalid_read(self, event: MemoryErrorEvent, length: int) -> AccessDecision:
-        self.record_event(event)
-        data, manufactured = self._lookup_bytes(event, length)
-        if manufactured:
-            self.emit(Manufacture(length=manufactured, site=event.site,
-                                  request_id=event.request_id))
-        return AccessDecision.supply(data)
-
-    def _lookup_bytes(self, event: MemoryErrorEvent, length: int) -> Tuple[bytes, int]:
-        """Stored-else-manufactured bytes for ``length`` offsets, in order."""
+    def _lookup_bytes(self, event: MemoryErrorEvent, count: int) -> Tuple[bytes, int, int]:
+        """Stored-else-manufactured bytes for a run of ``count`` elements, in
+        order, with how many bytes were manufactured and in how many
+        elements."""
+        width = event.length
+        length = count * width
         bucket = self._unit_store(event)
         if not bucket:
-            return self.sequence.next_bytes(length), length
+            return self.sequence.next_bytes(length), length, count
         out = bytearray()
-        manufactured = 0
+        manufactured = elements = 0
+        last = -1
         get = bucket.get
-        for offset in range(event.offset, event.offset + length):
-            byte = get(offset)
+        for i in range(length):
+            byte = get(event.offset + i)
             if byte is None:
                 byte = self.sequence.next_byte()
                 manufactured += 1
+                if i // width != last:
+                    last = i // width
+                    elements += 1
             out.append(byte)
-        return bytes(out), manufactured
+        return bytes(out), manufactured, elements
 
-    # -- batched runs -----------------------------------------------------------
+    # -- runs -------------------------------------------------------------------
     #
-    # The run hooks reproduce the per-element capacity semantics of the
-    # loop they batch.  A per-byte loop stores the first bytes that fit when
-    # the store is nearly full and discards the rest, and so does a batched
-    # byte run.  A strided run is the element loop itself: the block hook's
-    # all-or-nothing check on each element.
+    # The write hook keeps the capacity semantics of the element loop it
+    # batches.  Elements wider than a byte (a block write is one) are each
+    # stored whole or discarded whole.  A per-byte loop stores the first
+    # bytes that fit when the store is nearly full and discards the rest, and
+    # so does a run of one-byte elements.
 
-    def on_invalid_write_run(
-        self, event: MemoryErrorEvent, data: bytes, stride: int = 1
-    ) -> AccessDecision:
-        if stride > 1:
-            for i, element in enumerate(event.run(stride, 0, len(data) // stride)):
-                self.on_invalid_write(element, data[i * stride:(i + 1) * stride])
+    def on_invalid_write_run(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
+        width = event.length
+        if width > 1:
+            for i, element in enumerate(event.run(width, 0, len(data) // width)):
+                self._store_element(element, data[i * width:(i + 1) * width])
             return AccessDecision.discard()
         count = len(data)
         self.record_event_run(event, count)
@@ -274,7 +244,7 @@ class BoundlessPolicy(FailureObliviousPolicy):
         elif self._stored_total >= self.max_stored_bytes:
             # Store already full: overwrites still land (they consume no
             # capacity), every new offset is discarded, and no bucket is
-            # made for a unit that has none (the scalar hook makes none).
+            # made for a unit that has none.
             bucket = self._unit_store(event)
             if bucket:
                 hits = bucket.keys() & frozenset(offsets)
@@ -308,9 +278,9 @@ class BoundlessPolicy(FailureObliviousPolicy):
 
     def on_invalid_read_run(self, event: MemoryErrorEvent, count: int) -> AccessDecision:
         self.record_event_run(event, count)
-        data, manufactured = self._lookup_bytes(event, count)
+        data, manufactured, elements = self._lookup_bytes(event, count)
         if manufactured:
-            self.emit(Manufacture(length=manufactured, count=manufactured,
+            self.emit(Manufacture(length=manufactured, count=elements,
                                   site=event.site, request_id=event.request_id))
         return AccessDecision.supply(data)
 
@@ -376,51 +346,36 @@ class RedirectPolicy(FailureObliviousPolicy):
         """True when the access can wrap: its unit is alive and non-empty."""
         return event.kind is not ErrorKind.USE_AFTER_FREE and event.unit_size > 0
 
-    def _redirect(self, event: MemoryErrorEvent, length: int, count: int = 1) -> AccessDecision:
-        """Publish the wrap of ``count`` accesses covering ``length`` bytes
-        (one scalar access, or a run of ``count`` elements)."""
+    def _redirect(self, event: MemoryErrorEvent, count: int) -> AccessDecision:
+        """Publish the wrap of a run of ``count`` elements."""
         target = event.offset % event.unit_size
         self.emit(Redirect(offset=event.offset, redirect_offset=target,
-                           length=length, access=event.access.value, count=count,
-                           site=event.site, request_id=event.request_id))
+                           length=count * event.length, access=event.access.value,
+                           count=count, site=event.site, request_id=event.request_id))
         return AccessDecision.redirect(target)
 
-    def on_invalid_read(self, event: MemoryErrorEvent, length: int) -> AccessDecision:
-        if not self._wraps(event):
-            return super().on_invalid_read(event, length)
-        self.record_event(event)
-        return self._redirect(event, length)
-
-    def on_invalid_write(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
-        if not self._wraps(event):
-            return super().on_invalid_write(event, data)
-        self.record_event(event)
-        return self._redirect(event, len(data))
-
-    # -- batched runs -----------------------------------------------------------
+    # -- runs -------------------------------------------------------------------
     #
-    # A contiguous run of per-byte accesses at offsets o, o+1, ... lands at
+    # A contiguous run of accesses at offsets o, o+1, ... lands at
     # (o + i) % size — i.e. exactly a wrapped contiguous range starting at
     # o % size, which the accessor's redirected bulk read/write reproduces.
-    # A run of stride-byte elements lands its bytes at the same places, so
-    # it is the same wrapped range.  One Redirect record carries the run
-    # (count element accesses); the redirected_accesses statistic counts
-    # each of them, like the loop did.
+    # A run of wider elements lands its bytes at the same places, so it is
+    # the same wrapped range.  One Redirect record carries the run (count
+    # element accesses); the redirected_accesses statistic counts each of
+    # them.
 
     def on_invalid_read_run(self, event: MemoryErrorEvent, count: int) -> AccessDecision:
         if not self._wraps(event):
             return super().on_invalid_read_run(event, count)
         self.record_event_run(event, count)
-        return self._redirect(event, count, count)
+        return self._redirect(event, count)
 
-    def on_invalid_write_run(
-        self, event: MemoryErrorEvent, data: bytes, stride: int = 1
-    ) -> AccessDecision:
+    def on_invalid_write_run(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
         if not self._wraps(event):
-            return super().on_invalid_write_run(event, data, stride)
-        count = len(data) // stride
-        self.record_event_run(event, count, stride)
-        return self._redirect(event, len(data), count)
+            return super().on_invalid_write_run(event, data)
+        count = len(data) // event.length
+        self.record_event_run(event, count)
+        return self._redirect(event, count)
 
     # -- batched terminator scans: the preview/commit protocol -------------------
     #
@@ -431,7 +386,7 @@ class RedirectPolicy(FailureObliviousPolicy):
     # reads — stopping exactly where the per-byte loop would — and commits the
     # consumed length back here, where the deferred per-byte recording
     # happens.  Dead and empty units manufacture their scan bytes, the same
-    # inherited continuation the scalar hook takes.
+    # inherited continuation the read run takes.
 
     def scan_invalid_read_run(self, event, count, until):
         if not self._wraps(event):
@@ -442,7 +397,7 @@ class RedirectPolicy(FailureObliviousPolicy):
         if consumed <= 0:
             return
         self.record_event_run(event, consumed)
-        self._redirect(event, consumed, consumed)
+        self._redirect(event, consumed)
 
 
 #: Registry of policy names used by the harness's command-line style configuration.

@@ -6,10 +6,13 @@ simulated memory substrate (:mod:`repro.memory`) routes every access through a
 :class:`~repro.memory.accessor.MemoryAccessor`, which consults its policy:
 
 * if the policy does not perform checks (the *Standard* build), the raw access
-  is performed at the computed address, corruption and all;
-* if it does perform checks and the access is invalid, the policy returns an
-  :class:`AccessDecision` saying whether to raise, discard, supply manufactured
-  bytes, or redirect the access to a different location.
+  is performed at the computed address, corruption and all, and the policy is
+  never asked;
+* if it does perform checks and the access is invalid, the accessor hands the
+  policy the invalid part as a *run* of element accesses (a block access is a
+  run of one element), and the policy returns an :class:`AccessDecision`
+  saying whether to raise, discard, supply manufactured bytes, or redirect
+  the access to a different location.
 
 The concrete policies live in :mod:`repro.core.policies`.
 """
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from abc import ABC, abstractmethod
 from typing import Optional, Tuple
 
 from repro.core.errorlog import MemoryErrorLog
@@ -35,11 +37,8 @@ class DecisionAction(enum.Enum):
     DISCARD = "discard"
     #: Invalid read: return the attached manufactured bytes (failure-oblivious reads).
     SUPPLY = "supply"
-    #: Perform the access at a substitute in-bounds offset (redirect variant,
-    #: and boundless reads/writes backed by the policy's side store).
+    #: Perform the access at a substitute in-bounds offset (redirect variant).
     REDIRECT = "redirect"
-    #: Perform the raw access at the originally computed address (unchecked).
-    PERFORM_RAW = "perform-raw"
 
 
 @frozen_record
@@ -49,8 +48,7 @@ class AccessDecision:
     Exactly one of the optional payload fields is meaningful, selected by
     ``action``:  ``exception`` for RAISE, ``data`` for SUPPLY, and
     ``redirect_offset`` for REDIRECT.  Decisions are immutable, so the
-    payload-free ones (:meth:`discard`, :meth:`perform_raw`) are shared
-    constants.
+    payload-free one (:meth:`discard`) is a shared constant.
     """
 
     action: DecisionAction
@@ -78,14 +76,9 @@ class AccessDecision:
         """Decision that performs the access at in-unit ``offset`` instead."""
         return cls(action=DecisionAction.REDIRECT, redirect_offset=offset)
 
-    @staticmethod
-    def perform_raw() -> "AccessDecision":
-        """Decision that performs the unchecked access as-is."""
-        return _PERFORM_RAW
 
 
 _DISCARD = AccessDecision(DecisionAction.DISCARD)
-_PERFORM_RAW = AccessDecision(DecisionAction.PERFORM_RAW)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,14 +108,13 @@ class PolicyStatistics:
         return dataclasses.asdict(self)
 
 
-class AccessPolicy(ABC):
+class AccessPolicy:
     """Interface implemented by every build variant.
 
-    Subclasses implement the scalar hooks (:meth:`on_invalid_read`,
-    :meth:`on_invalid_write`) for block accesses and the batched run hooks
-    (:meth:`on_invalid_read_run`, :meth:`on_invalid_write_run`,
-    :meth:`scan_invalid_read_run`) for span accesses; the accessor only calls
-    them when :attr:`performs_checks` is True and a check failed.
+    Checking builds implement the run hooks (:meth:`on_invalid_read_run`,
+    :meth:`on_invalid_write_run`, :meth:`scan_invalid_read_run`); the
+    accessor calls them only when :attr:`performs_checks` is True and a
+    check failed.  The Standard build implements none of them.
     """
 
     #: Short machine-readable name used by the harness and reports.
@@ -138,38 +130,27 @@ class AccessPolicy(ABC):
         # Scope exported telemetry records with the build name.
         self.bus.scope["policy"] = self.name
 
-    # -- hooks ---------------------------------------------------------------
-
-    @abstractmethod
-    def on_invalid_read(self, event: MemoryErrorEvent, length: int) -> AccessDecision:
-        """Decide what to do about an invalid read of ``length`` bytes."""
-
-    @abstractmethod
-    def on_invalid_write(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
-        """Decide what to do about an invalid write of ``data``."""
-
-    # -- batched run hooks -----------------------------------------------------
+    # -- run hooks -------------------------------------------------------------
     #
-    # A *run* is a contiguous sequence of invalid element accesses — the
-    # out-of-bounds suffix of a span operation (one-byte elements) or of an
-    # element-wise store (``MemoryAccessor.write_each``, ``stride``-byte
-    # elements).  The run hooks receive the first element's event (length
-    # ``stride``) plus the run size and must behave exactly like one call of
-    # the scalar hook per element, on events whose offsets step by
-    # ``stride``: same statistics, same error-log contents (recorded as one
-    # run via record_event_run), same manufactured-sequence consumption, and
-    # one decision covering the whole run.  Every checking policy implements
-    # them: they are the only protocol between the span helpers and a policy.
+    # A *run* is a contiguous sequence of invalid element accesses, all
+    # classified alike: the out-of-bounds part of a block access (one element
+    # of ``length`` bytes), the out-of-bounds suffix of a span operation
+    # (one-byte elements), or that of an element-wise store
+    # (``MemoryAccessor.write_each``, ``width``-byte elements).  A hook
+    # receives the first element's event, whose ``length`` is the element
+    # width, plus the run size; element ``i`` is the event moved by
+    # ``i * event.length`` bytes (:meth:`MemoryErrorEvent.run`).  The hook
+    # makes one decision covering the whole run and records it as one run
+    # (:meth:`record_event_run`).  These hooks are the only protocol between
+    # the accessor and a policy.
 
     def on_invalid_read_run(self, event: MemoryErrorEvent, count: int) -> AccessDecision:
-        """Decide a contiguous run of ``count`` per-byte invalid reads at once."""
+        """Decide a contiguous run of ``count`` invalid element reads at once."""
         raise NotImplementedError(f"{type(self).__name__} lacks on_invalid_read_run")
 
-    def on_invalid_write_run(
-        self, event: MemoryErrorEvent, data: bytes, stride: int = 1
-    ) -> AccessDecision:
-        """Decide a contiguous run of ``len(data) // stride`` invalid element
-        writes of ``stride`` bytes each at once."""
+    def on_invalid_write_run(self, event: MemoryErrorEvent, data: bytes) -> AccessDecision:
+        """Decide a contiguous run of ``len(data) // event.length`` invalid
+        element writes at once."""
         raise NotImplementedError(f"{type(self).__name__} lacks on_invalid_write_run")
 
     def scan_invalid_read_run(
@@ -201,8 +182,8 @@ class AccessPolicy(ABC):
         Called only after :meth:`scan_invalid_read_run` returned a REDIRECT
         preview; ``consumed`` is how many per-byte invalid reads the scan
         performed (including the terminator hit, if any).  Implementations
-        must record exactly what ``consumed`` scalar ``on_invalid_read`` calls
-        would have recorded.
+        record exactly what a read run of ``consumed`` one-byte elements
+        records.
         """
         raise NotImplementedError(
             f"{type(self).__name__} previewed a scan run but lacks commit_scan_run"
@@ -227,14 +208,14 @@ class AccessPolicy(ABC):
         """Log an invalid access attempt."""
         self.error_log.record(event)
 
-    def record_event_run(self, event: MemoryErrorEvent, count: int, stride: int = 1) -> None:
+    def record_event_run(self, event: MemoryErrorEvent, count: int) -> None:
         """Log a contiguous run of ``count`` invalid element accesses.
 
         Equivalent to ``count`` calls of :meth:`record_event` on events whose
-        offsets step by ``stride`` bytes — every error-log query and statistic
-        answers identically — but published as a single run record.
+        offsets step by ``event.length`` bytes — every error-log query and
+        statistic answers identically — but published as a single record.
         """
-        self.error_log.record_run(event, count, stride)
+        self.error_log.record_run(event, count)
 
     @property
     def stats(self) -> PolicyStatistics:

@@ -10,7 +10,10 @@ Oblivious), remember (Boundless), or redirect (Redirect).
 
 Partial overflows behave like the byte-by-byte C code they model: the in-bounds
 prefix of a block access is performed normally and only the out-of-bounds
-suffix is subject to the policy.
+suffix is subject to the policy.  The policy sees every invalid access as a
+run of element accesses, decided in one call: a block access's suffix is a
+run of one element, and a span's or an element-wise store's out-of-bounds
+part a run of many.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class MemoryAccessor:
     :meth:`read_each` carry a loop of fixed-width element accesses (bytes, or
     Apache's 4-byte capture offsets) in one call: the count stays per
     element, the wall time is one store or load for the valid elements and
-    one strided policy run for an out-of-bounds suffix.  A modeled slowdown
+    one policy run for an out-of-bounds suffix.  A modeled slowdown
     column built from the per-request counters is ROADMAP item 1.
     """
 
@@ -159,27 +162,14 @@ class MemoryAccessor:
         return self._invalid_read(ptr, length)
 
     def _invalid_read(self, ptr: FatPointer, length: int) -> bytes:
+        """A failed block read, its check already charged: the in-bounds
+        prefix, if any, is read normally, and the rest is one element."""
         unit = ptr.referent
-        # Split off an in-bounds prefix, if any, and read it normally.
-        prefix = b""
-        oob_ptr = ptr
-        oob_len = length
         if unit.alive and 0 <= ptr.offset < unit.size:
             prefix_len = unit.size - ptr.offset
             prefix = self.space.read(ptr.address, prefix_len)
-            oob_ptr = ptr + prefix_len
-            oob_len = length - prefix_len
-        event = self._classify(oob_ptr, oob_len, AccessKind.READ)
-        decision = self.policy.on_invalid_read(event, oob_len)
-        if decision.action is DecisionAction.RAISE:
-            raise decision.exception
-        if decision.action is DecisionAction.SUPPLY:
-            return prefix + decision.data
-        if decision.action is DecisionAction.REDIRECT:
-            redirected = FatPointer(unit, decision.redirect_offset)
-            return prefix + self._read_redirected(redirected, oob_len)
-        # PERFORM_RAW / DISCARD fall through to the raw access.
-        return prefix + self.space.read(oob_ptr.address, oob_len)
+            return prefix + self._continue_read(ptr + prefix_len, 1, length - prefix_len)
+        return self._continue_read(ptr, 1, length)
 
     @staticmethod
     def _tile_rotation(rotated: bytes, length: int) -> bytes:
@@ -240,25 +230,15 @@ class MemoryAccessor:
         self._invalid_write(ptr, data)
 
     def _invalid_write(self, ptr: FatPointer, data: bytes) -> None:
+        """A failed block write, its check already charged: the in-bounds
+        prefix, if any, is written normally, and the rest is one element."""
         unit = ptr.referent
-        oob_ptr = ptr
-        oob_data = data
         if unit.alive and 0 <= ptr.offset < unit.size:
             prefix_len = unit.size - ptr.offset
             self.space.write(ptr.address, data[:prefix_len])
-            oob_ptr = ptr + prefix_len
-            oob_data = data[prefix_len:]
-        event = self._classify(oob_ptr, len(oob_data), AccessKind.WRITE)
-        decision = self.policy.on_invalid_write(event, oob_data)
-        if decision.action is DecisionAction.RAISE:
-            raise decision.exception
-        if decision.action is DecisionAction.DISCARD:
-            return
-        if decision.action is DecisionAction.REDIRECT:
-            self._write_redirected(unit, decision.redirect_offset, oob_data)
-            return
-        # PERFORM_RAW: the unchecked behaviour, performed deliberately.
-        self.space.write(oob_ptr.address, oob_data)
+            ptr = ptr + prefix_len
+            data = data[prefix_len:]
+        self._continue_write(ptr, data, len(data))
 
     def _scan_redirected(
         self, unit: DataUnit, offset: int, count: int, until: "tuple[int, ...]"
@@ -389,9 +369,8 @@ class MemoryAccessor:
         down in one raw store, leaving the decision cache and the dirty
         blocks as the loop would.  When the elements after them are all
         wholly past the unit's end (or the unit is dead), they are one
-        strided invalid run: one call of the policy's
-        ``on_invalid_write_run`` with ``stride=width``, recorded as the
-        loop's per-element events.  Any other range — one starting below the
+        invalid run of ``width``-byte elements: one call of the policy's
+        ``on_invalid_write_run``, recorded as the loop's per-element events.  Any other range — one starting below the
         unit, an element straddling its end, Standard off a segment — runs
         the loop itself, so error records, Standard's per-element fault and
         error order are the loop's.
@@ -510,10 +489,9 @@ class MemoryAccessor:
     # whole contiguous invalid run is classified once and handed to the
     # policy as a single ``on_invalid_read_run``/``on_invalid_write_run``/
     # ``scan_invalid_read_run`` call — the batched out-of-bounds continuation
-    # that removes the per-byte ceiling on attack floods, and the only
-    # protocol between the span helpers and a checking policy.  The run hooks
-    # are bit-identical to the per-byte loop for everything a program or the
-    # error log can observe (the equivalence suite diffs them against the
+    # that removes the per-byte ceiling on attack floods.  A run is
+    # bit-identical to the per-byte loop for everything a program or the
+    # error log can observe (the equivalence suite diffs it against the
     # frozen per-byte reference under every policy); only
     # ``checks_performed`` counts one check per run instead of per byte.
     # Under Standard, which checks nothing, the byte after a segment's span
@@ -567,33 +545,39 @@ class MemoryAccessor:
         return length
 
     def _invalid_read_run(self, ptr: FatPointer, count: int) -> bytes:
-        """One policy decision for a contiguous run of per-byte invalid reads."""
-        policy = self.policy
-        policy.note_check()
+        """One policy decision for a contiguous run of per-byte invalid
+        reads, charging the run's first check and lookup."""
+        self.policy.note_check()
         self.table.find(ptr.address)
-        event = self._classify(ptr, 1, AccessKind.READ)
-        decision = policy.on_invalid_read_run(event, count)
+        return self._continue_read(ptr, count, 1)
+
+    def _invalid_write_run(self, ptr: FatPointer, data: bytes, width: int = 1) -> None:
+        """One policy decision for a contiguous run of invalid element
+        writes (``width`` bytes each; per-byte runs by default), charging
+        the run's first check and lookup."""
+        self.policy.note_check()
+        self.table.find(ptr.address)
+        self._continue_write(ptr, data, width)
+
+    def _continue_read(self, ptr: FatPointer, count: int, width: int) -> bytes:
+        """The continuation of ``count`` invalid ``width``-byte element reads
+        starting at ``ptr``: classify, let the policy decide, act."""
+        event = self._classify(ptr, width, AccessKind.READ)
+        decision = self.policy.on_invalid_read_run(event, count)
         if decision.action is DecisionAction.RAISE:
             raise decision.exception
         if decision.action is DecisionAction.SUPPLY:
             return decision.data
-        if decision.action is DecisionAction.REDIRECT:
-            # Per-byte accesses at offsets o, o+1, ... land at (o + i) % size:
-            # exactly the wrapped contiguous read starting at the redirect
-            # target.
-            redirected = FatPointer(ptr.referent, decision.redirect_offset)
-            return self._read_redirected(redirected, count)
-        # PERFORM_RAW falls through to the raw access.
-        return self.space.read(ptr.address, count)
+        # REDIRECT: accesses at offsets o, o+1, ... land at (o + i) % size,
+        # exactly the wrapped contiguous read starting at the target.
+        redirected = FatPointer(ptr.referent, decision.redirect_offset)
+        return self._read_redirected(redirected, count * width)
 
-    def _invalid_write_run(self, ptr: FatPointer, data: bytes, stride: int = 1) -> None:
-        """One policy decision for a contiguous run of invalid element
-        writes (``stride`` bytes each; per-byte runs by default)."""
-        policy = self.policy
-        policy.note_check()
-        self.table.find(ptr.address)
-        event = self._classify(ptr, stride, AccessKind.WRITE)
-        decision = policy.on_invalid_write_run(event, data, stride)
+    def _continue_write(self, ptr: FatPointer, data: bytes, width: int) -> None:
+        """The continuation of invalid ``width``-byte element writes of
+        ``data`` starting at ``ptr``: classify, let the policy decide, act."""
+        event = self._classify(ptr, width, AccessKind.WRITE)
+        decision = self.policy.on_invalid_write_run(event, data)
         if decision.action is DecisionAction.RAISE:
             raise decision.exception
         if decision.action is DecisionAction.REDIRECT:
@@ -603,11 +587,8 @@ class MemoryAccessor:
             # and so does the one wrapped store of the whole run.
             size = unit.size
             self.space.raw_writes += (
-                len(data) // stride * min(stride, size) - min(len(data), size)
+                len(data) // width * min(width, size) - min(len(data), size)
             )
-        elif decision.action is DecisionAction.PERFORM_RAW:
-            # The unchecked behaviour, performed deliberately.
-            self.space.write(ptr.address, data)
 
     def read_span(self, ptr: FatPointer, length: int) -> "bytes | memoryview":
         """Bulk read: one policy decision per safe span *and* per invalid run.

@@ -14,21 +14,25 @@ ad-hoc bookkeeping in each harness layer:
 
 Run-carrying events
 -------------------
-The batched out-of-bounds continuation (PR 4) classifies a whole contiguous
-invalid run once instead of once per byte.  So that the event stream loses no
-information, the access-level events carry the run explicitly:
+The out-of-bounds continuation classifies a whole contiguous invalid run once
+instead of once per element, and a policy decides it in one call.  A run is
+``count`` element accesses of ``width`` bytes each: a block access is a run
+of one element as wide as the access, a span's out-of-bounds part a run of
+one-byte elements, and an element-wise store's (such as Apache's 4-byte
+capture offsets) a run of ``width``-byte elements.  So that the event stream
+loses no information, the access-level events carry the run explicitly:
 
 * :class:`InvalidAccess` has ``count``/``stride``: the record stands for
-  ``count`` error events whose offsets are ``error.offset + stride*i``
-  (``count == 1`` is the ordinary single event).  A batched per-byte run has
-  ``stride == 1``; a run of ``stride``-byte elements (an element-wise store
-  such as Apache's 4-byte capture offsets) has events of ``length == stride``.
-  :meth:`InvalidAccess.expand` reproduces the exact event sequence.
+  ``count`` error events whose offsets are ``error.offset + stride*i``, each
+  ``error.length == width`` bytes long.  A run of one element is the
+  ordinary single event (``count == 1``, ``stride == 1``); a longer run has
+  ``stride == width``.  :meth:`InvalidAccess.expand` reproduces the exact
+  event sequence.
 * :class:`Discard` / :class:`Manufacture` / :class:`Redirect` have ``count``:
-  how many element continuation decisions the record batches.  A block access
-  (one decision covering ``length`` bytes, the pre-PR-4 behaviour) has
-  ``count == 1``; a batched per-byte run has ``count == length``, and a run
-  of ``stride``-byte elements ``count == length // stride``.
+  how many element continuation decisions the record batches.  A block
+  access, a one-element run covering ``length`` bytes, has ``count == 1``; a
+  per-byte run has ``count == length``, and a run of wider elements
+  ``count == length // width``.
 
 Aggregate consumers (:class:`~repro.telemetry.sinks.CounterSink`, trace
 summaries) weight by these fields, which is what keeps every error-log and
@@ -101,8 +105,8 @@ class Discard:
     #: of dropping them outright.
     stored: bool = False
     #: Number of element discard decisions batched into this record (1 for a
-    #: block access, ``length`` for a batched per-byte run, the element
-    #: count for a run of wider elements).
+    #: block access, which is a one-element run; ``length`` for a per-byte
+    #: run; the element count for a run of wider elements).
     count: int = 1
 
 
@@ -113,7 +117,9 @@ class Manufacture:
     length: int
     site: str = ""
     request_id: Optional[int] = None
-    #: Number of per-byte manufacture decisions batched into this record.
+    #: Number of element manufacture decisions batched into this record (1
+    #: for a block access, which is a one-element run; ``length`` for a
+    #: per-byte run).
     count: int = 1
 
 
@@ -127,8 +133,8 @@ class Redirect:
     access: str = AccessKind.READ.value
     site: str = ""
     request_id: Optional[int] = None
-    #: Number of redirected element accesses (bytes, in a per-byte run)
-    #: batched into this record.
+    #: Number of redirected element accesses batched into this record (1 for
+    #: a block access, which is a one-element run; bytes, in a per-byte run).
     count: int = 1
 
 
