@@ -791,17 +791,19 @@ class MemoryAccessor:
         Returns one offset (or -1) per entry of ``values``, all from the same
         span scan, so callers needing e.g. both a character and the NUL (the
         ``strchr`` shape) still pay a single policy check and table lookup.
+        The raw reads charged are those of a byte loop that stops at the
+        first of the values: up to the earliest hit, or the whole span.
         """
         span = min(self.scan_span(ptr), limit)
         if span <= 0:
             return tuple(-1 for _ in values)
         self._note_span_check(ptr)
         address = ptr.address
-        # One span scan's worth of raw reads, however many values are sought.
-        return tuple(
-            self.space.find_byte(address, value, span, charge_reads=(position == 0))
-            for position, value in enumerate(values)
-        )
+        hits = tuple(self.space.find_byte(address, value, span, charge_reads=False)
+                     for value in values)
+        found = [hit for hit in hits if hit >= 0]
+        self.space.raw_reads += min(found) + 1 if found else span
+        return hits
 
     # -- unit helpers -------------------------------------------------------------------
 

@@ -247,16 +247,17 @@ def strcmp(mem: MemoryAccessor, a: FatPointer, b: FatPointer, limit: Optional[in
             # work on views directly, so nothing is materialized.
             da = mem.read_span(pa, span)
             db = mem.read_span(pb, span)
-            if da == db:
-                if 0 in da:
-                    return 0
+            if da == db and 0 not in da:
                 pa, pb = pa + span, pb + span
                 scanned += span
                 continue
-            diff = next(i for i in range(span) if da[i] != db[i])
-            if 0 in da[:diff]:  # both strings end before the first difference
+            # The byte loop stops at the first difference or the first NUL,
+            # having read both strings up to there and no further.
+            stop = next(i for i in range(span) if da[i] != db[i] or da[i] == 0)
+            mem.space.raw_reads -= 2 * (span - stop - 1)
+            if da[stop] == db[stop]:  # both strings end here
                 return 0
-            return -1 if da[diff] < db[diff] else 1
+            return -1 if da[stop] < db[stop] else 1
         # Byte step: where one string's bytes run out of its span, the
         # stop depends on the other string's byte at the same position.
         ba = mem.read_byte(pa)

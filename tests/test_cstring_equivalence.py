@@ -54,19 +54,21 @@ def _normalize_event(event):
     )
 
 
-def _observe(ctx, outcome):
+def _observe(ctx, outcome, raw_reads=False):
     """Everything a program can observe after one cstring call.
 
     ``checks_performed`` is deliberately excluded: the fast path pays one
     check per span (and, since the batched continuation, one per invalid
     run) instead of per byte, which is the documented invariant change.
+    ``raw_reads`` adds the raw-read counter, for routines that charge their
+    reads per byte as the loop does.
     """
     stats = ctx.policy.stats.as_dict()
     stats.pop("checks_performed")
     log = ctx.error_log
     sequence = getattr(ctx.policy, "sequence", None)
     counters = ctx.observed_counters
-    return {
+    observed = {
         "outcome": outcome,
         "heap": bytes(ctx.space.heap.data),
         "events": [_normalize_event(event) for event in log.events()],
@@ -100,6 +102,9 @@ def _observe(ctx, outcome):
         # returned bytes pin down identical consumption order.
         "sequence_produced": sequence.produced if sequence is not None else None,
     }
+    if raw_reads:
+        observed["raw_reads"] = ctx.space.raw_reads
+    return observed
 
 
 def _normalize(value, base_ptr):
@@ -111,7 +116,7 @@ def _normalize(value, base_ptr):
     return value
 
 
-def _run_twin(policy_name, setup, reference_op, fast_op):
+def _run_twin(policy_name, setup, reference_op, fast_op, raw_reads=False):
     """Run reference and fast implementations on twin contexts and compare.
 
     ``SCAN_LIMIT`` is shrunk for the duration: runaway scans (overlapping
@@ -139,7 +144,7 @@ def _run_twin(policy_name, setup, reference_op, fast_op):
                 # The fault address pins where the access stopped (Standard's
                 # segmentation faults carry one; checking builds' faults do not).
                 outcome = ("fault", type(fault).__name__, getattr(fault, "address", None))
-            observations.append(_observe(ctx, outcome))
+            observations.append(_observe(ctx, outcome, raw_reads))
     finally:
         cstring.SCAN_LIMIT = original_limit
     reference, fast = observations
@@ -295,7 +300,7 @@ class TestScanFamily:
             found = ref_strchr(mem, s, ch, limit)
             return None if found is None else found - s
 
-        _run_twin(policy, setup, reference, fast)
+        _run_twin(policy, setup, reference, fast, raw_reads=True)
 
     @settings(**COMMON_SETTINGS)
     @given(policy=policies, left=text, right=text, left_terminated=st.booleans(),
@@ -307,7 +312,7 @@ class TestScanFamily:
 
         _run_twin(policy, setup,
                   lambda mem, a, b: ref_strcmp(mem, a, b, limit),
-                  lambda mem, a, b: cstring.strcmp(mem, a, b, limit))
+                  lambda mem, a, b: cstring.strcmp(mem, a, b, limit), raw_reads=True)
 
     @settings(**COMMON_SETTINGS)
     @given(policy=policies, payload=text, missing_nul=st.booleans(),
