@@ -23,9 +23,9 @@ every blank line in its configuration file.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
-from repro.errors import AccessKind, ErrorKind, MemoryErrorEvent
+from repro.errors import AccessKind, MemoryErrorEvent
 from repro.telemetry.bus import EventBus
 from repro.telemetry.events import InvalidAccess
 from repro.telemetry.sinks import CoalescingRingSink, CounterSink
@@ -79,11 +79,6 @@ class MemoryErrorLog:
             self.bus.emit(InvalidAccess(error=event))
         elif count > 0:
             self.bus.emit(InvalidAccess(error=event, count=count, stride=event.length))
-
-    def extend(self, events: Iterable[MemoryErrorEvent]) -> None:
-        """Record a batch of events."""
-        for event in events:
-            self.record(event)
 
     def clear(self) -> None:
         """Discard all recorded events and reset counters."""
@@ -151,10 +146,6 @@ class MemoryErrorLog:
         """Return how many invalid writes were recorded."""
         return self.counters.invalid_by_access.get(AccessKind.WRITE, 0)
 
-    def events_for_request(self, request_id: int) -> List[MemoryErrorEvent]:
-        """Return retained events tagged with the given request id."""
-        return [e for e in self._ring.events() if e.request_id == request_id]
-
     def most_common_sites(self, n: int = 5) -> List[tuple]:
         """Return the ``n`` sites with the most recorded errors."""
         return self.counters.invalid_by_site.most_common(n)
@@ -172,18 +163,3 @@ class MemoryErrorLog:
         for site, count in self.counters.invalid_by_site.most_common(5):
             lines.append(f"  site {site or '<unknown>'}: {count}")
         return "\n".join(lines)
-
-    def find(
-        self,
-        kind: Optional[ErrorKind] = None,
-        site_substring: Optional[str] = None,
-    ) -> List[MemoryErrorEvent]:
-        """Return retained events matching the given filters."""
-        result = []
-        for event in self._ring.events():
-            if kind is not None and event.kind is not kind:
-                continue
-            if site_substring is not None and site_substring not in event.site:
-                continue
-            result.append(event)
-        return result

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.policy import AccessDecision, AccessPolicy, DecisionAction
+from repro.core.policy import AccessPolicy, DecisionAction
 from repro.errors import (
     AccessKind,
     ErrorKind,
@@ -806,10 +806,6 @@ class MemoryAccessor:
         return hits
 
     # -- unit helpers -------------------------------------------------------------------
-
-    def read_unit(self, unit: DataUnit) -> bytes:
-        """Read an entire data unit (always in bounds)."""
-        return self.read(FatPointer(unit), unit.size)
 
     def zero_unit(self, unit: DataUnit) -> None:
         """Zero an entire data unit (always in bounds)."""

@@ -34,11 +34,6 @@ class TestRecording:
         assert len(log) == 2
         assert log.dropped == 3
 
-    def test_extend(self):
-        log = MemoryErrorLog()
-        log.extend([make_event(), make_event()])
-        assert len(log) == 2
-
     def test_clear(self):
         log = MemoryErrorLog()
         log.record(make_event())
@@ -80,25 +75,12 @@ class TestQueries:
         assert log.count_reads() == 1
         assert log.count_writes() == 2
 
-    def test_events_for_request(self):
-        log = MemoryErrorLog()
-        log.record(make_event(request_id=5))
-        log.record(make_event(request_id=6))
-        assert len(log.events_for_request(5)) == 1
-
     def test_most_common_sites(self):
         log = MemoryErrorLog()
         for _ in range(3):
             log.record(make_event(site="hot"))
         log.record(make_event(site="cold"))
         assert log.most_common_sites(1)[0][0] == "hot"
-
-    def test_find_by_kind_and_site(self):
-        log = MemoryErrorLog()
-        log.record(make_event(site="pine.quote", kind=ErrorKind.OUT_OF_BOUNDS))
-        log.record(make_event(site="mutt.utf7", kind=ErrorKind.OUT_OF_BOUNDS))
-        found = log.find(kind=ErrorKind.OUT_OF_BOUNDS, site_substring="pine")
-        assert len(found) == 1
 
     def test_summary_mentions_totals(self):
         log = MemoryErrorLog()
