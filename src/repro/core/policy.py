@@ -77,7 +77,6 @@ class AccessDecision:
         return cls(action=DecisionAction.REDIRECT, redirect_offset=offset)
 
 
-
 _DISCARD = AccessDecision(DecisionAction.DISCARD)
 
 

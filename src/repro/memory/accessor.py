@@ -370,10 +370,11 @@ class MemoryAccessor:
         blocks as the loop would.  When the elements after them are all
         wholly past the unit's end (or the unit is dead), they are one
         invalid run of ``width``-byte elements: one call of the policy's
-        ``on_invalid_write_run``, recorded as the loop's per-element events.  Any other range — one starting below the
-        unit, an element straddling its end, Standard off a segment — runs
-        the loop itself, so error records, Standard's per-element fault and
-        error order are the loop's.
+        ``on_invalid_write_run``, recorded as the loop's per-element events.
+        Any other range — one starting below the unit, an element straddling
+        its end, Standard off a segment — runs the loop itself, so error
+        records, Standard's per-element fault and error order are the
+        loop's.
         """
         length = len(data)
         if not length:
