@@ -217,6 +217,19 @@ class AddressSpace:
         self._clean_epoch = None
         return segment
 
+    def unmap_all(self) -> None:
+        """Drop every segment: the space's share of a process exit.
+
+        Once nothing else holds a dropped segment its backing buffer is
+        freed, so a process created afterwards can reuse those pages.  The
+        raw-access counters stay readable; any later access faults as
+        unmapped, and no checkpoint can be restored into the space again.
+        """
+        self._segments = {}
+        self._ordered = []
+        self._last_segment = None
+        self._clean_epoch = None
+
     def segment(self, name: str) -> Segment:
         """Return the segment with the given name."""
         return self._segments[name]

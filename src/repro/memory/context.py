@@ -190,6 +190,15 @@ class MemoryContext:
         self.mem.set_request(request_id)
         self.bus.current_request_id = request_id
 
+    def exit(self) -> None:
+        """Release the process image's memory, as the kernel does at exit.
+
+        Every segment is unmapped.  The error log, the counters and the
+        object table stay readable for post-mortem queries, but any later
+        access to the image's memory faults as unmapped.
+        """
+        self.space.unmap_all()
+
     # -- checkpoint / restore --------------------------------------------------------
 
     def checkpoint(self) -> MemoryImage:

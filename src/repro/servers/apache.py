@@ -313,6 +313,9 @@ class ChildProcessPool:
         child = self.children[slot]
         if not child.alive:
             restart_start = time.perf_counter()
+            # Reap before forking, so the replacement's segments can take
+            # the pages the dead child's segments give back.
+            child.ctx.exit()
             child = self._fork_child()
             self.children[slot] = child
             self.restart_seconds += time.perf_counter() - restart_start

@@ -1,7 +1,13 @@
 """Tests for the Apache reimplementation and child pool (paper §4.3)."""
 
+import gc
+import weakref
+
+import pytest
+
 from repro.core.policies import BoundsCheckPolicy, FailureObliviousPolicy, StandardPolicy
-from repro.errors import RequestOutcome
+from repro.errors import RequestOutcome, SegmentationFault
+from repro.memory.address_space import HEAP_BASE
 from repro.servers.apache import (
     ApacheServer,
     ChildProcessPool,
@@ -98,6 +104,36 @@ class TestAttackBehaviour:
         assert server.alive
 
 
+#: Attacks driven through the pool's reaping twins.
+REAP_ATTACKS = 6
+
+
+@pytest.fixture
+def no_cycle_collection():
+    """Run with the cycle collector off, so only reference counts free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _track(pool, seen, segments):
+    """Remember every child the pool has forked and a weak reference to
+    each of its segments."""
+    for child in pool.children:
+        if not any(child is known for known in seen):
+            seen.append(child)
+            segments.extend(weakref.ref(segment)
+                            for segment in child.ctx.space.segments())
+
+
+def _live(refs):
+    return sum(ref() is not None for ref in refs)
+
+
 class TestChildProcessPool:
     def test_pool_starts_children(self):
         pool = ChildProcessPool(FailureObliviousPolicy, pool_size=3)
@@ -152,3 +188,65 @@ class TestChildProcessPool:
         )
         pool.dispatch(apache_attack_request())
         assert pool.total_memory_errors() > 0
+
+    @pytest.mark.usefixtures("no_cycle_collection")
+    def test_dead_child_is_reaped_before_its_replacement_forks(self):
+        """Counted twin of the reap: with the cycle collector off, a dead
+        child's segments are freed before its replacement forks, so the live
+        segments stay at ``pool_size x 3`` however many children died."""
+        pool = ChildProcessPool(
+            BoundsCheckPolicy, pool_size=2, config=apache_vulnerable_config()
+        )
+        seen, segments = [], []
+        _track(pool, seen, segments)
+        dead_heaps = []
+        fork = pool._fork_child
+        reaped_at_fork = []
+
+        def fork_after_reap():
+            reaped_at_fork.append(dead_heaps[-1]() is None)
+            return fork()
+
+        pool._fork_child = fork_after_reap
+        benign = Request(kind="get", payload={"url": "/index.html"})
+        try:
+            for attack in range(REAP_ATTACKS):
+                slot = pool._next_child
+                victim = pool.children[slot]
+                dead_heaps.append(weakref.ref(victim.ctx.space.heap))
+                assert pool.dispatch(apache_attack_request()).fatal
+                # Replacement is lazy: the other slot serves first.
+                assert pool.dispatch(benign).outcome is RequestOutcome.SERVED
+                assert dead_heaps[-1]() is not None
+                result = pool.dispatch(benign)
+                assert result.outcome is RequestOutcome.SERVED
+                assert pool.children[slot] is not victim
+                assert dead_heaps[-1]() is None
+                _track(pool, seen, segments)
+                assert _live(segments) == pool.pool_size * 3
+                # The dead child's log stays readable; its memory does not.
+                assert victim.memory_error_count() >= 1
+                with pytest.raises(SegmentationFault):
+                    victim.ctx.space.read(HEAP_BASE, 1)
+            assert reaped_at_fork == [True] * REAP_ATTACKS
+            assert pool.child_deaths == REAP_ATTACKS
+            assert len(seen) == pool.pool_size + REAP_ATTACKS
+        finally:
+            pool.close()
+
+    @pytest.mark.usefixtures("no_cycle_collection")
+    def test_failure_oblivious_pool_reaps_nothing(self):
+        pool = ChildProcessPool(
+            FailureObliviousPolicy, pool_size=2, config=apache_vulnerable_config()
+        )
+        seen, segments = [], []
+        _track(pool, seen, segments)
+        try:
+            for _ in range(REAP_ATTACKS):
+                assert not pool.dispatch(apache_attack_request()).fatal
+                _track(pool, seen, segments)
+            assert seen == pool.children
+            assert _live(segments) == len(segments) == pool.pool_size * 3
+            assert all(child.ctx.space.segments() for child in seen)
+        finally:
+            pool.close()

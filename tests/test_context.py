@@ -90,3 +90,15 @@ class TestPolicyPlumbing:
         ctx = MemoryContext(FailureObliviousPolicy(), heap_size=1 << 16, stack_size=1 << 12)
         assert ctx.space.heap.size == 1 << 16
         assert ctx.space.stack.size == 1 << 12
+
+    def test_exit_unmaps_memory_and_keeps_the_log(self, fo_ctx):
+        buf = fo_ctx.malloc(4)
+        fo_ctx.mem.write(buf + 4, b"x")
+        checks = fo_ctx.policy.checks_performed
+        fo_ctx.exit()
+        assert fo_ctx.space.segments() == []
+        assert len(fo_ctx.error_log) == 1
+        assert fo_ctx.policy.checks_performed == checks
+        assert fo_ctx.table.find(buf.address) is buf.referent
+        with pytest.raises(SegmentationFault):
+            fo_ctx.mem.read(buf, 4)
