@@ -1588,7 +1588,9 @@ class ProgramInstance:
 
         ``bytes`` arguments are automatically materialized as NUL-terminated
         strings in simulated memory; integers and pointers pass straight
-        through.
+        through.  When the call returns, the argument strings the program
+        can no longer reach are freed (:meth:`_free_arguments`).  A call
+        that raises frees nothing: its heap may be corrupt.
         """
         function = self.program._functions.get(name)
         if function is None:
@@ -1599,16 +1601,43 @@ class ProgramInstance:
                 f"{name} expects {len(params)} argument(s), got {len(args)}"
             )
         frame: Dict[str, VarSlot] = {}
+        strings: List[TypedPointer] = []
         for (parameter, ctype, convert), raw in zip(params, args):
             value: Value
             if isinstance(raw, bytes):
                 value = self.alloc_string(raw, name=f"arg:{parameter}")
+                strings.append(value)
             elif isinstance(raw, FatPointer):
                 value = convert(TypedPointer(raw, 1), None)
             else:
                 value = convert(raw, None)
             frame[parameter] = VarSlot(value=value, type=ctype)
-        return function.run(self, frame)
+        first_handle = self._next_handle
+        result = function.run(self, frame)
+        if strings:
+            self._free_arguments(strings, result, first_handle)
+        return result
+
+    def _free_arguments(
+        self, strings: List[TypedPointer], result: Value, first_handle: int
+    ) -> None:
+        """Free the argument strings of a returned call that nothing reaches.
+
+        A pointer outlives a call only as its return value, in a global, or
+        stored into memory as a pointer handle; a handle minted before the
+        call cannot name a string the call allocated.  An argument any of
+        those point into stays allocated (``abook_add`` keeps its strings
+        in the list it builds), and so does one the program freed itself.
+        """
+        kept = [result, *(slot.value for slot in self.globals.values())]
+        kept.extend(self._handles[handle]
+                    for handle in range(first_handle, self._next_handle))
+        retained = {id(value.pointer.referent) for value in kept
+                    if isinstance(value, TypedPointer)}
+        for string in strings:
+            unit = string.pointer.referent
+            if unit.alive and id(unit) not in retained:
+                self.ctx.free(string.pointer)
 
 
 #: The live Program compiled for each translation unit, by ``id(unit)``.  A

@@ -289,6 +289,57 @@ class TestCallResolution:
         assert result == 0
 
 
+class TestArgumentStrings:
+    """``call`` frees the strings it made for ``bytes`` arguments when the
+    call returns, except those the program can still reach."""
+
+    SOURCE = """
+    struct node { char *name; };
+    char *kept;
+    struct node *held;
+    int peek(char *s) { return s[0]; }
+    char *tail(char *s) { return s + 1; }
+    int keep(char *s) { kept = s; return 0; }
+    int store(char *s) {
+        held = malloc(sizeof(struct node));
+        held->name = s;
+        return 0;
+    }
+    int drop(char *s) { free(s); return 0; }
+    int overrun(char *s) { return s[100]; }
+    """
+
+    @staticmethod
+    def _live_arguments(instance):
+        return [unit.name for unit in instance.ctx.heap.live_allocations()
+                if unit.name.startswith("arg:")]
+
+    def test_unreached_arguments_are_freed(self):
+        instance, result = run(self.SOURCE, "peek", b"xyz")
+        assert result == ord("x")
+        assert self._live_arguments(instance) == []
+        for _ in range(10):
+            instance.call("peek", b"xyz")
+        assert self._live_arguments(instance) == []
+
+    @pytest.mark.parametrize("function", ["tail", "keep", "store"])
+    def test_reached_arguments_stay_allocated(self, function):
+        instance, _ = run(self.SOURCE, function, b"xyz")
+        assert self._live_arguments(instance) == ["arg:s"]
+
+    def test_an_argument_the_program_freed_is_not_freed_again(self):
+        instance, result = run(self.SOURCE, "drop", b"xyz")
+        assert result == 0
+        assert self._live_arguments(instance) == []
+
+    def test_a_call_that_raises_frees_nothing(self):
+        program = compile_program(self.SOURCE)
+        instance = program.instantiate(BoundsCheckPolicy())
+        with pytest.raises(BoundsCheckViolation):
+            instance.call("overrun", b"xyz")
+        assert self._live_arguments(instance) == ["arg:s"]
+
+
 class TestLoopBudget:
     """``LOOP_LIMIT`` is read when a loop starts, not when the program is
     compiled: a budget set after compiling bounds every loop kind."""

@@ -154,9 +154,11 @@ class TestSendmailAttack:
         assert b"rejected 1" in stat.response.body
 
     def test_standard_build_corruption_is_deferred(self):
-        """Unchecked, the overflow silently corrupts neighbouring state: the
-        attack request itself returns (the length check still fires), and the
-        damage surfaces on a later request — the paper's worst case."""
+        """Unchecked, the overflow silently corrupts neighbouring heap state:
+        the faulting stores go unnoticed and the length check still fires.
+        The damage surfaces only when the allocator next checks a smashed
+        chunk header; the default attack smashes its own argument string's,
+        so the free at the call's return finds it."""
         server, _ = make_sendmail("standard")
         first = server.process(deliver(sendmail_attack_sender()))
         second = server.process(deliver(b"bob@example.org"))
@@ -167,6 +169,22 @@ class TestSendmailAttack:
                         RequestOutcome.HUNG)
             for outcome in outcomes
         )
+
+    def test_delivers_free_their_argument_strings(self):
+        """``call`` frees each ``deliver``'s sender strings, so the live heap
+        does not grow with the requests served, attacks included."""
+        server, _ = make_sendmail("failure-oblivious")
+
+        def serve(count):
+            for index in range(count):
+                sender = (sendmail_attack_sender() if index % 100 == 50
+                          else b"alice@example.org")
+                assert not server.process(deliver(sender)).fatal
+
+        serve(10)
+        live = len(server.ctx.heap.live_allocations())
+        serve(990)
+        assert len(server.ctx.heap.live_allocations()) == live
 
     def test_error_log_attributes_the_overflow(self):
         server, _ = make_sendmail("failure-oblivious")
