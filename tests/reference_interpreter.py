@@ -9,7 +9,8 @@ same errors under every policy, lowered and unlowered.
 
 The value types (``TypedPointer``, ``FunctionRef``, ``VarSlot``) and the
 runtime error class come from the live interpreter, so results and
-exceptions compare directly across the two evaluators.  The loop budget is
+exceptions compare directly across the two evaluators; so does the host
+call's release of its argument strings, which is not part of the walk.  The loop budget is
 the live module's ``LOOP_LIMIT``, read at the same points as before.  Do not
 "improve" this code: its value is being frozen history.
 """
@@ -248,7 +249,10 @@ class ReferenceInstance:
 
         ``bytes`` arguments are automatically materialized as NUL-terminated
         strings in simulated memory; integers and pointers pass straight
-        through.
+        through.  When the call returns, the argument strings are released
+        by the live interpreter's host protocol
+        (``ProgramInstance._free_arguments``), so both evaluators run the
+        same host calls around the walk they are compared on.
         """
         function = self.unit.function(name)
         if len(args) != len(function.parameters):
@@ -256,22 +260,28 @@ class ReferenceInstance:
                 f"{name} expects {len(function.parameters)} argument(s), got {len(args)}"
             )
         env: Dict[str, VarSlot] = {}
+        strings: List[TypedPointer] = []
         for parameter, raw in zip(function.parameters, args):
             value: Value
             if isinstance(raw, bytes):
                 value = self.alloc_string(raw, name=f"arg:{parameter.name}")
+                strings.append(value)
             elif isinstance(raw, FatPointer):
                 value = self._retype_pointer(TypedPointer(raw, 1), parameter.type)
             else:
                 value = self._retype_pointer(raw, parameter.type)
             env[parameter.name] = VarSlot(value=_truncate(value, parameter.type), type=parameter.type)
+        first_handle = self._next_handle
+        result: Value = 0
         try:
             self._exec_block(function.body, env)
         except _ReturnSignal as signal:
-            return signal.value
+            result = signal.value
         except _GotoSignal as signal:
             raise MiniCRuntimeError(f"goto to unknown label {signal.label!r}") from None
-        return 0
+        if strings:
+            interpreter.ProgramInstance._free_arguments(self, strings, result, first_handle)
+        return result
 
     # -- statement execution -----------------------------------------------------------
 
