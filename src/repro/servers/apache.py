@@ -260,6 +260,17 @@ class ChildProcessPool:
 
     A child serves for as long as the pool does, so its per-request history
     is bounded like a fleet instance's (:data:`DEFAULT_HISTORY_LIMIT`).
+
+    The master reaps a dead child before forking its replacement: the dead
+    child's context exits (:meth:`~repro.memory.context.MemoryContext.exit`),
+    unmapping its segments as the kernel frees a dead process's pages.  The
+    reap comes first so the replacement's fresh segments reuse the pages it
+    gives back instead of faulting in new ones.  The dead child's error log
+    and counters stay readable.  :meth:`close` and ``Server.stop()`` do not
+    reap, because their children and servers stay readable for post-mortem
+    queries of their memory.  ``restart_from_scratch()`` does not either: it
+    is the from-scratch boot the restart and soak speed-up gates divide by,
+    and a reap would let that boot reuse freed pages and move the gates.
     """
 
     def __init__(
