@@ -12,6 +12,7 @@ from repro.core.policies import (
     StandardPolicy,
 )
 from repro.errors import SegmentationFault
+from repro.telemetry.events import Discard, InvalidAccess
 from repro.memory.context import MemoryContext
 from repro.servers.base import Request, Response, Server
 from repro.servers.profile import ServerProfile, register_profile, unregister_profile
@@ -92,3 +93,52 @@ def fragile_profile():
     ))
     yield profile
     unregister_profile(profile.name)
+
+
+def normalize_error(event) -> tuple:
+    """Every field of an error event, as a comparable tuple."""
+    return (event.kind, event.access, event.unit_name, event.unit_size, event.offset,
+            event.length, event.site, event.request_id)
+
+
+def per_element(records) -> list:
+    """A record stream with every run expanded to one record per element.
+
+    An ``InvalidAccess`` run becomes its single events, and a ``Discard`` of
+    ``count`` equal elements becomes ``count`` single discards.  A run whose
+    discard follows it directly is interleaved with it, error then discard
+    per element, which is the stream the per-byte path publishes.  Every
+    other record is kept as it is, its fields made comparable.
+    """
+    out = []
+    pending = []
+    for record in records:
+        if isinstance(record, Discard) and record.count > 1 and \
+                record.length % record.count == 0:
+            singles = [("Discard", record.length // record.count, record.site,
+                        record.request_id, record.stored)] * record.count
+            if len(pending) == record.count:
+                for error, discard in zip(pending, singles):
+                    out.extend((error, discard))
+                pending = []
+                continue
+            out.extend(pending)
+            out.extend(singles)
+            pending = []
+            continue
+        out.extend(pending)
+        pending = []
+        if isinstance(record, InvalidAccess):
+            errors = [("InvalidAccess", normalize_error(error)) for error in record.expand()]
+            if record.count > 1:
+                pending = errors
+            else:
+                out.extend(errors)
+        elif isinstance(record, Discard):
+            out.append(("Discard", record.length, record.site, record.request_id,
+                        record.stored))
+        else:
+            out.append((type(record).__name__, tuple(
+                (name, getattr(record, name)) for name in record.__slots__)))
+    out.extend(pending)
+    return out
