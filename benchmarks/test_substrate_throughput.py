@@ -252,8 +252,14 @@ def _measure_flood(policy_name):
     """Measure the out-of-bounds flood under one continuation policy.
 
     The shipped path batches the invalid suffix into one policy decision per
-    source span; the reference is the frozen per-byte loop (one decision, one
-    error-log record, and one continuation event per byte).
+    source span; the reference is the frozen per-byte loop, one accessor
+    ``write_byte`` call per byte.  Under Bounds Check, Boundless and Redirect
+    each of those calls is one decision, one error-log record and one
+    continuation event.  Under failure-oblivious the accessor coalesces the
+    loop's invalid stores into one open run, so the reference pays per byte
+    only the call, the check and the lookup, plus one decision per flood:
+    its ratio no longer measures the per-byte continuation the batching
+    removed.
     """
     policy_cls = POLICY_NAMES[policy_name]
 

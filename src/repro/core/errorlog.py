@@ -14,6 +14,12 @@ attached to that bus and answers every query from them: a bounded
 the policy statistics read as well.  The same events reach any experiment
 sink or JSONL export session attached to the bus.
 
+Under failure-oblivious, a streak of discarded out-of-bounds byte stores is
+held as one open run until something could observe it (see
+:class:`~repro.memory.accessor.MemoryAccessor`).  Every query below, the
+``counters`` read, and ``checkpoint``/``restore``/``clear`` flush that run
+first, so the log answers as if each byte had been recorded as it happened.
+
 The stability experiments (§4.4.4, §4.5.4) read this log to make the same
 observations the authors made — e.g. that Sendmail commits a memory error
 every time its daemon wakes up, and that Midnight Commander commits one for
@@ -26,7 +32,7 @@ from collections import Counter
 from typing import Iterator, List, Optional
 
 from repro.errors import AccessKind, MemoryErrorEvent
-from repro.telemetry.bus import EventBus
+from repro.telemetry.bus import EventBus, flush_open_run
 from repro.telemetry.events import InvalidAccess
 from repro.telemetry.sinks import CoalescingRingSink, CounterSink
 
@@ -55,11 +61,16 @@ class MemoryErrorLog:
         self.capacity = capacity
         self.bus = bus if bus is not None else EventBus()
         self._ring = CoalescingRingSink(capacity)
-        #: Aggregate tallies of everything published on the bus: the
-        #: queries below and the policy statistics read them.
-        self.counters = CounterSink()
+        self._counters = CounterSink()
         self.bus.attach(self._ring)
-        self.bus.attach(self.counters)
+        self.bus.attach(self._counters)
+
+    @property
+    def counters(self) -> CounterSink:
+        """Aggregate tallies of everything published on the bus: the queries
+        below and the policy statistics read them."""
+        flush_open_run()
+        return self._counters
 
     def record(self, event: MemoryErrorEvent) -> None:
         """Publish one event on the bus (the ring evicts the oldest when full)."""
@@ -82,12 +93,14 @@ class MemoryErrorLog:
 
     def clear(self) -> None:
         """Discard all recorded events and reset counters."""
+        flush_open_run()
         self._ring.clear()
-        self.counters.clear()
+        self._counters.clear()
 
     def checkpoint(self) -> tuple:
         """Snapshot the ring and the aggregate counters (pure data)."""
-        return (self._ring.checkpoint(), self.counters.checkpoint())
+        flush_open_run()
+        return (self._ring.checkpoint(), self._counters.checkpoint())
 
     def restore(self, cp: tuple) -> None:
         """Reset ring and counters to a snapshot taken by :meth:`checkpoint`.
@@ -96,17 +109,19 @@ class MemoryErrorLog:
         than the façade's own pair are untouched (external observers are the
         server's concern — it replays the boot event stream to them).
         """
+        flush_open_run()
         ring_cp, counts_cp = cp
         self._ring.restore(ring_cp)
-        self.counters.restore(counts_cp)
+        self._counters.restore(counts_cp)
 
     # -- queries ----------------------------------------------------------------
 
     def __len__(self) -> int:
+        flush_open_run()
         return len(self._ring)
 
     def __iter__(self) -> Iterator[MemoryErrorEvent]:
-        return iter(self._ring.events())
+        return iter(self.events())
 
     @property
     def total_recorded(self) -> int:
@@ -116,10 +131,12 @@ class MemoryErrorLog:
     @property
     def dropped(self) -> int:
         """Number of events evicted because the log was full."""
+        flush_open_run()
         return self._ring.dropped
 
     def events(self) -> List[MemoryErrorEvent]:
         """Return a copy of the retained events, oldest first."""
+        flush_open_run()
         return self._ring.events()
 
     def tail(self, n: int) -> List[MemoryErrorEvent]:
@@ -128,6 +145,7 @@ class MemoryErrorLog:
         Equivalent to ``events()[-n:]`` without expanding the whole ring;
         the per-request attribution in ``Server._execute`` leans on this.
         """
+        flush_open_run()
         return self._ring.tail(n)
 
     def count_by_site(self) -> Counter:

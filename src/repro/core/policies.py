@@ -79,6 +79,7 @@ class FailureObliviousPolicy(AccessPolicy):
 
     name = "failure-oblivious"
     performs_checks = True
+    discards_invalid_writes = True
 
     def __init__(self, sequence: Optional[ManufacturedValueSequence] = None) -> None:
         super().__init__()
@@ -145,6 +146,8 @@ class BoundlessPolicy(FailureObliviousPolicy):
     """
 
     name = "boundless"
+    # Stores its invalid writes, so it keeps the per-byte path.
+    discards_invalid_writes = False
 
     def __init__(
         self,
@@ -340,6 +343,8 @@ class RedirectPolicy(FailureObliviousPolicy):
     """
 
     name = "redirect"
+    # Writes memory on an invalid write, so it keeps the per-byte path.
+    discards_invalid_writes = False
 
     @staticmethod
     def _wraps(event: MemoryErrorEvent) -> bool:

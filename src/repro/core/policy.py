@@ -121,6 +121,12 @@ class AccessPolicy:
     #: Whether the accessor should run bounds checks at all.  The Standard
     #: build sets this to False, which is also why it is the fastest build.
     performs_checks: bool = True
+    #: Whether every invalid write's continuation is a pure discard: nothing
+    #: is written or stored, and the records are all that happens.  Only then
+    #: may the accessor coalesce a streak of invalid byte stores into one run
+    #: (:class:`~repro.memory.accessor.MemoryAccessor`), since the program
+    #: cannot observe the order among bytes it never sees again.
+    discards_invalid_writes: bool = False
 
     def __init__(self) -> None:
         self.error_log = MemoryErrorLog()

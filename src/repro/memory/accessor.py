@@ -31,6 +31,7 @@ from repro.memory.address_space import AddressSpace
 from repro.memory.data_unit import DataUnit
 from repro.memory.object_table import ObjectTable
 from repro.memory.pointer import FatPointer
+from repro.telemetry import bus as telemetry_bus
 
 
 class MemoryAccessor:
@@ -56,6 +57,27 @@ class MemoryAccessor:
     element, the wall time is one store or load for the valid elements and
     one policy run for an out-of-bounds suffix.  A modeled slowdown
     column built from the per-request counters is ROADMAP item 1.
+
+    Under a policy whose invalid write is a pure discard
+    (``discards_invalid_writes``: failure-oblivious only), an invalid
+    :meth:`write_byte` does not call the policy at once.  It opens a run, or
+    extends the open one when it continues it: the byte right after the
+    run's end, in the same unit, equally alive, with the same site and
+    request.  The run holds the event classified at its first byte and the
+    bytes so far, and is *flushed* as one ``on_invalid_write_run(event,
+    data)`` call, the record shape of a :meth:`write_span` run.  The check,
+    lookup and raw counters are still charged per byte as each store
+    happens.  The program cannot observe the order among bytes it discarded,
+    so only observers of the records could tell, and the run is flushed
+    before any of them looks: every bus emit, attach, detach and ``sinks``
+    read (and so every other invalid access, whose policy hook records
+    through the bus), every error-log query, ``counters`` read, checkpoint,
+    restore and clear, and the opening of another run.  The process has one
+    open run (``repro.telemetry.bus.open_run``), so records reach every bus
+    and any export session in the order the per-byte path gives.  Valid
+    accesses do not flush: ``crackaddr`` reads its source between every two
+    stores.  The other checking policies write memory, store the bytes or
+    raise on the first one, so they keep one policy call per invalid byte.
     """
 
     def __init__(
@@ -354,7 +376,31 @@ class MemoryAccessor:
                     self._cached_unit = unit
                 self.space.write_byte(address, value)
                 return
+        if policy.discards_invalid_writes:
+            self._coalesce_write(ptr, value)
+            return
         self._invalid_write(ptr, bytes([value & 0xFF]))
+
+    def _coalesce_write(self, ptr: FatPointer, value: int) -> None:
+        """An invalid byte store under a discarding policy, its check
+        already charged: extend the open run, or open one (see the class
+        docstring)."""
+        unit = ptr.referent
+        run = telemetry_bus.open_run
+        if (
+            run is not None
+            and run.accessor is self
+            and run.unit is unit
+            and run.end == ptr.offset
+            and run.alive == unit.alive
+            and run.event.site == self.current_site
+            and run.event.request_id == self.current_request_id
+        ):
+            run.data.append(value & 0xFF)
+            run.end += 1
+            return
+        event = self._classify(ptr, 1, AccessKind.WRITE)
+        telemetry_bus.hold_run(_OpenRun(self, unit, event, value))
 
     def write_each(self, ptr: FatPointer, data: bytes, width: int = 1) -> None:
         """Store ``data`` as ``width``-byte elements, one at a time: exactly
@@ -811,3 +857,24 @@ class MemoryAccessor:
     def zero_unit(self, unit: DataUnit) -> None:
         """Zero an entire data unit (always in bounds)."""
         self.write(FatPointer(unit), b"\x00" * unit.size)
+
+
+class _OpenRun:
+    """Invalid byte stores an accessor has discarded but not yet handed to
+    its policy (see :class:`MemoryAccessor`)."""
+
+    __slots__ = ("accessor", "unit", "alive", "end", "event", "data")
+
+    def __init__(self, accessor: MemoryAccessor, unit: DataUnit,
+                 event: MemoryErrorEvent, value: int) -> None:
+        self.accessor = accessor
+        self.unit = unit
+        self.alive = unit.alive
+        #: The offset the next store must hit to continue the run.
+        self.end = event.offset + 1
+        self.event = event
+        self.data = bytearray((value & 0xFF,))
+
+    def flush(self) -> None:
+        """Hand the run to the policy as one run of one-byte elements."""
+        self.accessor.policy.on_invalid_write_run(self.event, bytes(self.data))

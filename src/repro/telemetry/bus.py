@@ -7,14 +7,48 @@ aggregate counters, experiments attach their own sinks, and when a
 additionally forwarded there for JSONL export — stamped with this bus's
 ``scope`` (server and policy names) so exported streams from many servers
 remain attributable after merging.
+
+The module also holds the process's one *open run*: a run of discarded
+out-of-bounds stores that the memory accessor is still extending (see
+:class:`~repro.memory.accessor.MemoryAccessor`).  Its records are not yet
+published, so every bus flushes it before anything can observe the stream:
+before each emit, attach and detach, and each read of ``sinks``.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Dict, List, Optional
 
 from repro.telemetry.session import current_session
 from repro.telemetry.sinks import Sink
+
+#: The open run of this process, or None: an object whose ``flush()``
+#: publishes its records.  One slot for the whole process, so opening a run
+#: flushes any other, and every emit on any bus flushes first: the exported
+#: order across buses is the order the stores happened in.
+open_run = None
+
+
+def hold_run(run) -> None:
+    """Make ``run`` the open run, flushing the one it replaces."""
+    global open_run
+    flush_open_run()
+    open_run = run
+
+
+def flush_open_run() -> None:
+    """Publish the open run, if any, and close it."""
+    global open_run
+    run = open_run
+    if run is not None:
+        # Closed before it publishes: its own emits must not flush it again.
+        open_run = None
+        run.flush()
+
+
+# A forked child must not publish its parent's open run a second time.
+os.register_at_fork(before=flush_open_run)
 
 
 class EventBus:
@@ -29,6 +63,12 @@ class EventBus:
     current_request_id:
         The request being processed, stamped onto events emitted by components
         that do not carry their own request attribution (the allocator).
+
+    Every method that delivers to the sinks or changes or shows which sinks
+    are attached first flushes the process's open run (module docstring), so
+    a sink sees a coalesced run exactly where the per-byte stores' records
+    would have reached it: an attached sink gets it, a sink attached later
+    does not.
     """
 
     __slots__ = ("_sinks", "scope", "current_request_id")
@@ -44,21 +84,29 @@ class EventBus:
         Identity-based: the same object is not added twice, but two distinct
         sinks that happen to compare equal (e.g. two empty counters) are.
         """
+        if open_run is not None:
+            flush_open_run()
         if not any(attached is sink for attached in self._sinks):
             self._sinks.append(sink)
         return sink
 
     def detach(self, sink: Sink) -> None:
         """Detach a sink (by identity); detaching an unattached sink is a no-op."""
+        if open_run is not None:
+            flush_open_run()
         self._sinks = [attached for attached in self._sinks if attached is not sink]
 
     @property
     def sinks(self) -> List[Sink]:
         """The attached sinks (a copy; attach/detach to modify)."""
+        if open_run is not None:
+            flush_open_run()
         return list(self._sinks)
 
     def emit(self, event: object) -> None:
         """Deliver one event to every attached sink and any active export session."""
+        if open_run is not None:
+            flush_open_run()
         for sink in self._sinks:
             sink.emit(event)
         session = current_session()

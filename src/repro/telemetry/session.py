@@ -57,15 +57,25 @@ class TelemetrySession:
 
     # -- lifecycle ---------------------------------------------------------------
 
+    # Entering and leaving flush the process's open run of coalesced stores
+    # (``repro.telemetry.bus``): its bytes were stored before the boundary,
+    # so their records belong on that side of it.
+
     def __enter__(self) -> "TelemetrySession":
         global _ACTIVE
+        from repro.telemetry.bus import flush_open_run  # bus imports this module
+
         if _ACTIVE is not None:
             raise RuntimeError("a telemetry session is already active")
+        flush_open_run()
         _ACTIVE = self
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         global _ACTIVE
+        from repro.telemetry.bus import flush_open_run
+
+        flush_open_run()
         _ACTIVE = None
         self.close()
 

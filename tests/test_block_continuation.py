@@ -8,11 +8,13 @@ scalar path of ``tests/reference_continuation.py`` and one through the
 shipped accessor, and compares everything either side can observe: the
 returned bytes or integers, the raised fault's type, address and event,
 every segment's bytes, the check, lookup and raw-access counters, the error
-log's aggregate counters, and the **unexpanded** continuation stream on the
-bus — every field of every ``InvalidAccess``, ``Discard``, ``Manufacture``
-and ``Redirect`` record, ``count``/``stride``/``stored`` included — plus the
-Boundless store, the manufactured sequence's consumption and where the
-decision cache is left.
+log's aggregate counters, and the continuation stream on the bus — every
+``InvalidAccess``, ``Discard``, ``Manufacture`` and ``Redirect`` record, in
+order, with every field — plus the Boundless store, the manufactured
+sequence's consumption and where the decision cache is left.  The stream is
+compared one record per element (:func:`tests.conftest.per_element`):
+under failure-oblivious, consecutive invalid ``write_byte`` stores are
+published as one run, which is the per-byte records in one.
 
 Ranges straddle the unit's end, start below it, lie wholly past it, hit a
 freed unit or go through a null pointer, under the four checking policies
@@ -23,8 +25,6 @@ failure-oblivious continuation).
 
 from __future__ import annotations
 
-import dataclasses
-
 from hypothesis import given, settings, strategies as st
 
 from repro.core.policies import BoundlessPolicy, RedirectPolicy
@@ -33,7 +33,7 @@ from repro.memory.context import MemoryContext
 from repro.memory.pointer import FatPointer
 from repro.telemetry.events import Discard, InvalidAccess, Manufacture, Redirect
 from repro.telemetry.sinks import ListSink
-from tests.conftest import POLICY_CLASSES
+from tests.conftest import POLICY_CLASSES, per_element
 from tests.reference_continuation import (
     ref_read,
     ref_read_byte,
@@ -70,17 +70,6 @@ def _normalize_error(event):
     )
 
 
-def _normalize_record(record):
-    """Every field of one continuation record, unit serials dropped."""
-    values = []
-    for field in dataclasses.fields(record):
-        value = getattr(record, field.name)
-        if field.name == "error":
-            value = _normalize_error(value)
-        values.append((field.name, value))
-    return (type(record).__name__, tuple(values))
-
-
 def _outcome(call):
     try:
         result = call()
@@ -104,7 +93,7 @@ def _observe(ctx, outcomes, stream):
         "raw_reads": ctx.space.raw_reads,
         "raw_writes": ctx.space.raw_writes,
         "log_counters": ctx.error_log.counters.checkpoint(),
-        "records": [_normalize_record(record) for record in stream.events],
+        "records": per_element(stream.events),
         "boundless_store": sorted(sorted(bucket.items()) for bucket in store.values()),
         "stored_total": getattr(policy, "_stored_total", None),
         "sequence_produced": sequence.produced if sequence is not None else None,
