@@ -84,28 +84,25 @@ class EventBus:
         Identity-based: the same object is not added twice, but two distinct
         sinks that happen to compare equal (e.g. two empty counters) are.
         """
-        if open_run is not None:
-            flush_open_run()
+        flush_open_run()
         if not any(attached is sink for attached in self._sinks):
             self._sinks.append(sink)
         return sink
 
     def detach(self, sink: Sink) -> None:
         """Detach a sink (by identity); detaching an unattached sink is a no-op."""
-        if open_run is not None:
-            flush_open_run()
+        flush_open_run()
         self._sinks = [attached for attached in self._sinks if attached is not sink]
 
     @property
     def sinks(self) -> List[Sink]:
         """The attached sinks (a copy; attach/detach to modify)."""
-        if open_run is not None:
-            flush_open_run()
+        flush_open_run()
         return list(self._sinks)
 
     def emit(self, event: object) -> None:
         """Deliver one event to every attached sink and any active export session."""
-        if open_run is not None:
+        if open_run is not None:  # the hot path pays one global read
             flush_open_run()
         for sink in self._sinks:
             sink.emit(event)

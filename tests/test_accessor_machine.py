@@ -15,8 +15,9 @@ its loops call the live ``write_byte``.)
 
 The rules allocate and free heap units, push and pop stack frames, run
 streaks of ``write_byte`` in and out of bounds with valid and invalid reads,
-site and request changes, probe attaches and detaches, and stores to other
-units between the bytes, call ``read_byte``, ``write_each`` and
+site and request changes, probe attaches and detaches, stores to other
+units, error-log queries, frame pops and checkpoint restores between the
+bytes, call ``read_byte``, ``write_each`` and
 ``write_span``, take and restore ``MemoryContext`` checkpoints, and ask the
 error log every query it answers, comparing the answers.  After each step
 both sides must agree on: the outcome (value, or fault type, address and
@@ -28,7 +29,7 @@ side is observed through the error log and ``EventBus.sinks``, both of which
 flush, exactly as any reader of the records would observe it.
 
 The machine runs under all five policies.  Budget: ``MACHINE_SETTINGS``
-below, 60 examples of up to 25 steps per policy, about 8 s of tier-1 on a
+below, 60 examples of up to 25 steps per policy, 5-9 s of tier-1 on a
 2-CPU host; keep the whole module under 15 s when extending it.
 """
 
@@ -166,16 +167,12 @@ class Side:
         ctx.restore(image)
         self.frames[context] = frames
         # The restore rebuilds fresh units: aim at them, keep the units that
-        # were already dead, and forget the ones made since.
+        # were already dead, and forget the ones made since (they would stay
+        # marked alive although the table no longer holds them).
         fresh = {unit.base: unit for unit in ctx.table}
-        units = []
-        for index, ptr, alive in pointers:
-            if index == context and alive:
-                ptr = FatPointer(fresh[ptr.referent.base])
-            units.append((index, ptr))
-        units.extend((index, ptr) for index, ptr in self.units if index != context
-                     and all(ptr is not old for _, old, _ in pointers))
-        self.units = units
+        self.units = [(index, ptr) for index, ptr in self.units if index != context] + [
+            (context, FatPointer(fresh[ptr.referent.base]) if alive else ptr)
+            for ptr, alive in pointers]
 
     def observe(self):
         """Everything both sides must agree on, read as a reader would:
@@ -351,7 +348,8 @@ class AccessorMachine(RuleBasedStateMachine):
     def checkpoint(self, context):
         def operation(side):
             ctx = side.contexts[context]
-            pointers = [(index, ptr, ptr.referent.alive) for index, ptr in side.units]
+            pointers = [(ptr, ptr.referent.alive) for index, ptr in side.units
+                        if index == context]
             side.saved[context] = (ctx.checkpoint(), pointers, side.frames[context])
         self.each(operation)
 
