@@ -32,8 +32,9 @@ from collections import Counter
 from typing import Iterator, List, Optional
 
 from repro.errors import AccessKind, MemoryErrorEvent
-from repro.telemetry.bus import EventBus, flush_open_run
+from repro.telemetry.bus import EventBus
 from repro.telemetry.events import InvalidAccess
+from repro.telemetry.openrun import flush_open_run
 from repro.telemetry.sinks import CoalescingRingSink, CounterSink
 
 

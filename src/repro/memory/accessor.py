@@ -31,7 +31,7 @@ from repro.memory.address_space import AddressSpace
 from repro.memory.data_unit import DataUnit
 from repro.memory.object_table import ObjectTable
 from repro.memory.pointer import FatPointer
-from repro.telemetry import bus as telemetry_bus
+from repro.telemetry import openrun
 
 
 class MemoryAccessor:
@@ -72,9 +72,11 @@ class MemoryAccessor:
     before any of them looks: every bus emit, attach, detach and ``sinks``
     read (and so every other invalid access, whose policy hook records
     through the bus), every error-log query, ``counters`` read, checkpoint,
-    restore and clear, and the opening of another run.  The process has one
-    open run (``repro.telemetry.bus.open_run``), so records reach every bus
-    and any export session in the order the per-byte path gives.  Valid
+    restore and clear, a ``ListSink.events`` read, the end of each server
+    request (inside its timed region), and the opening of another run.
+    The process has one open run (``repro.telemetry.openrun.open_run``), so
+    records reach every bus and any export session in the order the
+    per-byte path gives.  Valid
     accesses do not flush: ``crackaddr`` reads its source between every two
     stores.  The other checking policies write memory, store the bytes or
     raise on the first one, so they keep one policy call per invalid byte.
@@ -386,7 +388,7 @@ class MemoryAccessor:
         already charged: extend the open run, or open one (see the class
         docstring)."""
         unit = ptr.referent
-        run = telemetry_bus.open_run
+        run = openrun.open_run
         if (
             run is not None
             and run.accessor is self
@@ -400,7 +402,7 @@ class MemoryAccessor:
             run.end += 1
             return
         event = self._classify(ptr, 1, AccessKind.WRITE)
-        telemetry_bus.hold_run(_OpenRun(self, unit, event, value))
+        openrun.hold_run(_OpenRun(self, unit, event, value))
 
     def write_each(self, ptr: FatPointer, data: bytes, width: int = 1) -> None:
         """Store ``data`` as ``width``-byte elements, one at a time: exactly

@@ -43,6 +43,7 @@ from repro.errors import (
 )
 from repro.memory.context import MemoryContext, MemoryImage
 from repro.telemetry.events import RequestEnd, RequestStart
+from repro.telemetry.openrun import flush_open_run
 from repro.telemetry.session import current_session
 from repro.telemetry.sinks import ListSink, Sink
 
@@ -543,6 +544,10 @@ class Server(ABC):
             error = exc
             outcome = RequestOutcome.HUNG
         finally:
+            # The request's last coalesced run of out-of-bounds stores is
+            # published inside the timed region, as its per-byte records
+            # were, so its policy call counts toward the service time.
+            flush_open_run()
             elapsed = time.perf_counter() - start_time
             ctx.set_request(None)
         if outcome in (RequestOutcome.CRASHED, RequestOutcome.TERMINATED_BY_CHECK,

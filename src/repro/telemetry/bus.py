@@ -8,47 +8,19 @@ additionally forwarded there for JSONL export — stamped with this bus's
 ``scope`` (server and policy names) so exported streams from many servers
 remain attributable after merging.
 
-The module also holds the process's one *open run*: a run of discarded
-out-of-bounds stores that the memory accessor is still extending (see
-:class:`~repro.memory.accessor.MemoryAccessor`).  Its records are not yet
-published, so every bus flushes it before anything can observe the stream:
+Every bus flushes the process's open run of coalesced out-of-bounds stores
+(:mod:`repro.telemetry.openrun`) before anything can observe the stream:
 before each emit, attach and detach, and each read of ``sinks``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional
 
+from repro.telemetry import openrun
+from repro.telemetry.openrun import flush_open_run
 from repro.telemetry.session import current_session
 from repro.telemetry.sinks import Sink
-
-#: The open run of this process, or None: an object whose ``flush()``
-#: publishes its records.  One slot for the whole process, so opening a run
-#: flushes any other, and every emit on any bus flushes first: the exported
-#: order across buses is the order the stores happened in.
-open_run = None
-
-
-def hold_run(run) -> None:
-    """Make ``run`` the open run, flushing the one it replaces."""
-    global open_run
-    flush_open_run()
-    open_run = run
-
-
-def flush_open_run() -> None:
-    """Publish the open run, if any, and close it."""
-    global open_run
-    run = open_run
-    if run is not None:
-        # Closed before it publishes: its own emits must not flush it again.
-        open_run = None
-        run.flush()
-
-
-# A forked child must not publish its parent's open run a second time.
-os.register_at_fork(before=flush_open_run)
 
 
 class EventBus:
@@ -102,7 +74,7 @@ class EventBus:
 
     def emit(self, event: object) -> None:
         """Deliver one event to every attached sink and any active export session."""
-        if open_run is not None:  # the hot path pays one global read
+        if openrun.open_run is not None:  # the hot path pays one attribute read
             flush_open_run()
         for sink in self._sinks:
             sink.emit(event)

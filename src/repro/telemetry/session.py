@@ -20,6 +20,7 @@ import warnings
 from typing import Dict, IO, Iterator, List, Mapping, Optional
 
 from repro.telemetry.events import to_record
+from repro.telemetry.openrun import flush_open_run
 
 #: The active session, if any.  Process-global on purpose: forked pool workers
 #: inherit it, which is exactly what routes their events into per-worker spill
@@ -58,13 +59,11 @@ class TelemetrySession:
     # -- lifecycle ---------------------------------------------------------------
 
     # Entering and leaving flush the process's open run of coalesced stores
-    # (``repro.telemetry.bus``): its bytes were stored before the boundary,
-    # so their records belong on that side of it.
+    # (``repro.telemetry.openrun``): its bytes were stored before the
+    # boundary, so their records belong on that side of it.
 
     def __enter__(self) -> "TelemetrySession":
         global _ACTIVE
-        from repro.telemetry.bus import flush_open_run  # bus imports this module
-
         if _ACTIVE is not None:
             raise RuntimeError("a telemetry session is already active")
         flush_open_run()
@@ -73,8 +72,6 @@ class TelemetrySession:
 
     def __exit__(self, *exc_info: object) -> None:
         global _ACTIVE
-        from repro.telemetry.bus import flush_open_run
-
         flush_open_run()
         _ACTIVE = None
         self.close()

@@ -22,10 +22,21 @@ from repro.telemetry.events import (
     Redirect,
     RequestEnd,
 )
+from repro.telemetry.openrun import flush_open_run
 
 
 class Sink:
-    """Interface marker: a sink consumes events via :meth:`emit`."""
+    """Interface marker: a sink consumes events via :meth:`emit`.
+
+    A sink only sees what has been emitted.  Under failure-oblivious, a
+    streak of out-of-bounds byte stores is held as one open run
+    (:mod:`repro.telemetry.openrun`) until the next bus emit, attach,
+    detach or ``sinks`` read, or error-log query, publishes it.  A sink's
+    own state read with none of those in between can lack that run:
+    :attr:`ListSink.events` flushes it, and any other sink's reader should
+    call :func:`~repro.telemetry.openrun.flush_open_run` (or read through
+    the bus or the error log) first.
+    """
 
     def emit(self, event: object) -> None:  # pragma: no cover - interface
         raise NotImplementedError
@@ -41,15 +52,22 @@ class ListSink(Sink):
 
     def __init__(self, event_types: Optional[Tuple[type, ...]] = None) -> None:
         self.event_types = event_types
-        self.events: List[object] = []
+        self._events: List[object] = []
+
+    @property
+    def events(self) -> List[object]:
+        """The captured events, the process's open run flushed first."""
+        flush_open_run()
+        return self._events
 
     def emit(self, event: object) -> None:
         if self.event_types is None or isinstance(event, self.event_types):
-            self.events.append(event)
+            self._events.append(event)
 
     def clear(self) -> None:
-        """Drop everything captured so far."""
-        self.events.clear()
+        """Drop everything captured so far (the open run included)."""
+        flush_open_run()
+        self._events.clear()
 
 
 class CounterSink(Sink):

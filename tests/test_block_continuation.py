@@ -8,13 +8,15 @@ scalar path of ``tests/reference_continuation.py`` and one through the
 shipped accessor, and compares everything either side can observe: the
 returned bytes or integers, the raised fault's type, address and event,
 every segment's bytes, the check, lookup and raw-access counters, the error
-log's aggregate counters, and the continuation stream on the bus — every
-``InvalidAccess``, ``Discard``, ``Manufacture`` and ``Redirect`` record, in
-order, with every field — plus the Boundless store, the manufactured
-sequence's consumption and where the decision cache is left.  The stream is
-compared one record per element (:func:`tests.conftest.per_element`):
-under failure-oblivious, consecutive invalid ``write_byte`` stores are
-published as one run, which is the per-byte records in one.
+log's aggregate counters, and the **unexpanded** continuation stream on the
+bus — every field of every ``InvalidAccess``, ``Discard``, ``Manufacture``
+and ``Redirect`` record, ``count``/``stride``/``stored`` included — plus the
+Boundless store, the manufactured sequence's consumption and where the
+decision cache is left.  The one exception is a policy whose invalid write
+is a pure discard (failure-oblivious): its consecutive invalid
+``write_byte`` stores are published as one run, which is the per-byte
+records in one, so its stream is compared one record per element
+(:func:`tests.conftest.per_element`).
 
 Ranges straddle the unit's end, start below it, lie wholly past it, hit a
 freed unit or go through a null pointer, under the four checking policies
@@ -24,6 +26,8 @@ failure-oblivious continuation).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
@@ -70,6 +74,25 @@ def _normalize_error(event):
     )
 
 
+def _normalize_record(record):
+    """Every field of one continuation record, unit serials dropped."""
+    values = []
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if field.name == "error":
+            value = _normalize_error(value)
+        values.append((field.name, value))
+    return (type(record).__name__, tuple(values))
+
+
+def _records(policy, stream):
+    """The stream record by record, or per element where consecutive
+    invalid byte stores coalesce into one run."""
+    if policy.discards_invalid_writes:
+        return per_element(stream.events)
+    return [_normalize_record(record) for record in stream.events]
+
+
 def _outcome(call):
     try:
         result = call()
@@ -93,7 +116,7 @@ def _observe(ctx, outcomes, stream):
         "raw_reads": ctx.space.raw_reads,
         "raw_writes": ctx.space.raw_writes,
         "log_counters": ctx.error_log.counters.checkpoint(),
-        "records": per_element(stream.events),
+        "records": _records(policy, stream),
         "boundless_store": sorted(sorted(bucket.items()) for bucket in store.values()),
         "stored_total": getattr(policy, "_stored_total", None),
         "sequence_produced": sequence.produced if sequence is not None else None,

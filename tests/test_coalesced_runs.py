@@ -23,7 +23,8 @@ from repro.core.policies import FailureObliviousPolicy
 from repro.errors import AccessKind
 from repro.harness.engine import ENGINE
 from repro.memory.context import MemoryContext
-from repro.telemetry import bus as telemetry_bus
+from repro.servers.base import Request, Response, Server
+from repro.telemetry import openrun
 from repro.telemetry.session import TelemetrySession
 from repro.telemetry.sinks import ListSink
 from repro.telemetry.summary import iter_records
@@ -136,7 +137,56 @@ def test_fork_flushes_the_open_run_in_the_parent():
     ctx.mem.write_byte(ptr + 5, 2)
     pid = os.fork()
     if pid == 0:
-        os._exit(0 if telemetry_bus.open_run is None else 1)
+        os._exit(0 if openrun.open_run is None else 1)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
     assert [record.count for record in stream.events] == [2, 2]
+
+
+def test_list_sink_read_flushes_the_open_run():
+    """A ``ListSink`` read straight after the stores, with no emit or log
+    query in between, already holds the run; ``clear`` drops it."""
+    ctx = MemoryContext(FailureObliviousPolicy(), heap_size=4096)
+    ptr = ctx.malloc(4)
+    stream = ctx.bus.attach(ListSink())
+    ctx.mem.write_byte(ptr + 4, 1)
+    ctx.mem.write_byte(ptr + 5, 2)
+    assert [record.count for record in stream.events] == [2, 2]
+    ctx.mem.write_byte(ptr + 6, 3)
+    stream.clear()
+    assert openrun.open_run is None
+    assert stream.events == []
+
+
+class _SpillServer(Server):
+    """A server whose request ends on an out-of-bounds store streak."""
+
+    name = "spill"
+
+    def startup(self) -> None:
+        self.buf = self.ctx.malloc(4, name="spill_buf")
+
+    def handle(self, request: Request) -> Response:
+        for i in range(4, 12):
+            self.ctx.mem.write_byte(self.buf + i, i)
+        return Response.ok()
+
+
+def test_request_times_its_last_open_run():
+    """A request's trailing run is published before its elapsed time is
+    taken (and its request id cleared), so the run's policy call is part of
+    the request's service time."""
+    server = _SpillServer(FailureObliviousPolicy)
+    server.start()
+    flushed_in = []
+    policy = server.ctx.policy
+    hook = policy.on_invalid_write_run
+
+    def recording_hook(event, data):
+        flushed_in.append(server.ctx.mem.current_request_id)
+        return hook(event, data)
+
+    policy.on_invalid_write_run = recording_hook
+    result = server.process(Request(kind="spill"))
+    assert len(result.memory_errors) == 8
+    assert flushed_in == [result.memory_errors[0].request_id]
