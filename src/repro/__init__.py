@@ -16,8 +16,8 @@ The package reproduces the paper's system end to end:
 * :mod:`repro.workloads` — benign request generators and attack payloads.
 * :mod:`repro.harness` — experiment runner, timing, and report tables that
   regenerate every figure in the paper's evaluation.
-* :mod:`repro.analysis` — error-propagation-distance, availability, and
-  security outcome analyses.
+* :mod:`repro.analysis` — error-propagation-distance and security outcome
+  analyses.
 
 Quickstart
 ----------
@@ -38,7 +38,6 @@ from repro.core import (
     MemoryErrorLog,
     RedirectPolicy,
     StandardPolicy,
-    make_policy,
     POLICY_NAMES,
 )
 from repro.errors import (
@@ -61,7 +60,6 @@ __all__ = [
     "FailureObliviousPolicy",
     "BoundlessPolicy",
     "RedirectPolicy",
-    "make_policy",
     "POLICY_NAMES",
     "ManufacturedValueSequence",
     "MemoryErrorLog",

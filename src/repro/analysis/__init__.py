@@ -3,19 +3,14 @@
 * :mod:`repro.analysis.propagation` — measures data and control-flow error
   propagation distances (§1.2): how far the effects of a memory error reach
   into subsequent requests.
-* :mod:`repro.analysis.availability` — availability metrics comparing
-  continued execution with restart-based recovery (§5.6 discussion).
 * :mod:`repro.analysis.security` — classification of attack outcomes into the
   paper's security categories (exploited / crashed / denied service / survived).
 """
 
-from repro.analysis.availability import AvailabilityReport, compare_availability
 from repro.analysis.propagation import PropagationReport, measure_propagation
 from repro.analysis.security import SecurityAssessment, assess_security
 
 __all__ = [
-    "AvailabilityReport",
-    "compare_availability",
     "PropagationReport",
     "measure_propagation",
     "SecurityAssessment",

@@ -10,7 +10,7 @@ security-matrix run into those terms for each server and build.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.errors import RequestOutcome
 from repro.harness.engine import ENGINE, SecurityCell
@@ -83,22 +83,3 @@ def assess_security(
             )
         )
     return assessments
-
-
-def summarize_by_policy(assessments: Iterable[SecurityAssessment]) -> Dict[str, Dict[str, int]]:
-    """Aggregate verdict counts per build, for the EXPERIMENTS.md summary."""
-    summary: Dict[str, Dict[str, int]] = {}
-    for assessment in assessments:
-        bucket = summary.setdefault(
-            assessment.policy,
-            {"invulnerable": 0, "denial_of_service": 0, "code_execution": 0, "continued_service": 0},
-        )
-        if assessment.invulnerable:
-            bucket["invulnerable"] += 1
-        if assessment.denial_of_service:
-            bucket["denial_of_service"] += 1
-        if assessment.code_execution:
-            bucket["code_execution"] += 1
-        if assessment.continued_service:
-            bucket["continued_service"] += 1
-    return summary

@@ -27,7 +27,6 @@ from repro.core.policies import (
     FailureObliviousPolicy,
     RedirectPolicy,
     StandardPolicy,
-    make_policy,
     POLICY_NAMES,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "FailureObliviousPolicy",
     "BoundlessPolicy",
     "RedirectPolicy",
-    "make_policy",
     "POLICY_NAMES",
     "ManufacturedValueSequence",
     "MemoryErrorLog",

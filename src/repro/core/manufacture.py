@@ -18,7 +18,7 @@ particular character — the Midnight Commander ``/`` search — terminate).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from typing import Iterator, List
 
 
 class ManufacturedValueSequence:
@@ -94,20 +94,6 @@ class ManufacturedValueSequence:
         """Return ``length`` manufactured bytes."""
         return bytes(self.next_byte() for _ in range(length))
 
-    def next_int(self, size: int = 4, signed: bool = True) -> int:
-        """Return a manufactured integer of ``size`` bytes.
-
-        Each invalid scalar read consumes one sequence element (not one per
-        byte) so that consecutive reads see the 0, 1, 2, 0, 1, 3 ... pattern
-        directly, which is the property the paper relies on for loop exit.
-        """
-        value = self.next_value()
-        limit = 1 << (8 * size)
-        value %= limit
-        if signed and value >= limit // 2:
-            value -= limit
-        return value
-
     def peek(self, count: int) -> List[int]:
         """Return the next ``count`` values without consuming them."""
         saved = (self._counter, self._phase, self._produced)
@@ -134,31 +120,3 @@ class ZeroValueSequence(ManufacturedValueSequence):
     def next_value(self) -> int:  # noqa: D102 - behaviour described in class docstring
         self._produced += 1
         return 0
-
-
-class FixedValueSequence(ManufacturedValueSequence):
-    """Ablation variant: cycle through a caller-supplied list of values."""
-
-    def __init__(self, values: Sequence[int]) -> None:
-        if not values:
-            raise ValueError("values must be non-empty")
-        super().__init__(max_small=255, favor_zero_one=False)
-        self._values = list(values)
-        self._index = 0
-
-    def next_value(self) -> int:  # noqa: D102 - behaviour described in class docstring
-        self._produced += 1
-        value = self._values[self._index % len(self._values)]
-        self._index += 1
-        return value
-
-    def reset(self) -> None:  # noqa: D102
-        super().reset()
-        self._index = 0
-
-    def checkpoint(self) -> tuple:  # noqa: D102 - adds the cycling index
-        return super().checkpoint() + (self._index,)
-
-    def restore(self, cp: tuple) -> None:  # noqa: D102
-        super().restore(cp[:3])
-        self._index = cp[3]

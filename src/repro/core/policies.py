@@ -413,20 +413,3 @@ POLICY_NAMES = {
     "boundless": BoundlessPolicy,
     "redirect": RedirectPolicy,
 }
-
-
-def make_policy(name: str, **kwargs) -> AccessPolicy:
-    """Instantiate a policy by its registry name.
-
-    Raises
-    ------
-    KeyError
-        If ``name`` is not one of :data:`POLICY_NAMES`.
-    """
-    try:
-        cls = POLICY_NAMES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown policy {name!r}; expected one of {sorted(POLICY_NAMES)}"
-        ) from None
-    return cls(**kwargs)

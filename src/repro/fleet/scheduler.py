@@ -48,10 +48,8 @@ instances.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from contextlib import nullcontext
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
@@ -91,14 +89,6 @@ T = TypeVar("T")
 
 #: Outcome strings carried by RequestEnd events after which the process is gone.
 _FATAL_VALUES = frozenset(outcome.value for outcome in FATAL_OUTCOMES)
-
-#: State inherited by forked shard workers (set immediately before the pool
-#: is created, cleared after; never pickled).
-_POOL_FLEET: Optional["_FleetRun"] = None
-
-#: The most recent run's shared-image store (test hook: lets the leak test
-#: assert that the run's /dev/shm segments were actually released).
-_LAST_IMAGE_STORE: Optional[SharedImageStore] = None
 
 
 def _share_process_image(store: SharedImageStore, image: ProcessImage) -> ProcessImage:
@@ -640,11 +630,6 @@ def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
     )
 
 
-def _pool_run_fleet_shard(index: int) -> _FleetShardOutcome:
-    """Entry point inside a forked worker (the plan travels via the fork)."""
-    return _run_fleet_shard(_POOL_FLEET, index)
-
-
 # ---------------------------------------------------------------------------
 # The driver
 # ---------------------------------------------------------------------------
@@ -695,7 +680,6 @@ def run_fleet(
     and — because a fleet is the 10^6-request path — an unbounded history is
     refused unless ``allow_unbounded_history=True`` is passed explicitly.
     """
-    global _POOL_FLEET
     if recovery is None and (fault_rate > 0.0 or fault_every is not None):
         recovery = RecoveryPolicy()
     history_limit = bounded_history_limit(
@@ -734,11 +718,9 @@ def run_fleet(
         shard_timelines[shard_of[fleet_request.instance]].append(fleet_request)
 
     started = time.perf_counter()
-    from repro.harness.engine import ENGINE
+    from repro.harness.engine import ENGINE, fork_map
 
-    global _LAST_IMAGE_STORE
     store = SharedImageStore()
-    _LAST_IMAGE_STORE = store
     images: Dict[Tuple[str, str, str], ProcessImage] = {}
     boot_fatal: Dict[str, bool] = {}
     for instance in instances:
@@ -782,28 +764,8 @@ def run_fleet(
     )
 
     count = 0 if workers is None else int(workers)
-    outcomes: List[_FleetShardOutcome] = []
     try:
-        if count > 1 and len(shard_groups) > 1:
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:
-                context = None
-            if context is not None:
-                _POOL_FLEET = run
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=min(count, len(shard_groups)), mp_context=context
-                    ) as pool:
-                        outcomes = list(
-                            pool.map(_pool_run_fleet_shard, range(len(shard_groups)))
-                        )
-                finally:
-                    _POOL_FLEET = None
-        if not outcomes:
-            outcomes = [
-                _run_fleet_shard(run, index) for index in range(len(shard_groups))
-            ]
+        outcomes = fork_map(_run_fleet_shard, run, len(shard_groups), count)
     finally:
         # Release the shared template images whether the run finished or a
         # worker died mid-run: the parent created the /dev/shm segments, so

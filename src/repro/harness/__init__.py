@@ -16,7 +16,7 @@
   used in DESIGN.md and EXPERIMENTS.md (``fig2`` ... ``exp-propagation``).
 """
 
-from repro.harness.timing import TimingResult, measure_request_time, slowdown
+from repro.harness.timing import TimingResult, slowdown
 from repro.harness.engine import (
     ENGINE,
     ExperimentEngine,
@@ -28,11 +28,10 @@ from repro.harness.engine import (
 from repro.harness.report import format_figure_table, format_security_matrix
 from repro.harness.throughput import ThroughputResult, run_throughput_experiment
 from repro.harness.stability import run_stability_experiment
-from repro.harness.experiments import EXPERIMENTS, register_experiment, run_experiment
+from repro.harness.experiments import EXPERIMENTS, run_experiment
 
 __all__ = [
     "TimingResult",
-    "measure_request_time",
     "slowdown",
     "ENGINE",
     "ExperimentEngine",
@@ -46,6 +45,5 @@ __all__ = [
     "run_throughput_experiment",
     "run_stability_experiment",
     "EXPERIMENTS",
-    "register_experiment",
     "run_experiment",
 ]

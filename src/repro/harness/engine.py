@@ -22,23 +22,24 @@ throughput under attack calls
 :func:`~repro.harness.throughput.run_throughput_experiment`.
 
 New servers participate in every shape by registering a profile (zero engine
-edits); new workload shapes plug in with
-:meth:`ExperimentEngine.register_workload`.  The module-level :data:`ENGINE`
-is the default engine used by the experiment registry.
+edits).  The module-level :data:`ENGINE` is the engine the experiment
+registry runs.  :func:`fork_map` is the fork fan-out that both
+:meth:`ExperimentEngine.run_many` and the fleet scheduler's shards use.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.policies import POLICY_NAMES
 from repro.errors import RequestOutcome, RequestResult
-from repro.harness.timing import TimingResult, measure_paired, slowdown, wall_clock
+from repro.harness.timing import TimingResult, measure_paired, slowdown
 from repro.servers.base import Server
-from repro.servers.profile import PROFILES, ServerProfile, get_profile
+from repro.servers.profile import ServerProfile, get_profile, profile_names
 from repro.telemetry.events import ScenarioEnd, ScenarioStart
 from repro.telemetry.session import current_session
 
@@ -49,34 +50,63 @@ __all__ = [
     "ScenarioResult",
     "SecurityCell",
     "ENGINE",
+    "fork_map",
 ]
 
 
-# The engine running specs inside pool workers.  Workers are forked, so setting
-# this immediately before creating the pool makes the *submitting* engine —
-# including any profiles and workload shapes registered on it at runtime —
-# visible in every worker without pickling the engine itself.
-_POOL_ENGINE: Optional["ExperimentEngine"] = None
+#: The ``(task, plan)`` a :func:`fork_map` pool's workers run.  Set immediately
+#: before the pool is created and cleared after; workers inherit it across the
+#: fork, so the plan (an engine with its specs, a fleet run with its shared
+#: images) is never pickled.
+_FORK_PLAN: Optional[tuple] = None
 
 
-def _pool_run_spec(indexed_spec: "Tuple[int, ScenarioSpec]") -> Tuple[object, float]:
-    """Run one spec in a pool worker, returning (result, wall-clock seconds).
+def _fork_call(index: int) -> object:
+    """Entry point inside a forked worker: run item ``index`` of the plan."""
+    task, plan = _FORK_PLAN
+    return task(plan, index)
+
+
+def fork_map(
+    task: Callable[[object, int], object], plan: object, count: int, workers: Optional[int]
+) -> List[object]:
+    """``[task(plan, i) for i in range(count)]``, fanned over forked workers.
+
+    With ``workers`` above 1 and more than one item, the items run in a
+    forked process pool of ``min(workers, count)`` processes; otherwise — and
+    where fork is unavailable, e.g. on Windows — they run serially in-process
+    through the same ``task``, so both paths do the same work.  Results come
+    back in index order.
+    """
+    global _FORK_PLAN
+    if workers is not None and workers > 1 and count > 1:
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:
+            context = None
+        if context is not None:
+            _FORK_PLAN = (task, plan)
+            try:
+                with ProcessPoolExecutor(
+                    max_workers=min(workers, count), mp_context=context
+                ) as pool:
+                    return list(pool.map(_fork_call, range(count)))
+            finally:
+                _FORK_PLAN = None
+    return [task(plan, index) for index in range(count)]
+
+
+def _run_timed(plan: tuple, index: int) -> Tuple[object, float]:
+    """Run spec ``index`` of an ``(engine, specs)`` plan, returning (result,
+    wall-clock seconds).
 
     The spec index rides along as the scenario id so that telemetry exported
     from different workers merges back in spec order.
     """
-    engine = _POOL_ENGINE if _POOL_ENGINE is not None else ENGINE
-    index, spec = indexed_spec
-    return _pool_run_spec_serial(engine, spec, scenario_id=index)
-
-
-def _pool_run_spec_serial(
-    engine: "ExperimentEngine", spec: "ScenarioSpec", scenario_id: Optional[int] = None
-) -> Tuple[object, float]:
-    """Run one spec in-process, returning (result, wall-clock seconds)."""
-    started = wall_clock()
-    result = engine.run(spec, scenario_id=scenario_id)
-    return result, wall_clock() - started
+    engine, specs = plan
+    started = time.perf_counter()
+    result = engine.run(specs[index], scenario_id=index)
+    return result, time.perf_counter() - started
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +128,7 @@ class ScenarioSpec:
     server: str
     #: Treatment build for the run (the paper's contribution by default).
     policy: str = "failure-oblivious"
-    #: Workload shape; a key of the engine's workload registry.
+    #: Workload shape: ``"performance"`` or ``"attack"``.
     workload: str = "performance"
     #: Workload scale factor (data volumes relative to the defaults).
     scale: float = 1.0
@@ -208,9 +238,6 @@ class SecurityCell:
 # The engine
 # ---------------------------------------------------------------------------
 
-#: A workload runner: takes the engine and a spec, returns the shape's result.
-WorkloadRunner = Callable[["ExperimentEngine", ScenarioSpec], object]
-
 
 class ExperimentEngine:
     """Runs declarative :class:`ScenarioSpec`\\ s against registered profiles.
@@ -221,39 +248,15 @@ class ExperimentEngine:
     registered.
     """
 
-    def __init__(self, profiles: Optional[Mapping[str, ServerProfile]] = None) -> None:
-        #: None means "the live global registry", so profiles registered after
-        #: engine construction are still visible.
-        self._profiles = profiles
-        self._workloads: Dict[str, WorkloadRunner] = {
-            "performance": ExperimentEngine._run_performance,
-            "attack": ExperimentEngine._run_attack,
-        }
-
     # -- registry access -----------------------------------------------------------
 
     def profile(self, server_name: str) -> ServerProfile:
         """Look up a profile by name (KeyError with the known names otherwise)."""
-        if self._profiles is None:
-            return get_profile(server_name)
-        try:
-            return self._profiles[server_name]
-        except KeyError:
-            raise KeyError(
-                f"unknown server {server_name!r}; expected one of {sorted(self._profiles)}"
-            ) from None
+        return get_profile(server_name)
 
     def profile_names(self) -> List[str]:
         """Sorted names of the profiles this engine can run."""
-        return sorted(self._profiles if self._profiles is not None else PROFILES)
-
-    def workload_names(self) -> List[str]:
-        """Sorted names of the registered workload shapes."""
-        return sorted(self._workloads)
-
-    def register_workload(self, name: str, runner: WorkloadRunner) -> None:
-        """Register a new workload shape (``runner(engine, spec) -> result``)."""
-        self._workloads[name] = runner
+        return profile_names()
 
     # -- server construction -------------------------------------------------------
 
@@ -296,25 +299,27 @@ class ExperimentEngine:
         when given — ``run_many`` passes the spec index — otherwise assigned
         by the session).
         """
-        try:
-            runner = self._workloads[spec.workload]
-        except KeyError:
+        if spec.workload == "performance":
+            runner = self._run_performance
+        elif spec.workload == "attack":
+            runner = self._run_attack
+        else:
             raise KeyError(
-                f"unknown workload {spec.workload!r}; expected one of {sorted(self._workloads)}"
-            ) from None
+                f"unknown workload {spec.workload!r}; expected one of ['attack', 'performance']"
+            )
         session = current_session()
         if session is None:
-            return runner(self, spec)
+            return runner(spec)
         sid = session.begin_scenario(scenario_id)
         session.write(
             ScenarioStart(scenario_id=sid, server=spec.server, policy=spec.policy,
                           workload=spec.workload, scale=spec.scale)
         )
-        started = wall_clock()
+        started = time.perf_counter()
         try:
-            return runner(self, spec)
+            return runner(spec)
         finally:
-            session.write(ScenarioEnd(scenario_id=sid, seconds=wall_clock() - started))
+            session.write(ScenarioEnd(scenario_id=sid, seconds=time.perf_counter() - started))
             session.end_scenario()
 
     def run_many(
@@ -344,29 +349,8 @@ class ExperimentEngine:
             results, where ``seconds`` is the per-spec wall clock measured
             inside the worker.
         """
-        global _POOL_ENGINE
         specs = list(specs)
-        count = 0 if workers is None else int(workers)
-        pairs: List[Tuple[object, float]] = []
-        if count > 1 and len(specs) > 1:
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:
-                context = None
-            if context is not None:
-                _POOL_ENGINE = self
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=min(count, len(specs)), mp_context=context
-                    ) as pool:
-                        pairs = list(pool.map(_pool_run_spec, enumerate(specs)))
-                finally:
-                    _POOL_ENGINE = None
-        if not pairs:
-            pairs = [
-                _pool_run_spec_serial(self, spec, scenario_id=index)
-                for index, spec in enumerate(specs)
-            ]
+        pairs = fork_map(_run_timed, (self, specs), len(specs), workers)
         if timed:
             return pairs
         return [result for result, _seconds in pairs]

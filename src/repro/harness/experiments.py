@@ -34,11 +34,10 @@ Experiment ids
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.analysis.propagation import measure_propagation
-from repro.analysis.security import assess_security
 from repro.harness.engine import ENGINE, ScenarioSpec
 from repro.harness.report import (
     format_figure_table,
@@ -47,7 +46,6 @@ from repro.harness.report import (
 )
 from repro.harness.stability import run_stability_experiment
 from repro.harness.throughput import run_throughput_experiment, throughput_ratio
-from repro.harness.timing import wall_clock
 from repro.servers import SERVER_CLASSES
 from repro.servers.profile import get_profile
 from repro.workloads.streams import mixed_stream
@@ -123,9 +121,13 @@ def _wall_clock_note(spec_seconds: List[tuple], workers: Optional[int]) -> str:
 
 def _run_security(repetitions: int = 1, scale: float = 0.25,
                   workers: Optional[int] = None) -> ExperimentOutput:
-    started = wall_clock()
+    started = time.perf_counter()
     cells = ENGINE.run_security_matrix(scale=scale, workers=workers)
-    elapsed = wall_clock() - started
+    elapsed = time.perf_counter() - started
+    # The analyses import the engine, so importing them at module level
+    # would make ``import repro.analysis`` re-enter a half-loaded module.
+    from repro.analysis.security import assess_security
+
     assessments = assess_security(cells=cells)
     table = format_security_matrix(cells)
     verdict_rows = [
@@ -385,6 +387,8 @@ def _run_variants(scale: float = 0.25) -> ExperimentOutput:
 
 
 def _run_propagation(total_requests: int = 40, attack_every: int = 8, scale: float = 0.25) -> ExperimentOutput:
+    from repro.analysis.propagation import measure_propagation  # see _run_security
+
     rows = []
     reports = {}
     for server_name in sorted(SERVER_CLASSES):
@@ -442,11 +446,6 @@ EXPERIMENTS.update(
         "exp-propagation": _run_propagation,
     }
 )
-
-
-def register_experiment(experiment_id: str, runner: Callable[..., ExperimentOutput]) -> None:
-    """Register (or replace) an experiment; plugins use this to add tables."""
-    EXPERIMENTS[experiment_id] = runner
 
 
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentOutput:

@@ -2,7 +2,7 @@
 
 The paper instruments each server to record the time when it starts and stops
 processing a request, repeats each request at least twenty times, and reports
-the mean and standard deviation (§4.1).  :func:`measure_request_time` does the
+the mean and standard deviation (§4.1).  :func:`measure_paired` does the
 same for our simulated servers.  The absolute numbers are different (this is
 a Python simulation, not a 2.8 GHz Pentium 4), and so are the slowdown ratios
 between build variants: they are not comparable to the paper's ``Slowdown``
@@ -18,12 +18,14 @@ from __future__ import annotations
 import gc
 import math
 import statistics
-import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.errors import RequestOutcome
 from repro.servers.base import Request, Server
+
+#: Unmeasured repetitions run on every build before the measured ones.
+WARMUP = 3
 
 
 @dataclass
@@ -79,63 +81,11 @@ class TimingResult:
         return f"{self.label}: {self.mean_ms:.2g} ms ± {self.stdev_percent:.0f}%"
 
 
-def measure_request_time(
-    server: Server,
-    request_factory: Callable[[int], Request],
-    repetitions: int = 20,
-    reset: Optional[Callable[[Server, int], None]] = None,
-    warmup: int = 3,
-    label: str = "",
-) -> TimingResult:
-    """Measure the processing time of one request kind on a live server.
-
-    Parameters
-    ----------
-    server:
-        A started server.  The measurement uses the server's own elapsed-time
-        accounting (the analogue of the paper's start/stop instrumentation).
-    request_factory:
-        Callable mapping the repetition index to a fresh :class:`Request`.
-    repetitions:
-        Number of measured repetitions (the paper uses at least twenty).
-    reset:
-        Optional callable invoked before every repetition to restore state the
-        request consumes (e.g. re-creating the file a Delete request removes).
-    warmup:
-        Unmeasured repetitions executed first.
-    """
-    if repetitions <= 0:
-        raise ValueError("repetitions must be positive")
-    result = TimingResult(label=label)
-    # Collector pauses are the dominant source of outliers at sub-millisecond
-    # request times, so the measurement loop runs with the collector disabled
-    # (the paper's instrumentation has no analogous noise source).
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        for index in range(warmup + repetitions):
-            if reset is not None:
-                reset(server, index)
-            request = request_factory(index)
-            request_result = server.process(request)
-            if index >= warmup:
-                result.samples_seconds.append(request_result.elapsed_seconds)
-                result.outcomes.append(request_result.outcome)
-            if request_result.fatal:
-                break
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return result
-
-
 def measure_paired(
     servers: "dict[str, Server]",
     request_factory: Callable[[int], Request],
     repetitions: int = 20,
     reset: Optional[Callable[[Server, int], None]] = None,
-    warmup: int = 3,
     label: str = "",
 ) -> "dict[str, TimingResult]":
     """Measure the same request kind on several builds with interleaved repetitions.
@@ -144,22 +94,40 @@ def measure_paired(
     equalizes environmental drift (allocator warm-up, cache state, CPU
     frequency changes) across the builds, which matters because the quantity
     of interest is the ratio between them, not either absolute time.
+
+    Parameters
+    ----------
+    servers:
+        Started servers by build name.  The measurement uses each server's
+        own elapsed-time accounting (the analogue of the paper's start/stop
+        instrumentation); a server that dies is skipped from then on.
+    request_factory:
+        Callable mapping the repetition index to a fresh :class:`Request`.
+    repetitions:
+        Number of measured repetitions (the paper uses at least twenty),
+        after :data:`WARMUP` unmeasured ones.
+    reset:
+        Optional callable invoked before every repetition to restore state the
+        request consumes (e.g. re-creating the file a Delete request removes).
     """
     if repetitions <= 0:
         raise ValueError("repetitions must be positive")
     results = {name: TimingResult(label=f"{label} ({name})") for name in servers}
+    # Collector pauses are the dominant source of outliers at sub-millisecond
+    # request times, so the measurement loop runs with the collector disabled
+    # (the paper's instrumentation has no analogous noise source).
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        for index in range(warmup + repetitions):
+        for index in range(WARMUP + repetitions):
             for name, server in servers.items():
                 if not server.alive:
                     continue
                 if reset is not None:
                     reset(server, index)
                 request_result = server.process(request_factory(index))
-                if index >= warmup:
+                if index >= WARMUP:
                     results[name].samples_seconds.append(request_result.elapsed_seconds)
                     results[name].outcomes.append(request_result.outcome)
     finally:
@@ -175,19 +143,3 @@ def slowdown(baseline: TimingResult, other: TimingResult) -> float:
     if baseline.mean_seconds == 0:
         return math.inf
     return other.mean_seconds / baseline.mean_seconds
-
-
-def interactive_pause_acceptable(result: TimingResult, threshold_ms: float = 100.0) -> bool:
-    """The paper's interactivity criterion: pause times under ~100 ms are imperceptible."""
-    return result.mean_ms < threshold_ms
-
-
-def aggregate_means(results: Sequence[TimingResult]) -> float:
-    """Mean of means, used for coarse summaries across request kinds."""
-    means = [r.mean_seconds for r in results if r.samples_seconds]
-    return statistics.fmean(means) if means else math.nan
-
-
-def wall_clock() -> float:
-    """Thin wrapper over the monotonic clock used across the harness."""
-    return time.perf_counter()

@@ -367,10 +367,6 @@ class AddressSpace:
         """Fill a raw range with a byte value (memset without checks)."""
         self.write(address, bytes([value & 0xFF]) * length)
 
-    def snapshot(self, address: int, length: int) -> bytes:
-        """Alias of :meth:`read` used by tests to express intent (no checks)."""
-        return self.read(address, length)
-
     # -- checkpoint / restore -----------------------------------------------------
 
     def checkpoint(self) -> AddressSpaceCheckpoint:

@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.memory.address_space import (
     DIRTY_BLOCK,
     AddressSpaceCheckpoint,
-    AddressSpaceDelta,
 )
 from repro.memory.context import MemoryContext, MemoryDelta, MemoryImage
 from repro.memory.shared_image import SharedImageStore
@@ -74,7 +73,6 @@ class CheckpointStream:
         self._base_payload = {
             name: payload for name, _addr, payload in base.space.segments
         }
-        self._base_addr = {name: addr for name, addr, _payload in base.space.segments}
         self._base_touched = {
             name: frozenset(blocks) for name, blocks in base.space.touched_blocks
         }
@@ -346,7 +344,3 @@ class CheckpointStream:
             if diff:
                 changed[name] = diff
         return changed
-
-    def block_address(self, name: str, block: int) -> int:
-        """Simulated address of the first byte of ``block`` in segment ``name``."""
-        return self._base_addr[name] + block * DIRTY_BLOCK

@@ -309,8 +309,3 @@ def read_c_string(mem: MemoryAccessor, src: FatPointer, limit: Optional[int] = N
         raise InfiniteLoopGuard(f"read_c_string scanned {limit} bytes without NUL")
     # View to bytes: the API boundary where the caller takes ownership.
     return bytes(data[:nul])
-
-
-def read_fixed(mem: MemoryAccessor, src: FatPointer, n: int) -> bytes:
-    """Read exactly ``n`` bytes (no NUL handling)."""
-    return mem.read(src, n)

@@ -156,17 +156,6 @@ class ObjectTable:
         """Return all live units ordered by base address."""
         return list(self._units)
 
-    def total_live_bytes(self) -> int:
-        """Return the number of bytes covered by live units."""
-        return sum(unit.size for unit in self._units)
-
-    def neighbours(self, unit: DataUnit) -> tuple:
-        """Return the (previous, next) live units adjacent to ``unit`` by address."""
-        index = bisect.bisect_left(self._bases, unit.base)
-        prev_unit = self._units[index - 1] if index > 0 else None
-        next_unit = self._units[index + 1] if index + 1 < len(self._units) else None
-        return prev_unit, next_unit
-
     # -- checkpoint / restore -----------------------------------------------------
 
     def checkpoint(self) -> ObjectTableCheckpoint:
@@ -182,12 +171,18 @@ class ObjectTable:
         """Rebuild the table from a checkpoint, returning live units by base.
 
         Fresh :class:`DataUnit` objects are constructed (a from-scratch reboot
-        would construct fresh objects too); units registered after the
-        checkpoint simply drop out, and death hooks do *not* fire — an image
-        swap is not a program-visible unit death.  The returned mapping lets
-        the allocator and call stack rewire their own references to the same
-        rebuilt objects.
+        would construct fresh objects too).  Units registered after the
+        checkpoint drop out and are marked dead: the restored allocator
+        hands their bytes out again, so a stale pointer into one must be an
+        invalid access, not an alias of the next allocation.  Death hooks do
+        *not* fire — an image swap is not a program-visible unit death.  The
+        returned mapping lets the allocator and call stack rewire their own
+        references to the same rebuilt objects.
         """
+        kept = {(record.base, record.serial) for record in cp.live}
+        for unit in self._units:
+            if (unit.base, unit.serial) not in kept:
+                unit.alive = False
         self._units = [record.build() for record in cp.live]
         self._bases = [unit.base for unit in self._units]
         self._retired = [record.build() for record in cp.retired]

@@ -89,10 +89,6 @@ class FatPointer:
             return self.address - other.address
         return FatPointer(self.referent, self.offset - other)
 
-    def advance(self, delta: int = 1) -> "FatPointer":
-        """Alias for ``self + delta`` that reads naturally in loops."""
-        return FatPointer(self.referent, self.offset + delta)
-
     # -- comparisons --------------------------------------------------------------
     #
     # C permits comparing pointers; the paper notes that Pine and Midnight

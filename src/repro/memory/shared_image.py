@@ -169,8 +169,8 @@ class SharedImageStore:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def close(self, unlink: bool = True) -> None:
-        """Release views, close mappings and (in the creator) unlink blocks.
+    def close(self) -> None:
+        """Release views, close mappings and unlink blocks.
 
         Idempotent.  Every checkpoint returned by :meth:`share_space` becomes
         unusable afterwards — callers close only once the run that cloned
@@ -187,11 +187,10 @@ class SharedImageStore:
                 block.close()
             except BufferError:  # pragma: no cover - an untracked view leaked
                 pass
-            if unlink:
-                try:
-                    block.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
+            try:
+                block.unlink()
+            except FileNotFoundError:  # pragma: no cover - already gone
+                pass
         self._blocks.clear()
         self._arena_block = None
         self._arena_offset = self._arena_size = 0

@@ -78,13 +78,6 @@ class StackFrame:
     #: Next free address for local allocation inside this frame.
     cursor: int = 0
 
-    def local_named(self, name: str) -> Optional[DataUnit]:
-        """Return the local with the given name, if any."""
-        for unit in self.locals:
-            if unit.name == name:
-                return unit
-        return None
-
 
 class CallStack:
     """Simulated call stack allocating frames in the ``stack`` segment."""
@@ -196,23 +189,6 @@ class CallStack:
         self.pops += 1
         if hijack is not None:
             raise hijack
-
-    # -- convenience --------------------------------------------------------------
-
-    def frame_for_unit(self, unit: DataUnit) -> Optional[StackFrame]:
-        """Return the live frame owning ``unit``, if any."""
-        for frame in self._frames:
-            if unit in frame.locals:
-                return frame
-        return None
-
-    def return_slot_intact(self, frame: StackFrame) -> bool:
-        """True if the frame's saved return address has not been modified."""
-        if not frame.return_slot_addr:
-            return True
-        raw = self.space.read(frame.return_slot_addr, RETURN_SLOT_SIZE)
-        (value,) = _RETURN_STRUCT.unpack(raw)
-        return value == frame.saved_return_value
 
     # -- checkpoint / restore -----------------------------------------------------
 

@@ -105,12 +105,6 @@ class Parser:
 
     # -- types ---------------------------------------------------------------------
 
-    def at_type(self) -> bool:
-        token = self.peek()
-        if token.type is TokenType.KEYWORD and token.value in _TYPE_KEYWORDS:
-            return True
-        return token.type is TokenType.IDENT and token.value in self.typedefs
-
     def parse_type(self, consume_pointers: bool = True) -> ast.CType:
         """Parse a type name: qualifiers, base scalar, and (optionally) ``*`` suffixes.
 

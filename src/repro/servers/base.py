@@ -565,7 +565,7 @@ class Server(ABC):
                 outcome=outcome.value,
                 is_attack=request.is_attack,
                 elapsed_seconds=elapsed,
-                memory_errors=len(new_events),
+                memory_errors=new_errors,
                 error_sites=tuple(site_counts.items()),
             )
         )

@@ -164,18 +164,20 @@ class MiniCServer(Server):
             "output": bytes(instance.output),
         }
 
-    def _restore_image(self, image):
-        result = super()._restore_image(image)
+    def restore_handler_state(self, state: Dict[str, object]) -> None:
+        # Both restore paths (an image restore and a supervisor rollback)
+        # come through here once the memory context is back, so the thawed
+        # pointers bind to the restored object table's units.
+        super().restore_handler_state(state)
         snapshot = self.__dict__.pop(self._MINIC_STATE_KEY, None)
         if snapshot is None:
             # The checkpointed boot died before the program was instantiated;
             # drop any instance left over from a previous life.
             self.__dict__.pop("instance", None)
-            return result
+            return
         if "program" not in self.__dict__:
             self.program = self.compile()
         self.instance = self._thaw_instance(snapshot)
-        return result
 
     def _thaw_value(self, frozen: tuple):
         tag = frozen[0]

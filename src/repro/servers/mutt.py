@@ -56,10 +56,6 @@ class ImapServerStub:
         """Return the folder's messages, or None if the folder does not exist."""
         return self._folders.get(utf7_name)
 
-    def folder_names(self) -> List[bytes]:
-        """All folder names known to the server."""
-        return list(self._folders)
-
     def append(self, utf7_name: bytes, message: Dict[str, bytes]) -> bool:
         """Append a message to a folder; False if the folder does not exist."""
         if utf7_name not in self._folders:

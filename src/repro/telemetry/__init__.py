@@ -29,7 +29,6 @@ from repro.telemetry.events import (
     ScenarioEnd,
     ScenarioStart,
     SnapshotTaken,
-    event_name,
     expand_invalid_accesses,
     from_record,
     to_record,
@@ -66,7 +65,6 @@ __all__ = [
     "ScenarioEnd",
     "ScenarioStart",
     "SnapshotTaken",
-    "event_name",
     "expand_invalid_accesses",
     "from_record",
     "to_record",

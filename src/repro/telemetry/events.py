@@ -162,11 +162,14 @@ class RequestStart:
 class RequestEnd:
     """A server finished one request, with its classified outcome.
 
-    ``memory_errors`` and ``error_sites`` summarize the invalid accesses the
-    request provoked (the same per-request attribution
-    :class:`~repro.errors.RequestResult` carries), so aggregate consumers can
-    tally request-scoped error statistics from this one event without
-    replaying the interleaved :class:`InvalidAccess` stream.
+    ``memory_errors`` counts every invalid access the request provoked and
+    ``error_sites`` groups them by site, so aggregate consumers can tally
+    request-scoped error statistics from this one event without replaying
+    the interleaved :class:`InvalidAccess` stream.  ``error_sites`` covers
+    only the records the error log's ring retains (the newest
+    ``capacity``), as :attr:`~repro.errors.RequestResult.memory_errors`
+    does; on a request that overflows the ring its counts sum to less than
+    ``memory_errors``.
     """
 
     request_id: int
@@ -282,11 +285,6 @@ EVENT_TYPES: Dict[str, type] = {
 _TYPE_NAMES = {cls: name for name, cls in EVENT_TYPES.items()}
 
 
-def event_name(event: object) -> str:
-    """Return the registry tag for an event instance (KeyError if unknown)."""
-    return _TYPE_NAMES[type(event)]
-
-
 def to_record(event: object) -> Dict[str, object]:
     """Serialize one event to a flat JSON-compatible dict.
 
@@ -310,7 +308,7 @@ def to_record(event: object) -> Dict[str, object]:
             "count": event.count,
             "stride": event.stride,
         }
-    record: Dict[str, object] = {"event": event_name(event)}
+    record: Dict[str, object] = {"event": _TYPE_NAMES[type(event)]}
     for field in fields(event):
         value = getattr(event, field.name)
         if field.name == "error_sites":

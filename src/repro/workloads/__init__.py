@@ -24,7 +24,6 @@ from repro.workloads.attacks import (
     sendmail_attack_address,
     sendmail_attack_request,
     attack_request_for,
-    attack_config_for,
 )
 from repro.workloads.benign import (
     apache_requests,
@@ -48,7 +47,6 @@ __all__ = [
     "sendmail_attack_address",
     "sendmail_attack_request",
     "attack_request_for",
-    "attack_config_for",
     "apache_requests",
     "midnight_commander_requests",
     "mutt_requests",

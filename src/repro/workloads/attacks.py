@@ -185,18 +185,3 @@ def attack_request_for(server_name: str) -> Request:
         return get_profile(server_name).make_attack_request()
     except KeyError:
         raise KeyError(f"no attack request defined for server {server_name!r}") from None
-
-
-def attack_config_for(server_name: str) -> Dict[str, object]:
-    """Return a server configuration that plants the documented error trigger.
-
-    For Pine, Mutt, and Midnight Commander the error fires during start-up or
-    while loading attacker-influenced data, so the trigger lives in the
-    configuration; for Apache the configuration contains the vulnerable rule
-    (the attack then arrives as a request); Sendmail needs no configuration
-    change because the attack arrives entirely in the request.  Each server's
-    profile declares its own trigger; unknown servers raise ``KeyError``.
-    """
-    from repro.servers.profile import get_profile
-
-    return get_profile(server_name).make_attack_config()

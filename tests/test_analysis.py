@@ -1,12 +1,11 @@
-"""Tests for the propagation, availability, and security analyses."""
+"""Tests for the propagation and security analyses."""
 
 from collections import Counter
 
 import pytest
 
-from repro.analysis.availability import compare_availability
 from repro.analysis.propagation import TraceRecorder, measure_propagation
-from repro.analysis.security import assess_security, summarize_by_policy
+from repro.analysis.security import assess_security
 from repro.errors import AccessKind, ErrorKind, MemoryErrorEvent
 from repro.harness.engine import ENGINE
 from repro.telemetry.events import InvalidAccess
@@ -56,37 +55,6 @@ class TestPropagation:
         assert report.max_data_distance == 0.0
 
 
-class TestAvailability:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return compare_availability(
-            "apache", total_requests=40, attack_every=8, scale=0.1
-        )
-
-    def test_failure_oblivious_has_best_availability(self, report):
-        assert report.best_policy() == "failure-oblivious"
-        assert report.service_rate("failure-oblivious") == 1.0
-        assert report.results["failure-oblivious"].server_deaths == 0
-        # Apache's regenerating child pool keeps the other builds serving too,
-        # but only at the cost of repeated process deaths (§4.3.2, §4.7).
-        assert report.results["standard"].server_deaths > 0
-
-    def test_improvement_ratios(self, report):
-        assert report.improvement_over("standard") >= 1.0
-        assert report.improvement_over("bounds-check") >= 1.0
-
-    def test_summary_rows_one_per_policy(self, report):
-        assert len(report.summary_rows()) == 3
-
-    def test_pine_restart_does_not_help(self):
-        """Restarting Pine re-reads the poisoned mailbox and dies again (§4.7)."""
-        report = compare_availability("pine", policies=("standard", "failure-oblivious"),
-                                      total_requests=20, attack_every=5, scale=0.1)
-        assert report.service_rate("standard") == 0.0
-        assert report.service_rate("failure-oblivious") == 1.0
-        assert report.improvement_over("standard") == float("inf")
-
-
 class TestSecurityAssessment:
     @pytest.fixture(scope="class")
     def assessments(self):
@@ -111,12 +79,6 @@ class TestSecurityAssessment:
         labels = {a.verdict() for a in assessments}
         assert "invulnerable, keeps serving" in labels
         assert "denial of service" in labels
-
-    def test_summary_by_policy(self, assessments):
-        summary = summarize_by_policy(assessments)
-        assert summary["failure-oblivious"]["invulnerable"] == 5
-        assert summary["failure-oblivious"]["continued_service"] == 5
-        assert summary["standard"]["denial_of_service"] == 5
 
     def test_assess_security_can_run_its_own_matrix(self):
         assessments = assess_security(servers=["apache"], policies=("failure-oblivious",), scale=0.1)

@@ -18,6 +18,8 @@ from repro.core.policies import (
     FailureObliviousPolicy,
     RedirectPolicy,
 )
+from repro.errors import MemoryFault
+from repro.memory.checkpoint_stream import CheckpointStream
 from repro.memory.context import MemoryContext
 from tests.conftest import POLICY_CLASSES
 
@@ -267,3 +269,35 @@ class TestHypothesisRoundTrip:
         _apply_ops(ctx, ops)
         _apply_ops(clone, ops)
         assert _observe(clone) == _observe(ctx)
+
+
+class TestRestoreRetiresReplacedUnits:
+    """A unit allocated after the checkpoint is dead once the restore drops it.
+
+    Otherwise a stale pointer to it keeps passing the checks while the
+    allocator hands its bytes to the next ``malloc``: two live units alias.
+    """
+
+    @pytest.mark.parametrize("path", ["context", "stream"])
+    @pytest.mark.parametrize("policy_name", [n for n in POLICY_NAMES if n != "standard"])
+    def test_stale_pointer_is_an_error_after_restore(self, policy_name, path):
+        ctx = MemoryContext(POLICY_CLASSES[policy_name]())
+        ctx.malloc(8)
+        if path == "context":
+            image = ctx.checkpoint()
+            stale = ctx.malloc(8)
+            ctx.restore(image)
+        else:
+            stream = CheckpointStream(ctx)
+            stale = ctx.malloc(8)
+            stream.restore(0)
+        assert not stale.referent.alive
+        recorded = ctx.error_log.total_recorded
+        try:
+            ctx.mem.write_byte(stale, 7)
+        except MemoryFault:
+            pass
+        assert ctx.error_log.total_recorded == recorded + 1
+        fresh = ctx.malloc(8)
+        assert fresh.address == stale.address
+        assert fresh.referent is not stale.referent and fresh.referent.alive

@@ -112,7 +112,3 @@ class TestMemOps:
         cstring.write_c_string(fo_ctx.mem, buf, b"round trip")
         assert cstring.read_c_string(fo_ctx.mem, buf) == b"round trip"
 
-    def test_read_fixed(self, fo_ctx):
-        buf = fo_ctx.malloc(8)
-        fo_ctx.mem.write(buf, b"AB\x00CD\x00EF")
-        assert cstring.read_fixed(fo_ctx.mem, buf, 7) == b"AB\x00CD\x00E"

@@ -7,7 +7,7 @@ through every engine workload shape with zero edits to any harness module.
 
 import pytest
 
-from repro.harness.engine import ENGINE, ExperimentEngine, ScenarioSpec, SecurityCell
+from repro.harness.engine import ENGINE, ScenarioSpec, SecurityCell
 from repro.harness.stability import run_stability_experiment
 from repro.servers import SERVER_CLASSES
 from repro.servers.base import Request, Response, Server, ServerError
@@ -113,22 +113,9 @@ class TestRegistryRoundTrip:
 
 
 class TestEngineDispatch:
-    def test_engine_shapes_are_performance_and_attack(self):
-        assert ENGINE.workload_names() == ["attack", "performance"]
-
     def test_unknown_workload_rejected(self):
         with pytest.raises(KeyError, match="performance"):
             ENGINE.run(ScenarioSpec(server="pine", workload="chaos"))
-
-    def test_workload_registration(self, toy_profile):
-        engine = ExperimentEngine()
-        engine.register_workload(
-            "boot-only",
-            lambda eng, spec: eng.build_server(spec.server, spec.policy).start(),
-        )
-        assert "boot-only" in engine.workload_names()
-        boot = engine.run(ScenarioSpec(server=toy_profile.name, workload="boot-only"))
-        assert not boot.fatal
 
     def test_spec_with_replaces_fields(self):
         spec = ScenarioSpec(server="pine")
@@ -246,14 +233,14 @@ class TestRunMany:
         specs = [ScenarioSpec(server="pine", workload="attack", scale=0.1)]
         assert ENGINE.run_many(specs, workers=1)[0].server == "pine"
 
-    def test_custom_workload_survives_the_fork(self, toy_profile):
-        engine = ExperimentEngine()
-        engine.register_workload(
-            "boot-only",
-            lambda eng, spec: eng.build_server(spec.server, spec.policy).start().outcome.value,
-        )
+    def test_runtime_profile_survives_the_fork(self, toy_profile):
+        # The toy profile exists only in this process's registry; the pool
+        # workers see it because they inherit the registry across the fork.
         specs = [
-            ScenarioSpec(server=toy_profile.name, workload="boot-only"),
-            ScenarioSpec(server="mutt", workload="boot-only", scale=0.1),
+            ScenarioSpec(server=toy_profile.name, workload="attack", scale=0.5),
+            ScenarioSpec(server="mutt", workload="attack", scale=0.1),
         ]
-        assert engine.run_many(specs, workers=2) == ["served", "served"]
+        serial = [SecurityCell.from_scenario(s) for s in ENGINE.run_many(specs)]
+        parallel = [SecurityCell.from_scenario(s) for s in ENGINE.run_many(specs, workers=2)]
+        assert parallel == serial
+        assert serial[0].server == toy_profile.name and serial[0].continued_service

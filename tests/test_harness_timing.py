@@ -4,14 +4,7 @@ import pytest
 
 from repro.core.policies import FailureObliviousPolicy, StandardPolicy
 from repro.errors import RequestOutcome
-from repro.harness.timing import (
-    TimingResult,
-    aggregate_means,
-    interactive_pause_acceptable,
-    measure_paired,
-    measure_request_time,
-    slowdown,
-)
+from repro.harness.timing import WARMUP, TimingResult, measure_paired, slowdown
 from repro.servers.apache import ApacheServer
 from repro.servers.base import Request
 
@@ -54,32 +47,32 @@ class TestTimingResult:
 
 class TestMeasurement:
     def test_measure_collects_requested_repetitions(self):
-        result = measure_request_time(apache(), home_page, repetitions=5, warmup=1, label="small")
+        result = measure_paired({"fo": apache()}, home_page, repetitions=5, label="small")["fo"]
         assert result.repetitions == 5
         assert result.all_served
         assert result.mean_seconds > 0
 
     def test_reset_hook_called_every_repetition(self):
         calls = []
-        measure_request_time(
-            apache(), home_page, repetitions=3, warmup=1,
+        measure_paired(
+            {"fo": apache()}, home_page, repetitions=3,
             reset=lambda server, index: calls.append(index),
         )
-        assert len(calls) == 4
+        assert calls == list(range(WARMUP + 3))
 
     def test_zero_repetitions_rejected(self):
         with pytest.raises(ValueError):
-            measure_request_time(apache(), home_page, repetitions=0)
+            measure_paired({"fo": apache()}, home_page, repetitions=0)
 
-    def test_measurement_stops_if_server_dies(self):
+    def test_dead_server_is_skipped(self):
         server = apache()
         server.alive = False
-        result = measure_request_time(server, home_page, repetitions=5, warmup=0)
-        assert result.repetitions <= 1
+        result = measure_paired({"fo": server}, home_page, repetitions=5)["fo"]
+        assert result.repetitions == 0
 
     def test_measure_paired_interleaves_builds(self):
         servers = {"standard": apache(StandardPolicy), "failure-oblivious": apache()}
-        results = measure_paired(servers, home_page, repetitions=4, warmup=1, label="small")
+        results = measure_paired(servers, home_page, repetitions=4, label="small")
         assert set(results) == {"standard", "failure-oblivious"}
         assert all(r.repetitions == 4 for r in results.values())
 
@@ -94,16 +87,3 @@ class TestDerivedMetrics:
         assert slowdown(TimingResult("a"), TimingResult("b")) != slowdown(
             TimingResult("a"), TimingResult("b")
         )
-
-    def test_interactive_threshold(self):
-        fast = TimingResult(label="f", samples_seconds=[0.001])
-        slow = TimingResult(label="s", samples_seconds=[0.5])
-        assert interactive_pause_acceptable(fast)
-        assert not interactive_pause_acceptable(slow)
-
-    def test_aggregate_means(self):
-        results = [
-            TimingResult(label="a", samples_seconds=[0.002]),
-            TimingResult(label="b", samples_seconds=[0.004]),
-        ]
-        assert aggregate_means(results) == pytest.approx(0.003)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.manufacture import (
-    FixedValueSequence,
     ManufacturedValueSequence,
     ZeroValueSequence,
 )
@@ -63,17 +62,6 @@ class TestPaperSequence:
         seq = ManufacturedValueSequence()
         assert len(seq.next_bytes(13)) == 13
 
-    def test_next_int_signed_range(self):
-        seq = ManufacturedValueSequence()
-        for _ in range(300):
-            value = seq.next_int(size=4, signed=True)
-            assert -(1 << 31) <= value < (1 << 31)
-
-    def test_next_int_consumes_one_sequence_element(self):
-        seq = ManufacturedValueSequence()
-        ints = [seq.next_int() for _ in range(6)]
-        assert ints == [0, 1, 2, 0, 1, 3]
-
     def test_peek_does_not_consume(self):
         seq = ManufacturedValueSequence()
         peeked = seq.peek(5)
@@ -102,17 +90,3 @@ class TestAblationSequences:
     def test_zero_sequence_never_produces_slash(self):
         seq = ZeroValueSequence()
         assert ord("/") not in [seq.next_value() for _ in range(1000)]
-
-    def test_fixed_sequence_cycles(self):
-        seq = FixedValueSequence([7, 9])
-        assert [seq.next_value() for _ in range(5)] == [7, 9, 7, 9, 7]
-
-    def test_fixed_sequence_rejects_empty(self):
-        with pytest.raises(ValueError):
-            FixedValueSequence([])
-
-    def test_fixed_sequence_reset(self):
-        seq = FixedValueSequence([5, 6, 7])
-        seq.next_value()
-        seq.reset()
-        assert seq.next_value() == 5

@@ -15,9 +15,11 @@ import pytest
 
 from repro.errors import RequestOutcome
 from repro.fleet.scheduler import InstanceSpec, run_fleet
-from repro.servers.base import Request
+from repro.memory.checkpoint_stream import CheckpointStream
+from repro.servers.base import Request, Response
 from repro.servers.minic_host import (
     MiniCPineServer,
+    MiniCServer,
     MiniCSendmailServer,
     pine_attack_mailbox,
     sendmail_attack_sender,
@@ -235,6 +237,30 @@ class TestCheckpointRestart:
         assert first.program is second.program
         sendmail, _ = make_sendmail("failure-oblivious")
         assert sendmail.program is not first.program
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICY_CLASSES))
+    def test_rollback_rebinds_the_interpreter(self, policy_name):
+        """A supervisor-style rollback (stream restore plus handler state)
+        drops the string literal a request interned after the snapshot: the
+        retried request interns it afresh instead of reading a unit the
+        restore discarded."""
+
+        class LiteralServer(MiniCServer):
+            source = 'int first(void) { char *s = "hello"; return s[0]; }'
+
+            def handle(self, request):
+                return Response.ok(body=bytes([self.call("first")]))
+
+        server = LiteralServer(POLICY_CLASSES[policy_name])
+        server.start()
+        stream = CheckpointStream(server.ctx)
+        state = server.capture_handler_state()
+        first = server.process(Request(kind="first"))
+        stream.restore(0)
+        server.restore_handler_state(state)
+        retry = server.process(Request(kind="first"))
+        assert first.response.body == retry.response.body == b"h"
+        assert server.memory_error_count() == 0
 
     def test_restarted_globals_point_at_restored_bytes(self):
         server, _ = make_pine("failure-oblivious")

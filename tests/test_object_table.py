@@ -72,20 +72,6 @@ class TestLookup:
             assert table.find(i * 32 + 8) is u
             assert table.find(i * 32 + 20) is None
 
-    def test_neighbours(self):
-        table = ObjectTable()
-        a = table.register(unit(0, 8, "a"))
-        b = table.register(unit(16, 8, "b"))
-        c = table.register(unit(32, 8, "c"))
-        prev_unit, next_unit = table.neighbours(b)
-        assert prev_unit is a and next_unit is c
-
-    def test_total_live_bytes(self):
-        table = ObjectTable()
-        table.register(unit(0, 8))
-        table.register(unit(16, 24))
-        assert table.total_live_bytes() == 32
-
     def test_live_units_sorted_by_base(self):
         table = ObjectTable()
         table.register(unit(200, 8))

@@ -78,10 +78,6 @@ class TestArithmetic:
         ptr = make_ptr()
         assert (ptr + 10) - (ptr + 4) == 6
 
-    def test_advance_alias(self):
-        ptr = make_ptr()
-        assert ptr.advance(3).offset == 3
-
     def test_out_of_bounds_pointers_are_representable(self):
         """Holding (not dereferencing) an OOB pointer is legal, as Pine/MC rely on."""
         ptr = make_ptr(size=4)
@@ -141,7 +137,6 @@ class TestFastConstruction:
         ptr = FatPointer(unit, start)
         self.assert_same(ptr + delta, FatPointer(unit, start + delta))
         self.assert_same(ptr - delta, FatPointer(unit, start - delta))
-        self.assert_same(ptr.advance(delta), FatPointer(unit, start + delta))
 
     @settings(max_examples=200, deadline=None)
     @given(start=steps, elements=steps, elem_size=st.sampled_from([1, 2, 4, 8, 12]),
@@ -157,7 +152,7 @@ class TestFastConstruction:
 
     def test_results_stay_frozen(self):
         unit = make_unit(name="buf", base=0x2000, size=8, kind=UnitKind.HEAP)
-        for ptr in (FatPointer(unit) + 1, FatPointer(unit) - 1, FatPointer(unit).advance(2)):
+        for ptr in (FatPointer(unit) + 1, FatPointer(unit) - 1):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 ptr.offset = 0
         typed = TypedPointer(FatPointer(unit), 4).offset_by(1)

@@ -15,7 +15,6 @@ from repro.core.policies import (
     POLICY_NAMES,
     RedirectPolicy,
     StandardPolicy,
-    make_policy,
 )
 from repro.core.policy import AccessDecision, DecisionAction
 from repro.errors import (
@@ -200,13 +199,8 @@ class TestRegistry:
         }
 
     @pytest.mark.parametrize("name", sorted(POLICY_NAMES))
-    def test_make_policy_instantiates(self, name):
-        policy = make_policy(name)
-        assert policy.name == name
-
-    def test_make_policy_unknown_name(self):
-        with pytest.raises(KeyError):
-            make_policy("no-such-policy")
+    def test_registry_name_is_the_policy_name(self, name):
+        assert POLICY_NAMES[name]().name == name
 
     def test_describe_mentions_checking(self):
         assert "checks=off" in StandardPolicy().describe()

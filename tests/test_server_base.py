@@ -4,6 +4,12 @@
 from repro.core.policies import BoundsCheckPolicy, FailureObliviousPolicy, StandardPolicy
 from repro.errors import RequestOutcome
 from repro.servers.base import Request, Response, Server, ServerError
+from repro.telemetry.events import RequestEnd
+from repro.telemetry.sinks import ListSink
+
+#: Out-of-bounds reads one ``flood`` request makes: more than the error
+#: log's ring retains (10 000 records).
+FLOOD_READS = 12_000
 
 
 class EchoServer(Server):
@@ -25,6 +31,11 @@ class EchoServer(Server):
         if request.kind == "overflow":
             buf = self.ctx.malloc(4, name="req_buf")
             self.ctx.mem.write(buf, b"X" * 64)
+            return Response.ok()
+        if request.kind == "flood":
+            buf = self.ctx.malloc(8, name="flood_buf")
+            for offset in range(8, 8 + FLOOD_READS):
+                self.ctx.mem.read_byte(buf + offset)
             return Response.ok()
         raise ServerError(f"unknown kind {request.kind}")
 
@@ -117,6 +128,18 @@ class TestLifecycle:
         server.start()
         result = server.process(Request(kind="overflow"))
         assert len(result.memory_errors) == 1
+
+    def test_request_error_count_exceeds_ring_capacity(self):
+        server = EchoServer(FailureObliviousPolicy)
+        server.start()
+        sink = server.add_telemetry_sink(ListSink((RequestEnd,)))
+        recorded = server.ctx.error_log.total_recorded
+        result = server.process(Request(kind="flood"))
+        assert server.ctx.error_log.total_recorded - recorded == FLOOD_READS
+        (end,) = sink.events
+        assert end.memory_errors == FLOOD_READS
+        assert sum(count for _site, count in end.error_sites) <= server.ctx.error_log.capacity
+        assert len(result.memory_errors) == server.ctx.error_log.capacity
 
     def test_elapsed_time_recorded(self):
         server = EchoServer(FailureObliviousPolicy)

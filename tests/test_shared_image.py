@@ -48,12 +48,25 @@ def _record_store_names(monkeypatch) -> list:
     names: list = []
     close = SharedImageStore.close
 
-    def recording_close(self, unlink: bool = True) -> None:
+    def recording_close(self) -> None:
         names.extend(self.names)
-        close(self, unlink)
+        close(self)
 
     monkeypatch.setattr(SharedImageStore, "close", recording_close)
     return names
+
+
+def _capture_fleet_stores(monkeypatch) -> list:
+    """Collect every store ``run_fleet`` creates, in creation order."""
+    stores: list = []
+
+    def capturing_store() -> SharedImageStore:
+        store = SharedImageStore()
+        stores.append(store)
+        return store
+
+    monkeypatch.setattr(scheduler, "SharedImageStore", capturing_store)
+    return stores
 
 
 def _still_present(names) -> list:
@@ -145,6 +158,7 @@ class TestPoolAndSchedulerCleanup:
 
     def test_run_fleet_closes_its_store(self, monkeypatch):
         created = _record_store_names(monkeypatch)
+        stores = _capture_fleet_stores(monkeypatch)
         result = run_fleet(
             [InstanceSpec("apache", "failure-oblivious", count=2)],
             total_requests=40,
@@ -152,8 +166,7 @@ class TestPoolAndSchedulerCleanup:
             workers=0,
         )
         assert result.instances
-        store = scheduler._LAST_IMAGE_STORE
-        assert store is not None and store.closed
+        assert len(stores) == 1 and stores[0].closed
         assert created or not _supports_shm()
         assert not _still_present(created)
 
@@ -169,6 +182,7 @@ class TestPoolAndSchedulerCleanup:
 
         monkeypatch.setattr(scheduler, "_run_fleet_shard", _die)
         created = _record_store_names(monkeypatch)
+        stores = _capture_fleet_stores(monkeypatch)
         with pytest.raises(BrokenProcessPool):
             run_fleet(
                 [InstanceSpec("apache", "failure-oblivious", count=2)],
@@ -177,8 +191,7 @@ class TestPoolAndSchedulerCleanup:
                 workers=2,
                 shards=2,
             )
-        store = scheduler._LAST_IMAGE_STORE
-        assert store is not None and store.closed
+        assert len(stores) == 1 and stores[0].closed
         assert created
         assert not _still_present(created)
 

@@ -88,16 +88,6 @@ class TestFrames:
         with pytest.raises(RuntimeError):
             call_stack.current_frame()
 
-    def test_frame_for_unit_and_local_named(self, stack):
-        _, _, call_stack = stack
-        frame = call_stack.push_frame("f")
-        unit = call_stack.alloc_local("buf", 8)
-        assert call_stack.frame_for_unit(unit) is frame
-        assert frame.local_named("buf") is unit
-        assert frame.local_named("missing") is None
-        call_stack.pop_frame()
-
-
 class TestReturnSlotCorruption:
     def test_intact_return_slot_pops_cleanly(self, stack):
         _, _, call_stack = stack
@@ -122,17 +112,6 @@ class TestReturnSlotCorruption:
         call_stack.seal_frame()
         space.write(buf.base, b"A" * (16 + RETURN_SLOT_SIZE))
         with pytest.raises(ControlFlowHijack):
-            call_stack.pop_frame()
-
-    def test_return_slot_intact_helper(self, stack):
-        space, _, call_stack = stack
-        frame = call_stack.push_frame("f")
-        buf = call_stack.alloc_local("buf", 8)
-        call_stack.seal_frame()
-        assert call_stack.return_slot_intact(frame)
-        space.write(buf.end, b"XXXXXXXX")
-        assert not call_stack.return_slot_intact(frame)
-        with pytest.raises(SegmentationFault):
             call_stack.pop_frame()
 
     def test_corrupted_frame_still_unwinds(self, stack):

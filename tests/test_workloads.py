@@ -5,7 +5,6 @@ import pytest
 from repro.servers import SERVER_CLASSES
 from repro.servers.base import Request
 from repro.workloads.attacks import (
-    attack_config_for,
     attack_request_for,
     midnight_commander_attack_archive,
     mutt_attack_folder_name,
@@ -77,15 +76,9 @@ class TestAttackGenerators:
         request = attack_request_for(server_name)
         assert request.is_attack
 
-    @pytest.mark.parametrize("server_name", sorted(SERVER_CLASSES))
-    def test_attack_config_defined_for_every_server(self, server_name):
-        assert isinstance(attack_config_for(server_name), dict)
-
     def test_unknown_server_attack_rejected(self):
         with pytest.raises(KeyError):
             attack_request_for("nginx")
-        with pytest.raises(KeyError):
-            attack_config_for("nginx")
 
     def test_pine_attack_from_field_has_quoted_characters(self):
         message = pine_attack_message(quoted_characters=10)
