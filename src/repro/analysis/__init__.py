@@ -7,6 +7,10 @@
   paper's security categories (exploited / crashed / denied service / survived).
 """
 
+# The harness's experiment registry imports the modules below, and they
+# import the harness's engine: load the harness first so neither side
+# re-enters a half-loaded module.
+import repro.harness  # noqa: F401
 from repro.analysis.propagation import PropagationReport, measure_propagation
 from repro.analysis.security import SecurityAssessment, assess_security
 

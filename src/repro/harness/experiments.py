@@ -38,6 +38,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.analysis.propagation import measure_propagation
+from repro.analysis.security import assess_security
 from repro.harness.engine import ENGINE, ScenarioSpec
 from repro.harness.report import (
     format_figure_table,
@@ -124,10 +126,6 @@ def _run_security(repetitions: int = 1, scale: float = 0.25,
     started = time.perf_counter()
     cells = ENGINE.run_security_matrix(scale=scale, workers=workers)
     elapsed = time.perf_counter() - started
-    # The analyses import the engine, so importing them at module level
-    # would make ``import repro.analysis`` re-enter a half-loaded module.
-    from repro.analysis.security import assess_security
-
     assessments = assess_security(cells=cells)
     table = format_security_matrix(cells)
     verdict_rows = [
@@ -387,8 +385,6 @@ def _run_variants(scale: float = 0.25) -> ExperimentOutput:
 
 
 def _run_propagation(total_requests: int = 40, attack_every: int = 8, scale: float = 0.25) -> ExperimentOutput:
-    from repro.analysis.propagation import measure_propagation  # see _run_security
-
     rows = []
     reports = {}
     for server_name in sorted(SERVER_CLASSES):
