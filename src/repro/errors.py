@@ -262,8 +262,7 @@ class RequestResult:
     error: Optional[BaseException] = None
     #: The request's memory-error records the error log's ring still retains
     #: (its newest ``capacity``); a request that overflows the ring made
-    #: more, which :attr:`RequestEnd.memory_errors
-    #: <repro.telemetry.events.RequestEnd.memory_errors>` counts.
+    #: more, which ``RequestEnd.memory_errors`` counts.
     memory_errors: list = field(default_factory=list)
     elapsed_seconds: float = 0.0
 
