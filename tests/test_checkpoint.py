@@ -301,3 +301,43 @@ class TestRestoreRetiresReplacedUnits:
         fresh = ctx.malloc(8)
         assert fresh.address == stale.address
         assert fresh.referent is not stale.referent and fresh.referent.alive
+
+    @pytest.mark.parametrize("path", ["context", "stream"])
+    @pytest.mark.parametrize("policy_name", [n for n in POLICY_NAMES if n != "standard"])
+    def test_pointer_from_before_the_checkpoint_stays_valid(self, policy_name, path):
+        """Only units the checkpoint does not hold die: a pointer taken
+        before it still reaches its unit's bytes without an error."""
+        ctx = MemoryContext(POLICY_CLASSES[policy_name]())
+        kept = ctx.malloc(8)
+        ctx.mem.write(kept, b"ABCDEFGH")
+        if path == "context":
+            image = ctx.checkpoint()
+            ctx.malloc(8)
+            ctx.restore(image)
+        else:
+            stream = CheckpointStream(ctx)
+            ctx.malloc(8)
+            stream.restore(0)
+        assert kept.referent.alive
+        recorded = ctx.error_log.total_recorded
+        ctx.mem.write_byte(kept + 7, ord("Z"))
+        assert ctx.mem.read(kept, 8) == b"ABCDEFGZ"
+        assert ctx.error_log.total_recorded == recorded
+        assert [u.base for u in ctx.table.live_units()] == [kept.address]
+
+    @pytest.mark.parametrize("path", ["context", "stream"])
+    def test_restore_fires_no_death_hooks(self, path):
+        """An image swap is not a program-visible unit death."""
+        ctx = MemoryContext(FailureObliviousPolicy())
+        ctx.malloc(8)
+        died = []
+        ctx.table.add_death_hook(died.append)
+        if path == "context":
+            image = ctx.checkpoint()
+            ctx.malloc(8)
+            ctx.restore(image)
+        else:
+            stream = CheckpointStream(ctx)
+            ctx.malloc(8)
+            stream.restore(0)
+        assert died == []

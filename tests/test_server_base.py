@@ -1,7 +1,14 @@
 """Tests for the shared server lifecycle (boot, process, classify, restart)."""
 
+import pytest
 
-from repro.core.policies import BoundsCheckPolicy, FailureObliviousPolicy, StandardPolicy
+from repro.core.policies import (
+    BoundlessPolicy,
+    BoundsCheckPolicy,
+    FailureObliviousPolicy,
+    RedirectPolicy,
+    StandardPolicy,
+)
 from repro.errors import RequestOutcome
 from repro.servers.base import Request, Response, Server, ServerError
 from repro.telemetry.events import RequestEnd
@@ -129,8 +136,11 @@ class TestLifecycle:
         result = server.process(Request(kind="overflow"))
         assert len(result.memory_errors) == 1
 
-    def test_request_error_count_exceeds_ring_capacity(self):
-        server = EchoServer(FailureObliviousPolicy)
+    @pytest.mark.parametrize(
+        "policy_cls", [FailureObliviousPolicy, BoundlessPolicy, RedirectPolicy]
+    )
+    def test_request_error_count_exceeds_ring_capacity(self, policy_cls):
+        server = EchoServer(policy_cls)
         server.start()
         sink = server.add_telemetry_sink(ListSink((RequestEnd,)))
         recorded = server.ctx.error_log.total_recorded

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.harness.engine import ENGINE
 from repro.servers import SERVER_CLASSES
 from repro.servers.base import Request
+from repro.servers.profile import get_profile
 from repro.workloads.attacks import (
     attack_request_for,
     midnight_commander_attack_archive,
@@ -76,9 +78,18 @@ class TestAttackGenerators:
         request = attack_request_for(server_name)
         assert request.is_attack
 
+    @pytest.mark.parametrize("server_name", sorted(SERVER_CLASSES))
+    def test_attack_config_defined_for_every_server(self, server_name):
+        attack_config = get_profile(server_name).make_attack_config()
+        assert isinstance(attack_config, dict)
+        server = ENGINE.build_server(server_name, "standard", plant_attack=True)
+        assert attack_config.items() <= server.config.items()
+
     def test_unknown_server_attack_rejected(self):
         with pytest.raises(KeyError):
             attack_request_for("nginx")
+        with pytest.raises(KeyError):
+            get_profile("nginx")
 
     def test_pine_attack_from_field_has_quoted_characters(self):
         message = pine_attack_message(quoted_characters=10)
