@@ -10,11 +10,14 @@ arrival time; an instance may instead carry its own request list
 (:attr:`InstanceSpec.requests`).  The mechanics reuse the checkpoint substrate end
 to end:
 
-* one **template** is booted per distinct ``(server, policy, config)`` group
-  and its post-boot :class:`~repro.servers.base.ProcessImage` captured; every
-  instance of the group is then cloned via
+* one **template** is booted per distinct ``(server, policy, config)`` group,
+  runs its session set-up, and has its serving
+  :class:`~repro.servers.base.ProcessImage` captured once, straight into a
+  :class:`~repro.memory.shared_image.SharedImageStore` (only the touched
+  blocks are copied); every instance of the group is then cloned via
   :meth:`~repro.servers.base.Server.adopt_image` (boot cost paid once per
-  group, not per instance);
+  group, not per instance), and its supervisor starts any snapshot chain
+  from that adopted image instead of a fresh full checkpoint;
 * every instance runs under one
   :class:`~repro.recovery.supervisor.RecoverySupervisor`, the one restart
   path.  Without ``recovery`` it is the paper's terminate-and-restart
@@ -89,19 +92,6 @@ T = TypeVar("T")
 
 #: Outcome strings carried by RequestEnd events after which the process is gone.
 _FATAL_VALUES = frozenset(outcome.value for outcome in FATAL_OUTCOMES)
-
-
-def _share_process_image(store: SharedImageStore, image: ProcessImage) -> ProcessImage:
-    """Rebind a boot image's address-space payload into shared memory.
-
-    Everything a clone restores stays bit-identical; only where the template
-    segment bytes live changes (one shared block instead of one ``bytes``
-    copy per image per process).
-    """
-    shared_ctx = store.share_image(image.ctx)
-    if shared_ctx is image.ctx:
-        return image
-    return replace(image, ctx=shared_ctx)
 
 
 class FleetTallySink(Sink):
@@ -652,6 +642,13 @@ def run_fleet(
 ) -> FleetResult:
     """Run a fleet soak: boot one template per group, clone, schedule, tally.
 
+    Each template boots, runs its profile's follow-up requests as session
+    set-up, and is captured once into the run's
+    :class:`~repro.memory.shared_image.SharedImageStore` (plain ``bytes``
+    when shared memory is unavailable).  No full copy of a segment is made:
+    the capture writes the image's touched blocks into the shared block, and
+    a supervised clone's snapshot 0 is the image it adopted.
+
     ``shards`` defaults to the instance count (one shard per instance —
     maximal parallelism); any smaller value groups contiguous instances.
     ``workers`` of None/0/1 runs the shards serially through the *same*
@@ -732,18 +729,16 @@ def run_fleet(
             plant_attack=True, scale=scale,
         )
         template.limit_history(history_limit)
-        fatal = template.start().fatal
-        if not fatal:
-            # Session setup (e.g. Mutt re-opening the INBOX after the planted
-            # startup folder was rejected) brings the template to its serving
-            # state, and the re-checkpoint makes that the image every clone
-            # AND every restart restores, paid once per group.
-            for setup_request in ENGINE.profile(instance.server).make_follow_ups():
-                template.process(setup_request)
-            template.recheckpoint()
-        # One shared copy of the template bytes per group: clones (serial or
-        # across the fork) restore straight out of the shared block.
-        images[key] = _share_process_image(store, template.boot_image)
+        # Session setup (e.g. Mutt re-opening the INBOX after the planted
+        # startup folder was rejected) brings the template to its serving
+        # state before the one capture, so that is the image every clone AND
+        # every restart restores.  The capture writes the touched blocks
+        # straight into the shared block: clones (serial or across the fork)
+        # restore out of one shared copy per group.
+        fatal = template.start(
+            setup=ENGINE.profile(instance.server).make_follow_ups(), store=store
+        ).fatal
+        images[key] = template.boot_image
         boot_fatal[instance.label] = fatal
         template.stop()
 

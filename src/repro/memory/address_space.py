@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import SegmentationFault
 
@@ -146,6 +146,16 @@ class AddressSpaceDelta:
         return sum(
             len(payload) for _name, entries in self.blocks for _idx, payload in entries
         )
+
+
+#: Makes a checkpoint's payloads: given ``(segment, sorted touched blocks)``
+#: for every segment, returns one bytes-like payload per segment.
+PayloadPlacer = Callable[[Sequence[Tuple[Segment, Tuple[int, ...]]]], Sequence[bytes]]
+
+
+def copy_payloads(touched: Sequence[Tuple[Segment, Tuple[int, ...]]]) -> List[bytes]:
+    """The payloads of a plain checkpoint: a full ``bytes`` copy of each segment."""
+    return [bytes(segment.data) for segment, _blocks in touched]
 
 
 def _block_runs(blocks):
@@ -374,25 +384,57 @@ class AddressSpace:
 
         Taking a checkpoint resets the dirty tracking, so a later
         :meth:`restore` of *this* checkpoint only copies back the blocks
-        written in between (the O(dirty-bytes) restart path).
+        written in between (the O(dirty-bytes) restart path).  Each payload
+        is a full ``bytes`` copy of its segment.
+        """
+        return self.capture(copy_payloads)
+
+    def capture(self, place: PayloadPlacer) -> AddressSpaceCheckpoint:
+        """:meth:`checkpoint`, with the segment payloads made by ``place``.
+
+        The epoch and ``touched`` bookkeeping happen first, so ``place``
+        receives every segment, in base order, paired with its sorted
+        touched blocks (the blocks written since the previous checkpoint
+        included), and returns one bytes-like payload per segment holding
+        that segment's current contents.  Every block outside the touched
+        list is zero, which lets
+        :meth:`~repro.memory.shared_image.SharedImageStore.capture` write
+        only the touched blocks into a zero-filled shared block.
         """
         epoch = next(_checkpoint_epochs)
         for segment in self._ordered:
             segment.touched |= segment.dirty
             segment.dirty.clear()
         self._clean_epoch = epoch
+        touched = [
+            (segment, tuple(sorted(segment.touched))) for segment in self._ordered
+        ]
+        payloads = place(touched)
         return AddressSpaceCheckpoint(
             epoch=epoch,
             segments=tuple(
-                (segment.name, segment.base, bytes(segment.data))
-                for segment in self._ordered
+                (segment.name, segment.base, payload)
+                for (segment, _blocks), payload in zip(touched, payloads)
             ),
             raw_reads=self.raw_reads,
             raw_writes=self.raw_writes,
             touched_blocks=tuple(
-                (segment.name, tuple(sorted(segment.touched)))
-                for segment in self._ordered
+                (segment.name, blocks) for segment, blocks in touched
             ),
+        )
+
+    def clean_against(self, cp: AddressSpaceCheckpoint) -> bool:
+        """True while the space still holds exactly ``cp``: it is clean
+        against ``cp``'s epoch, no segment has a dirty block, and no raw
+        access has been made since (the counters are ``cp``'s).
+
+        That is the state right after ``cp`` was taken or restored here, so
+        ``cp`` can stand in for a fresh checkpoint of the space.
+        """
+        return (
+            self._clean_epoch == cp.epoch
+            and not any(segment.dirty for segment in self._ordered)
+            and (self.raw_reads, self.raw_writes) == (cp.raw_reads, cp.raw_writes)
         )
 
     @property

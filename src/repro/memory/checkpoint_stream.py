@@ -2,7 +2,10 @@
 
 A :class:`CheckpointStream` turns one :class:`~repro.memory.context.MemoryContext`
 into a time-travel substrate.  Snapshot 0 is a full
-:class:`~repro.memory.context.MemoryImage`; every later snapshot is a
+:class:`~repro.memory.context.MemoryImage`: a fresh checkpoint of the
+context, or an image the context still holds exactly (the one it was just
+restored from, e.g. a clone's adopted boot image, which then costs no copy
+at all); every later snapshot is a
 :class:`~repro.memory.context.MemoryDelta` capturing only the 4 KiB blocks
 dirtied since the previous snapshot — O(dirty) to take, which makes
 per-request cadences affordable.  The stream indexes every captured block by
@@ -20,8 +23,8 @@ per-request cadences affordable.  The stream indexes every captured block by
 Restoring to snapshot *k* truncates the snapshots after *k*: history forks
 at the rollback point, exactly like a process that resumed from a checkpoint.
 
-Pass a :class:`~repro.memory.shared_image.SharedImageStore` to append the
-base payloads and every delta's blocks into shared memory
+Pass a :class:`~repro.memory.shared_image.SharedImageStore` to capture the
+base payloads and append every delta's blocks into shared memory
 (:meth:`SharedImageStore.share_payload`), giving forked workers a zero-copy
 view of the whole snapshot history through the inherited mapping.
 """
@@ -42,22 +45,31 @@ from repro.memory.shared_image import SharedImageStore
 class CheckpointStream:
     """A growing chain of snapshots over one memory context.
 
-    Snapshot indices are dense: 0 is the base image taken at construction,
-    ``len(stream)`` - 1 is the newest.  The context must not be checkpointed
-    or restored behind the stream's back between snapshots — the chain
-    detects a broken epoch link and refuses to append.
+    Snapshot indices are dense: 0 is the base image, ``len(stream)`` - 1 is
+    the newest.  The base is taken at construction (into ``store`` when one
+    is given), or is the ``base`` image passed in.  A passed-in base must be
+    what the context holds right now (:meth:`AddressSpace.clean_against`:
+    nothing written or read since it was taken or restored); otherwise the
+    stream refuses it.  The context must not be checkpointed or restored
+    behind the stream's back between snapshots — the chain detects a broken
+    epoch link and refuses to append.
     """
 
     def __init__(
         self,
         ctx: MemoryContext,
         store: Optional[SharedImageStore] = None,
+        base: Optional[MemoryImage] = None,
     ) -> None:
         self.ctx = ctx
         self._store = store
-        base = ctx.checkpoint()
-        if store is not None:
-            base = store.share_image(base)
+        if base is None:
+            base = ctx.checkpoint() if store is None else store.capture(ctx)
+        elif not ctx.space.clean_against(base.space):
+            raise ValueError(
+                "the context has changed since the base image was taken or "
+                "restored; it cannot be snapshot 0"
+            )
         self.base = base
         #: deltas[i] is snapshot i + 1.
         self.deltas: List[MemoryDelta] = []

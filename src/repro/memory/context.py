@@ -21,6 +21,8 @@ from repro.memory.address_space import (
     AddressSpace,
     AddressSpaceCheckpoint,
     AddressSpaceDelta,
+    PayloadPlacer,
+    copy_payloads,
 )
 from repro.memory.allocator import HeapAllocator, HeapAllocatorCheckpoint
 from repro.memory.cstring import read_c_string, write_c_string
@@ -206,10 +208,16 @@ class MemoryContext:
 
         The server lifecycle calls this once after boot; every subsequent
         restart is then a :meth:`restore` instead of a rebuild-and-reboot.
+        Each segment payload is a full ``bytes`` copy.
         """
+        return self.capture(copy_payloads)
+
+    def capture(self, place: PayloadPlacer) -> MemoryImage:
+        """:meth:`checkpoint`, with the segment payloads made by ``place``
+        (see :meth:`AddressSpace.capture`)."""
         return MemoryImage(
             policy_name=self.policy.name,
-            space=self.space.checkpoint(),
+            space=self.space.capture(place),
             table=self.table.checkpoint(),
             heap=self.heap.checkpoint(),
             stack=self.stack.checkpoint(),

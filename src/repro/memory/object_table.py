@@ -20,9 +20,10 @@ class UnitRecord:
     """Pure-data image of one :class:`~repro.memory.data_unit.DataUnit`.
 
     Checkpoints store records, not unit objects, so a checkpoint shares no
-    mutable state with the live table: restoring (or cloning into another
-    process image) rebuilds fresh units with identical fields — including the
-    serial, which is deterministic per table (see :meth:`ObjectTable.next_serial`).
+    mutable state with the live table: restoring resets the units the table
+    still holds and builds the others (cloning into another process image
+    builds them all) with identical fields — including the serial, which is
+    deterministic per table (see :meth:`ObjectTable.next_serial`).
     """
 
     name: str
@@ -41,6 +42,15 @@ class UnitRecord:
     def build(self) -> DataUnit:
         unit = make_unit(name=self.name, base=self.base, size=self.size,
                          kind=self.kind, owner=self.owner, serial=self.serial)
+        unit.alive = self.alive
+        return unit
+
+    def reset(self, unit: DataUnit) -> DataUnit:
+        """Give ``unit`` (same base and serial) this record's fields."""
+        unit.name = self.name
+        unit.size = self.size
+        unit.kind = self.kind
+        unit.owner = self.owner
         unit.alive = self.alive
         return unit
 
@@ -170,22 +180,32 @@ class ObjectTable:
     def restore(self, cp: ObjectTableCheckpoint) -> Dict[int, DataUnit]:
         """Rebuild the table from a checkpoint, returning live units by base.
 
-        Fresh :class:`DataUnit` objects are constructed (a from-scratch reboot
-        would construct fresh objects too).  Units registered after the
-        checkpoint drop out and are marked dead: the restored allocator
-        hands their bytes out again, so a stale pointer into one must be an
-        invalid access, not an alias of the next allocation.  Death hooks do
-        *not* fire — an image swap is not a program-visible unit death.  The
-        returned mapping lets the allocator and call stack rewire their own
-        references to the same rebuilt objects.
+        A record the checkpoint keeps reuses the unit object the table
+        already holds for it, live or retired (matched by base and serial),
+        with its fields reset from the record.  So a pointer taken before
+        the checkpoint still names the unit the table holds (it can be
+        freed), and a unit freed since the checkpoint is alive again for the
+        pointers that still name it.  Only the other records get fresh
+        :class:`DataUnit` objects, as a from-scratch reboot would.  Units
+        the checkpoint does not hold drop out and are marked dead: the
+        restored allocator hands their bytes out again, so a stale pointer
+        into one must be an invalid access, not an alias of the next
+        allocation.  Death hooks do *not* fire — an image swap is not a
+        program-visible unit death.  The returned mapping lets the allocator
+        and call stack rewire their own references to the same objects.
         """
-        kept = {(record.base, record.serial) for record in cp.live}
-        for unit in self._units:
-            if (unit.base, unit.serial) not in kept:
-                unit.alive = False
-        self._units = [record.build() for record in cp.live]
+        held = {(unit.base, unit.serial): unit for unit in self._retired}
+        held.update(((unit.base, unit.serial), unit) for unit in self._units)
+
+        def adopt(record: UnitRecord) -> DataUnit:
+            unit = held.pop((record.base, record.serial), None)
+            return record.build() if unit is None else record.reset(unit)
+
+        self._units = [adopt(record) for record in cp.live]
+        self._retired = [adopt(record) for record in cp.retired]
+        for unit in held.values():
+            unit.alive = False
         self._bases = [unit.base for unit in self._units]
-        self._retired = [record.build() for record in cp.retired]
         self.lookups = cp.lookups
         self._serial_counter = cp.next_serial
         return {unit.base: unit for unit in self._units}

@@ -19,6 +19,12 @@ single :mod:`multiprocessing.shared_memory` block, so that
   The untouched ones stay unbacked zero pages — a template with a
   megabytes-long heap whose boot wrote one block makes one page resident.
   :attr:`SharedImageStore.blocks_copied` counts the blocks written.
+* a template is captured straight into the store
+  (:meth:`SharedImageStore.capture`): the checkpoint's touched blocks are
+  copied out of the live segments into the shared block, so no full
+  ``bytes`` copy of a segment is ever made for it.
+  :meth:`SharedImageStore.share_space` moves an existing checkpoint's
+  payloads the same way.
 
 Lifecycle: the store is created by the scheduler that owns the run and
 closed (``close()``: release views, close the mapping, unlink the ``/dev/shm``
@@ -36,8 +42,13 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from repro.memory.address_space import DIRTY_BLOCK, AddressSpaceCheckpoint, _block_runs
-from repro.memory.context import MemoryImage
+from repro.memory.address_space import (
+    DIRTY_BLOCK,
+    AddressSpaceCheckpoint,
+    _block_runs,
+    copy_payloads,
+)
+from repro.memory.context import MemoryContext, MemoryImage
 
 try:  # pragma: no cover - exercised indirectly on every supported platform
     from multiprocessing import shared_memory as _shared_memory
@@ -59,8 +70,9 @@ class SharedImageStore:
         #: a buffer keeps the underlying mmap pinned.
         self._views: List[memoryview] = []
         self.closed = False
-        #: Running count of DIRTY_BLOCK-sized blocks :meth:`share_space` has
-        #: written into shared memory — the counted cost of sharing.
+        #: Running count of DIRTY_BLOCK-sized blocks :meth:`capture` and
+        #: :meth:`share_space` have written into shared memory — the counted
+        #: cost of sharing.
         self.blocks_copied = 0
         #: Current append-arena chunk for :meth:`share_payload` (lazy).
         self._arena_block: Optional["_shared_memory.SharedMemory"] = None
@@ -79,47 +91,82 @@ class SharedImageStore:
         """True when at least one shared block is live."""
         return bool(self._blocks) and not self.closed
 
+    def capture(self, ctx: MemoryContext) -> MemoryImage:
+        """Checkpoint ``ctx`` with its segment payloads written straight
+        into one new shared block.
+
+        The checkpoint's bookkeeping is :meth:`AddressSpace.capture`'s, so
+        the space is clean against the returned image exactly as after
+        ``ctx.checkpoint()``.  Only the live segments' touched blocks are
+        copied, out of the segments themselves: no full copy of a segment is
+        made on the way.  When sharing is unavailable (no shared memory, or
+        the store is closed) this is the plain ``ctx.checkpoint()``.
+        """
+        if _shared_memory is None or self.closed:
+            return ctx.checkpoint()
+        return ctx.capture(self._place_live)
+
+    def _place_live(self, touched) -> list:
+        """Payload placer for :meth:`capture`: live segment views in, shared
+        views out (full copies if the shared block cannot be created)."""
+        views = self._place([(segment.view, blocks) for segment, blocks in touched])
+        return views if views is not None else copy_payloads(touched)
+
     def share_space(self, cp: AddressSpaceCheckpoint) -> AddressSpaceCheckpoint:
         """Return a checkpoint whose segment payloads live in shared memory.
 
         The returned checkpoint is equivalent for every reader (payloads are
         full-length read-only views of identical bytes); the original is left
-        untouched.  Only each segment's ``touched_blocks`` are copied: the new
-        block starts zero-filled and every other block of ``cp`` is zero, so
-        the cost is O(touched bytes) and untouched blocks stay unbacked zero
-        pages.  Returns ``cp`` unchanged when sharing is unavailable, already
-        done, or pointless (empty payloads).
+        untouched.  Only each segment's ``touched_blocks`` are copied, as in
+        :meth:`capture`.  Returns ``cp`` unchanged when sharing is
+        unavailable, already done, or pointless (empty payloads).
         """
-        if _shared_memory is None or self.closed:
-            return cp
-        total = sum(len(contents) for _name, _base, contents in cp.segments)
-        if total == 0:
-            return cp
         if any(isinstance(contents, memoryview) for _n, _b, contents in cp.segments):
             return cp  # already shared
+        touched_map = dict(cp.touched_blocks)
+        views = self._place(
+            [(contents, touched_map[name]) for name, _base, contents in cp.segments]
+        )
+        if views is None:
+            return cp
+        segments = tuple(
+            (name, base, view) for (name, base, _contents), view in zip(cp.segments, views)
+        )
+        return dataclasses.replace(cp, segments=segments)
+
+    def _place(self, sources) -> Optional[List[memoryview]]:
+        """Copy ``(payload, touched blocks)`` pairs into one new shared block.
+
+        The new block starts zero-filled and every block of a payload outside
+        its touched list is zero, so only the touched blocks are written: the
+        cost is O(touched bytes) and untouched blocks stay unbacked zero
+        pages.  Returns one full-length read-only view per payload, or None
+        when sharing is unavailable or pointless (empty payloads).
+        """
+        total = sum(len(payload) for payload, _blocks in sources)
+        if _shared_memory is None or self.closed or total == 0:
+            return None
         try:
             block = _shared_memory.SharedMemory(create=True, size=total)
         except OSError:  # pragma: no cover - /dev/shm full or unavailable
-            return cp
+            return None
         self._blocks.append(block)
         buf = block.buf
-        touched_map = dict(cp.touched_blocks)
+        views = []
         offset = 0
-        segments = []
-        for name, base, contents in cp.segments:
-            size = len(contents)
-            end = offset + size
-            blocks = touched_map[name]
+        for payload, blocks in sources:
+            size = len(payload)
+            source = memoryview(payload)
             for start_block, end_block in _block_runs(blocks):
                 start = start_block * DIRTY_BLOCK
                 stop = min(end_block * DIRTY_BLOCK, size)
-                buf[offset + start : offset + stop] = contents[start:stop]
+                buf[offset + start : offset + stop] = source[start:stop]
             self.blocks_copied += len(blocks)
-            view = buf[offset:end].toreadonly()
+            view = buf[offset : offset + size].toreadonly()
             self._views.append(view)
-            segments.append((name, base, view))
-            offset = end
-        return dataclasses.replace(cp, segments=tuple(segments))
+            views.append(view)
+            offset += size
+        return views
 
     #: Arena chunk size for :meth:`share_payload`.  Delta payloads are a few
     #: KiB each; 1 MiB chunks keep the number of ``/dev/shm`` entries small

@@ -94,7 +94,11 @@ class RecoverySupervisor:
 
     The server may be alive or dead but must have booted (it needs a boot
     image to restart from); a dead one is restarted at construction.  Under
-    a policy a live server's base snapshot (snapshot 0) is taken then too.
+    a policy a live server's base snapshot (snapshot 0) is set then too.
+    Snapshot 0 is the server's boot image itself when the server still
+    holds it — a fleet clone that just adopted its image, a server that has
+    processed nothing since ``start()``, or any boot-image restart — so
+    starting a chain copies nothing; otherwise it is a full checkpoint.
     All request traffic must then go through :meth:`submit` — processing
     requests behind the supervisor's back would desynchronize the snapshot
     chain (the stream detects this and refuses to append).
@@ -128,7 +132,9 @@ class RecoverySupervisor:
         if not server.alive:
             self._restart()
         elif policy is not None:
-            self._new_stream()
+            # A server that has processed nothing since start() or
+            # adopt_image() still holds its boot image.
+            self._new_stream(from_image=server.requests_processed == 0)
 
     # -- the serving loop ---------------------------------------------------------
 
@@ -204,10 +210,22 @@ class RecoverySupervisor:
 
     # -- recovery -----------------------------------------------------------------
 
-    def _new_stream(self) -> None:
-        """Start a fresh snapshot chain whose base is the current state."""
-        self.stream = CheckpointStream(self.server.ctx)
-        self._states = [self.server.capture_handler_state()]
+    def _new_stream(self, from_image: bool) -> None:
+        """Start a fresh snapshot chain whose base is the current state.
+
+        ``from_image`` says the server was just started, adopted or
+        restarted from its boot image.  If its memory is still exactly that
+        image, the image itself (memory and handler state) is snapshot 0,
+        which copies nothing; otherwise snapshot 0 is a full checkpoint.
+        """
+        server = self.server
+        image = server.boot_image
+        if from_image and server.ctx.space.clean_against(image.ctx.space):
+            self.stream = CheckpointStream(server.ctx, base=image.ctx)
+            self._states = [image.state]
+        else:
+            self.stream = CheckpointStream(server.ctx)
+            self._states = [server.capture_handler_state()]
         self._since_snapshot = 0
 
     def _restart(self, request: Optional[Request] = None, backoff: float = 0.0) -> None:
@@ -222,7 +240,7 @@ class RecoverySupervisor:
         self.boot_restarts += 1
         self._consecutive_recoveries = 0
         if self.policy is not None and self.server.alive:
-            self._new_stream()
+            self._new_stream(from_image=True)
         self.server.ctx.bus.emit(RollbackPerformed(
             snapshot_index=0,
             request_id=None if request is None else request.request_id,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.policy import AccessPolicy
@@ -298,12 +298,10 @@ class ChildProcessPool:
         child = ApacheServer(self.policy_factory, config=self.config,
                              history_limit=DEFAULT_HISTORY_LIMIT)
         if self._template_image is None:
-            child.start()
-            image = child.boot_image
-            shared_ctx = self._image_store.share_image(image.ctx)
-            if shared_ctx is not image.ctx:
-                image = replace(image, ctx=shared_ctx)
-            self._template_image = image
+            # The template's boot image is captured straight into the shared
+            # store, so the template child restarts from the shared copy too.
+            child.start(store=self._image_store)
+            self._template_image = child.boot_image
         else:
             child.adopt_image(self._template_image)
         return child

@@ -27,7 +27,7 @@ import time
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policy import AccessPolicy
 from repro.errors import (
@@ -42,6 +42,7 @@ from repro.errors import (
     UseAfterFree,
 )
 from repro.memory.context import MemoryContext, MemoryImage
+from repro.memory.shared_image import SharedImageStore
 from repro.telemetry.events import RequestEnd, RequestStart
 from repro.telemetry.openrun import flush_open_run
 from repro.telemetry.session import current_session
@@ -281,16 +282,28 @@ class Server(ABC):
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def start(self) -> RequestResult:
+    def start(
+        self,
+        setup: Sequence[Request] = (),
+        store: Optional[SharedImageStore] = None,
+    ) -> RequestResult:
         """Boot the server, classifying any fault hit during initialization.
 
-        The post-boot process image — memory substrate, error log, the
-        subclass state ``startup()`` built, the boot's telemetry stream, and
-        the classified boot result — is captured as a checkpoint, so every
-        later :meth:`restart` is a restore instead of a rebuild-and-reboot.
-        Fatal boots are captured too: restarting a server whose trigger lives
-        in its configuration replays the same fatal boot, exactly as
-        re-running ``startup()`` would.
+        After a boot that survived, the ``setup`` requests run in order:
+        session set-up that brings the process to its serving state (the
+        stability experiments' follow-up requests, e.g. Mutt re-opening the
+        INBOX after the planted startup folder was rejected).  Then the
+        process image — memory substrate, error log, the subclass state
+        ``startup()`` and the set-up built, the boot's telemetry stream, and
+        the classified boot result — is captured once, so every later
+        :meth:`restart` is a restore instead of a rebuild-and-reboot.  The
+        set-up requests are not part of the replayed boot stream: a restore
+        reads as "the process booted", and they do not reach observers'
+        tallies again.  With a ``store`` the image's segment payloads are
+        written straight into its shared memory
+        (:meth:`SharedImageStore.capture`).  Fatal boots are captured too:
+        restarting a server whose trigger lives in its configuration replays
+        the same fatal boot, exactly as re-running ``startup()`` would.
         """
         recorder = ListSink()
         self.ctx.bus.attach(recorder)
@@ -298,8 +311,11 @@ class Server(ABC):
             result = self._boot()
         finally:
             self.ctx.bus.detach(recorder)
+        if not result.fatal:
+            for request in setup:
+                self.process(request)
         self._image = ProcessImage(
-            ctx=self.ctx.checkpoint(),
+            ctx=self.ctx.checkpoint() if store is None else store.capture(self.ctx),
             state=self._capture_state(),
             boot_result=result,
             boot_events=tuple(recorder.events),
@@ -316,28 +332,6 @@ class Server(ABC):
     def _run_startup(self) -> Response:
         self.startup()
         return Response.ok(detail="started")
-
-    def recheckpoint(self) -> ProcessImage:
-        """Re-capture the restart checkpoint from the server's current state.
-
-        :meth:`start` checkpoints the immediately-post-boot state; a harness
-        that performs session setup after boot (the stability experiments'
-        follow-up requests — e.g. Mutt re-opening the INBOX after the planted
-        startup folder was rejected) can call this afterwards so that clones
-        and monitor restarts restore the *serving* state, not the raw boot.
-        The boot result and replayed boot telemetry are carried over from the
-        original image: a restore still reads as "the process booted", and
-        the setup requests are not replayed into observers' tallies.
-        """
-        if self._image is None:
-            raise RuntimeError("recheckpoint requires a started server")
-        self._image = ProcessImage(
-            ctx=self.ctx.checkpoint(),
-            state=self._capture_state(),
-            boot_result=self._image.boot_result,
-            boot_events=self._image.boot_events,
-        )
-        return self._image
 
     @property
     def boot_image(self) -> Optional[ProcessImage]:

@@ -326,6 +326,46 @@ class TestRestoreRetiresReplacedUnits:
         assert [u.base for u in ctx.table.live_units()] == [kept.address]
 
     @pytest.mark.parametrize("path", ["context", "stream"])
+    @pytest.mark.parametrize("policy_name", [n for n in POLICY_NAMES if n != "standard"])
+    def test_unit_kept_by_the_checkpoint_can_be_freed_after_restore(self, policy_name, path):
+        """``a = malloc(8); checkpoint; restore; free(a)``: the restore keeps
+        ``a``'s unit object, so the table still knows it."""
+        ctx = MemoryContext(POLICY_CLASSES[policy_name]())
+        kept = ctx.malloc(8)
+        if path == "context":
+            ctx.restore(ctx.checkpoint())
+        else:
+            CheckpointStream(ctx).restore(0)
+        assert ctx.table.live_units() == [kept.referent]
+        ctx.free(kept)
+        assert not kept.referent.alive
+        assert ctx.table.live_units() == []
+
+    @pytest.mark.parametrize("path", ["context", "stream"])
+    @pytest.mark.parametrize("policy_name", [n for n in POLICY_NAMES if n != "standard"])
+    def test_unit_freed_after_the_checkpoint_is_live_again(self, policy_name, path):
+        """``b = malloc(8); checkpoint; free(b); restore``: ``b`` is live in
+        the image, so a store through it is valid again."""
+        ctx = MemoryContext(POLICY_CLASSES[policy_name]())
+        revived = ctx.malloc(8)
+        if path == "context":
+            image = ctx.checkpoint()
+            ctx.free(revived)
+            ctx.restore(image)
+        else:
+            stream = CheckpointStream(ctx)
+            ctx.free(revived)
+            stream.restore(0)
+        assert revived.referent.alive
+        assert ctx.table.live_units() == [revived.referent]
+        recorded = ctx.error_log.total_recorded
+        ctx.mem.write_byte(revived, 7)
+        assert ctx.mem.read(revived, 1) == b"\x07"
+        assert ctx.error_log.total_recorded == recorded
+        ctx.free(revived)
+        assert not revived.referent.alive
+
+    @pytest.mark.parametrize("path", ["context", "stream"])
     def test_restore_fires_no_death_hooks(self, path):
         """An image swap is not a program-visible unit death."""
         ctx = MemoryContext(FailureObliviousPolicy())

@@ -21,6 +21,7 @@ Covers the recovery subsystem end to end:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
@@ -30,6 +31,9 @@ from repro.core.policies import StandardPolicy
 from repro.errors import SegmentationFault
 from repro.fleet.scheduler import DROPPED_OUTCOME, FleetTallySink, InstanceSpec, run_fleet
 from repro.harness.engine import ENGINE
+from repro.memory.address_space import AddressSpace
+from repro.memory.checkpoint_stream import CheckpointStream
+from repro.memory.shared_image import SharedImageStore
 from repro.recovery import (
     FAULT_KINDS,
     FaultInjector,
@@ -209,6 +213,154 @@ class TestSupervisorSemantics:
         server.ctx.checkpoint()  # desynchronizes the delta chain
         with pytest.raises(ValueError, match="behind the stream's back"):
             sup.submit(_benign(profile, 0))
+
+
+def _comparable(image, lookups=None):
+    """``image`` with its epoch dropped and payloads as bytes: what two
+    captures of the same state must agree on.  ``lookups`` replaces the
+    object table's lookup counter."""
+    space = dataclasses.replace(
+        image.space,
+        epoch=0,
+        segments=tuple((name, base, bytes(payload))
+                       for name, base, payload in image.space.segments),
+    )
+    table = image.table if lookups is None else dataclasses.replace(
+        image.table, lookups=lookups)
+    return dataclasses.replace(image, space=space, table=table)
+
+
+def _serving_image(server_name, policy_name, store):
+    """A fleet template's serving image, captured into ``store``."""
+    template = ENGINE.build_server(server_name, policy_name, plant_attack=True, scale=0.25)
+    template.start(setup=ENGINE.profile(server_name).make_follow_ups(), store=store)
+    return template.boot_image
+
+
+def _clone(server_name, policy_name, image):
+    clone = ENGINE.build_server(server_name, policy_name, plant_attack=True, scale=0.25)
+    clone.adopt_image(image)
+    return clone
+
+
+def _event_record(events):
+    """The events as comparable data, wall-clock fields left out."""
+    return [
+        (type(event).__name__,
+         {k: v for k, v in dataclasses.asdict(event).items() if k != "elapsed_seconds"})
+        for event in events
+    ]
+
+
+class TestSnapshotZeroIsTheAdoptedImage:
+    """Snapshot 0 taken from the image a context was just restored from is
+    the same snapshot as a fresh full checkpoint of that context."""
+
+    @pytest.mark.parametrize("server_name,policy_name", [
+        ("apache", "failure-oblivious"),
+        ("minic-sendmail", "failure-oblivious"),
+        ("pine", "failure-oblivious"),
+        ("midnight-commander", "bounds-check"),
+    ])
+    def test_stream_from_the_image_equals_one_from_a_full_checkpoint(
+            self, server_name, policy_name):
+        """Equal but for one counter: the object table's ``lookups``, which
+        a full checkpoint taken after the adopt reads with the lookups the
+        handler-state thaw made after the image was restored (a compiled
+        mini-C server resolves its frozen pointers through the table).  An
+        image-based snapshot 0 is the state the adopt restored, before that
+        thaw, so it is lower by exactly those lookups (zero for the
+        hand-modeled servers)."""
+        profile = ENGINE.profile(server_name)
+        attack = profile.make_attack_request()
+        requests = [attack, _benign(profile, 0), profile.make_attack_request()]
+        with SharedImageStore() as store:
+            image = _serving_image(server_name, policy_name, store)
+            adopted = _clone(server_name, policy_name, image)
+            checked = _clone(server_name, policy_name, image)
+            thaw_lookups = checked.ctx.table.lookups - image.ctx.table.lookups
+            assert thaw_lookups == (3 if server_name == "minic-sendmail" else 0)
+            from_image = CheckpointStream(adopted.ctx, base=image.ctx)
+            from_checkpoint = CheckpointStream(checked.ctx)
+            assert from_image.base is image.ctx
+            assert from_checkpoint.base is not image.ctx
+
+            def agree(ours, theirs):
+                assert ours.table.lookups + thaw_lookups == theirs.table.lookups
+                assert _comparable(ours, lookups=0) == _comparable(theirs, lookups=0)
+
+            agree(from_image.image_at(0), from_checkpoint.image_at(0))
+            for server, stream in ((adopted, from_image), (checked, from_checkpoint)):
+                for request in requests:
+                    server.process(request)
+                stream.snapshot()
+                server.process(attack)
+                assert stream.restore(0) > 0
+            agree(adopted.ctx.checkpoint(), checked.ctx.checkpoint())
+            agree(from_image.image_at(0), from_checkpoint.image_at(0))
+
+    @pytest.mark.parametrize("leave", ["write", "read", "checkpoint"])
+    def test_stream_refuses_an_image_the_context_has_left(self, leave):
+        with SharedImageStore() as store:
+            image = _serving_image("apache", "failure-oblivious", store)
+            clone = _clone("apache", "failure-oblivious", image)
+            if leave == "write":
+                clone.ctx.malloc(8)
+            elif leave == "read":
+                heap = clone.ctx.space.heap
+                clone.ctx.space.read(heap.base, 1)
+            else:
+                clone.ctx.checkpoint()
+            with pytest.raises(ValueError, match="snapshot 0"):
+                CheckpointStream(clone.ctx, base=image.ctx)
+
+    def test_supervisor_checkpoints_a_server_that_left_its_image(self):
+        server = ENGINE.build_server("apache", "failure-oblivious")
+        server.start()
+        server.ctx.malloc(8)
+        supervisor = RecoverySupervisor(server, RecoveryPolicy())
+        assert supervisor.stream.base is not server.boot_image.ctx
+        served = ENGINE.build_server("apache", "failure-oblivious")
+        served.start()
+        served.process(_benign(ENGINE.profile("apache"), 0))
+        supervisor = RecoverySupervisor(served, RecoveryPolicy())
+        assert supervisor.stream.base is not served.boot_image.ctx
+
+    def test_boot_image_degradation_equals_the_full_checkpoint_chain(self, monkeypatch):
+        """Rollback-loop degradations restart from the boot image and start
+        a fresh chain from it: the same events, results and memory as
+        chains started from full checkpoints."""
+        profile = ENGINE.profile("apache")
+        requests = ([_benign(profile, i) for i in range(3)]
+                    + [profile.make_attack_request(), _benign(profile, 3),
+                       profile.make_attack_request(), _benign(profile, 4)])
+
+        def serve():
+            server, supervisor, recorder = _supervised(
+                "apache", "bounds-check",
+                recovery=RecoveryPolicy(snapshot_every=2, retry_budget=5,
+                                        loop_threshold=3),
+                plant_attack=True,
+            )
+            results = [supervisor.submit(request).outcome for request in requests]
+            return server, supervisor, recorder, results
+
+        server, supervisor, recorder, results = serve()
+        assert supervisor.boot_restarts == 4
+        assert supervisor.stream.base is server.boot_image.ctx
+        with monkeypatch.context() as patch:
+            patch.setattr(AddressSpace, "clean_against", lambda space, cp: False)
+            ref_server, ref_supervisor, ref_recorder, ref_results = serve()
+        assert ref_supervisor.stream.base is not ref_server.boot_image.ctx
+        assert results == ref_results
+        assert _event_record(recorder.events) == _event_record(ref_recorder.events)
+        for counter in ("snapshots_taken", "rollbacks", "boot_restarts", "quarantined"):
+            assert getattr(supervisor, counter) == getattr(ref_supervisor, counter)
+        assert len(supervisor.stream) == len(ref_supervisor.stream)
+        assert _comparable(supervisor.stream.image_at(0)) == _comparable(
+            ref_supervisor.stream.image_at(0))
+        assert _comparable(server.ctx.checkpoint()) == _comparable(
+            ref_server.ctx.checkpoint())
 
 
 class CrashServer(Server):

@@ -25,9 +25,12 @@ from repro.memory.address_space import DIRTY_BLOCK, AddressSpace
 from repro.memory.checkpoint_stream import CheckpointStream
 from repro.memory.context import MemoryContext
 from repro.memory.pointer import FatPointer
+from repro.memory import shared_image
 from repro.memory.shared_image import SharedImageStore
+from repro.recovery.supervisor import RecoveryPolicy
 from repro.recovery.forensics import load_snapshot, save_snapshot
 from repro.servers.apache import ApacheServer, ChildProcessPool
+from repro.servers.base import Server
 from repro.workloads.attacks import apache_vulnerable_config
 from tests.conftest import POLICY_CLASSES
 
@@ -287,6 +290,95 @@ class TestShareCost:
             f"sharing copied {small} blocks on a {CLONE_HEAP_SMALL}-byte heap and "
             f"{large} on a 10x heap; the image touched {touched_small} and {touched_large}"
         )
+
+
+#: The ``fleet-soak`` benchmark workload's fleet (``perfbench/serving.py``):
+#: five failure-oblivious mail/file servers and one bounds-check Commander,
+#: attacked every 20th request, supervised, a fault every 101st.
+FLEET_SOAK_SPECS = [
+    InstanceSpec(server=name, policy="failure-oblivious", attack_every=20)
+    for name in ("sendmail", "minic-sendmail", "pine", "mutt", "midnight-commander")
+] + [InstanceSpec(server="midnight-commander", policy="bounds-check", attack_every=20)]
+FLEET_SOAK_KW = dict(recovery=RecoveryPolicy(), fault_every=101)
+
+
+def _touched(image) -> int:
+    return sum(len(blocks) for _name, blocks in image.ctx.space.touched_blocks)
+
+
+class TestFleetCaptureCost:
+    """Counted cost of a fleet's set-up: no full copy of any segment.
+
+    Each template is captured once, straight into the run's store, which
+    copies exactly the image's touched blocks; each supervised clone's
+    snapshot 0 is the image it adopted, not a fresh checkpoint of it.
+    """
+
+    def test_fleet_setup_copies_only_touched_blocks(self, monkeypatch):
+        stores = _capture_fleet_stores(monkeypatch)
+        full_checkpoints = []
+        checkpoint = AddressSpace.checkpoint
+
+        def counting_checkpoint(space):
+            full_checkpoints.append(space)
+            return checkpoint(space)
+
+        monkeypatch.setattr(AddressSpace, "checkpoint", counting_checkpoint)
+        templates = []
+        start = Server.start
+
+        def recording_start(server, *args, **kwargs):
+            before = stores[-1].blocks_copied
+            result = start(server, *args, **kwargs)
+            templates.append((server.boot_image, stores[-1].blocks_copied - before))
+            return result
+
+        monkeypatch.setattr(Server, "start", recording_start)
+        clones = []
+        supervise_clone = scheduler._FleetRun.supervise_clone
+
+        def recording_supervise_clone(run, instance):
+            supervisor, sink = supervise_clone(run, instance)
+            image = supervisor.server.boot_image
+            clones.append((supervisor.stream, image, list(supervisor._states)))
+            return supervisor, sink
+
+        monkeypatch.setattr(scheduler._FleetRun, "supervise_clone", recording_supervise_clone)
+
+        result = run_fleet(FLEET_SOAK_SPECS, total_requests=300, seed=121, workers=0,
+                           **FLEET_SOAK_KW)
+
+        assert result.total_requests == 300
+        assert full_checkpoints == [], (
+            f"{len(full_checkpoints)} full address-space checkpoints in one fleet run"
+        )
+        assert len(stores) == 1 and len(templates) == len(FLEET_SOAK_SPECS)
+        for image, copied in templates:
+            assert copied == _touched(image) > 0
+        assert stores[0].blocks_copied == sum(_touched(image) for image, _ in templates)
+        assert len(clones) == len(FLEET_SOAK_SPECS)
+        for stream, image, states in clones:
+            assert stream is not None
+            assert stream.base is image.ctx
+            assert states == [image.state] and states[0] is image.state
+
+
+class TestSharingUnavailable:
+    """Fleet tallies do not depend on where the images live or on workers."""
+
+    @staticmethod
+    def _tallies(**kwargs):
+        result = run_fleet(FLEET_SOAK_SPECS, total_requests=300, seed=122,
+                           **FLEET_SOAK_KW, **kwargs)
+        return [tally.as_dict() for tally in result.instances]
+
+    def test_tallies_equal_without_shared_memory_and_across_workers(self, monkeypatch):
+        shared = self._tallies(workers=0)
+        assert shared == self._tallies(workers=2)
+        monkeypatch.setattr(shared_image, "_shared_memory", None)
+        stores = _capture_fleet_stores(monkeypatch)
+        assert self._tallies(workers=0) == shared
+        assert stores[0].blocks_copied == 0 and not stores[0].names
 
 
 # -- sharing is invisible to every checkpoint producer ------------------------
