@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import tempfile
 
-from repro.fleet.scheduler import InstanceSpec, run_fleet
+from repro.fleet.scheduler import FleetTallySink, InstanceSpec, run_fleet
 from repro.harness.engine import ENGINE
 from repro.recovery import (
     FaultInjector,
@@ -48,17 +48,21 @@ def act_one_supervised_serving() -> None:
     )
     server.start()
     profile = ENGINE.profile("apache")
+    # The supervisor reports each snapshot, rollback and quarantine as an
+    # event; this sink counts them.
+    sink = server.add_telemetry_sink(FleetTallySink())
     supervisor = RecoverySupervisor(
         server, RecoveryPolicy(snapshot_every=4, retry_budget=1)
     )
     for i in range(8):
         supervisor.submit(profile.make_request("small", index=i))
     print(f"served 8 benign requests; snapshots taken: "
-          f"{supervisor.snapshots_taken}")
+          f"{sink.tally(0, server.name, 'bounds-check').snapshots}")
     result = supervisor.submit(profile.make_attack_request())
+    tally = sink.tally(0, server.name, "bounds-check")
     print(f"attack outcome       : {result.outcome.value}")
-    print(f"rollbacks performed  : {supervisor.rollbacks}")
-    print(f"requests quarantined : {supervisor.quarantined}")
+    print(f"rollbacks performed  : {tally.rollbacks}")
+    print(f"requests quarantined : {tally.quarantined + tally.quarantined_attacks}")
     follow_up = supervisor.submit(profile.make_request("small", index=99))
     print(f"next benign request  : {follow_up.outcome.value} "
           f"(the rollback kept the server serving)\n")

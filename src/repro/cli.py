@@ -76,7 +76,6 @@ from repro.fleet.traffic import ARRIVALS
 from repro.harness.engine import ENGINE, ScenarioSpec
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.report import format_trace_summary
-from repro.servers.base import DEFAULT_HISTORY_LIMIT
 from repro.servers.profile import iter_profiles
 from repro.telemetry.session import TelemetrySession
 from repro.telemetry.summary import filter_records, iter_records, summarize_trace
@@ -198,11 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                        "one shard per instance)")
     fleet_run_parser.add_argument("--scale", type=float, default=0.25,
                                   help="workload scale factor")
-    fleet_run_parser.add_argument("--history-limit", type=int, default=DEFAULT_HISTORY_LIMIT,
-                                  help="per-instance request-history bound")
-    fleet_run_parser.add_argument("--unbounded-history", action="store_true",
-                                  help="explicitly allow an unbounded "
-                                       "per-request history (refused otherwise)")
     fleet_run_parser.add_argument("--trace", default=None, metavar="OUT",
                                   help="export the run's telemetry event stream "
                                        "as JSONL to this path (readable by "
@@ -513,7 +507,6 @@ def _command_fleet_run(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    history_limit = None if args.unbounded_history else args.history_limit
     recovery = None
     if args.recover is not None:
         recovery = RecoveryPolicy(
@@ -533,8 +526,6 @@ def _command_fleet_run(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 shards=args.shards,
                 scale=args.scale,
-                history_limit=history_limit,
-                allow_unbounded_history=args.unbounded_history,
                 max_seconds=args.max_seconds,
                 recovery=recovery,
                 fault_rate=args.fault_rate,

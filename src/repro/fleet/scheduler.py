@@ -67,12 +67,7 @@ from repro.fleet.traffic import (
 from repro.memory.shared_image import SharedImageStore
 from repro.recovery.faults import FAULT_KINDS, FaultInjector
 from repro.recovery.supervisor import DROPPED_OUTCOME, RecoveryPolicy, RecoverySupervisor
-from repro.servers.base import (
-    DEFAULT_HISTORY_LIMIT,
-    ProcessImage,
-    Request,
-    bounded_history_limit,
-)
+from repro.servers.base import ProcessImage, Request
 from repro.telemetry.events import (
     FaultInjected,
     RequestEnd,
@@ -463,7 +458,6 @@ class _FleetRun:
     shard_timelines: List[List[FleetRequest]]
     seed: int
     scale: float
-    history_limit: Optional[int]
     deadline: Optional[float]
     recovery: Optional[RecoveryPolicy] = None
     fault_rate: float = 0.0
@@ -493,7 +487,6 @@ class _FleetRun:
             instance.server, instance.policy, config=instance.config,
             plant_attack=True, scale=self.scale,
         )
-        server.limit_history(self.history_limit)
         sink = server.add_telemetry_sink(FleetTallySink())
         server.adopt_image(self.images[instance.group_key])
         injector = None
@@ -632,8 +625,6 @@ def run_fleet(
     workers: Optional[int] = None,
     shards: Optional[int] = None,
     scale: float = 0.25,
-    history_limit: Optional[int] = DEFAULT_HISTORY_LIMIT,
-    allow_unbounded_history: bool = False,
     max_seconds: Optional[float] = None,
     recovery: Optional[RecoveryPolicy] = None,
     fault_rate: float = 0.0,
@@ -673,15 +664,12 @@ def run_fleet(
     :class:`~repro.recovery.supervisor.RecoveryPolicy` is used when faults
     are requested without an explicit one.
 
-    The per-request history of every instance is bounded (``history_limit``),
-    and — because a fleet is the 10^6-request path — an unbounded history is
-    refused unless ``allow_unbounded_history=True`` is passed explicitly.
+    No instance keeps per-request results: the tallies come from each
+    instance's event stream alone, so a 10^6-request run holds only the
+    servers' own state.
     """
     if recovery is None and (fault_rate > 0.0 or fault_every is not None):
         recovery = RecoveryPolicy()
-    history_limit = bounded_history_limit(
-        history_limit, allow_unbounded=allow_unbounded_history, harness="run_fleet"
-    )
     instances = expand_instances(specs)
     session = current_session()
     # Reserved in the parent, before any fork: every worker stamps the same
@@ -728,7 +716,6 @@ def run_fleet(
             instance.server, instance.policy, config=instance.config,
             plant_attack=True, scale=scale,
         )
-        template.limit_history(history_limit)
         # Session setup (e.g. Mutt re-opening the INBOX after the planted
         # startup folder was rejected) brings the template to its serving
         # state before the one capture, so that is the image every clone AND
@@ -749,7 +736,6 @@ def run_fleet(
         shard_timelines=shard_timelines,
         seed=seed,
         scale=scale,
-        history_limit=history_limit,
         deadline=(time.monotonic() + max_seconds) if max_seconds is not None else None,
         recovery=recovery,
         fault_rate=fault_rate,

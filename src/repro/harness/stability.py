@@ -42,7 +42,7 @@ def run_stability_experiment(
     paper's stability run, read as ``result.instances[0]``.  A "death" in
     the paper's sense is ``server_deaths`` (boot-time deaths included).
     ``fleet_options`` pass through to :func:`~repro.fleet.scheduler.run_fleet`
-    (e.g. ``workers``, ``history_limit``, ``recovery``).
+    (e.g. ``workers``, ``recovery``, ``max_seconds``).
     """
     stream = mixed_stream(
         server_name, total_requests=total_requests, attack_every=attack_every, seed=seed

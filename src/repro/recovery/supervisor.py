@@ -13,9 +13,8 @@ snapshot*:
    handler state via :meth:`Server.capture_handler_state`), emitting
    :class:`~repro.telemetry.events.SnapshotTaken`;
 2. on a fatal request, roll back to the last snapshot
-   (:class:`~repro.telemetry.events.RollbackPerformed`), accumulate
-   *virtual-time* exponential backoff (no real sleeping — the fleet's clock
-   is virtual), and retry the request up to ``retry_budget`` times;
+   (:class:`~repro.telemetry.events.RollbackPerformed`) and retry the
+   request at once, up to ``retry_budget`` times;
 3. a request that stays fatal through its budget is *quarantined*
    (:class:`~repro.telemetry.events.RequestQuarantined`): its terminal
    disposition flows through the event stream exactly like a drop, and the
@@ -29,6 +28,10 @@ Either way a server whose boot image is fatal (Pine's poisoned mailbox) is
 restarted once at construction and once per arriving request, and each
 request is dropped: a synthetic :class:`~repro.telemetry.events.RequestEnd`
 with outcome :data:`DROPPED_OUTCOME`, and ``submit`` returns None.
+
+The supervisor keeps no counters of its own: every snapshot, rollback,
+restart and quarantine is an event, and a
+:class:`~repro.fleet.scheduler.FleetTallySink` counts them.
 
 Tally invariant (what makes ``fleet report`` exact from an export): every
 fatal attempt the policy recovers is followed by exactly one
@@ -74,11 +77,6 @@ class RecoveryPolicy:
     #: Consecutive recoveries with no successful request in between that
     #: trigger the boot-image degradation.
     loop_threshold: int = 4
-    #: Virtual-time backoff: ``backoff_base * backoff_factor**(attempt-1)``
-    #: seconds accumulated per recovery (never slept — the soak clock is
-    #: virtual).
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.snapshot_every <= 0:
@@ -122,13 +120,6 @@ class RecoverySupervisor:
         self._states: List[dict] = []
         self._since_snapshot = 0
         self._consecutive_recoveries = 0
-        # Lifetime counters (monotonic; rollbacks do not rewind them).
-        self.snapshots_taken = 0
-        self.rollbacks = 0
-        self.boot_restarts = 0
-        self.quarantined = 0
-        self.retried_ok = 0
-        self.virtual_backoff_seconds = 0.0
         if not server.alive:
             self._restart()
         elif policy is not None:
@@ -166,16 +157,13 @@ class RecoverySupervisor:
             if self.policy is None:
                 return result
             if not result.fatal:
-                if attempt > 1:
-                    self.retried_ok += 1
                 self._consecutive_recoveries = 0
                 self._since_snapshot += 1
                 if self._since_snapshot >= self.policy.snapshot_every:
                     self.take_snapshot(request_id=request.request_id)
                 return result
-            self._recover(request, attempt)
+            self._recover(request)
             if attempt > self.policy.retry_budget:
-                self.quarantined += 1
                 self.server.ctx.bus.emit(RequestQuarantined(
                     request_id=request.request_id,
                     kind=request.kind,
@@ -199,7 +187,6 @@ class RecoverySupervisor:
         delta = self.stream.deltas[index - 1]
         self._states.append(self.server.capture_handler_state())
         self._since_snapshot = 0
-        self.snapshots_taken += 1
         self.server.ctx.bus.emit(SnapshotTaken(
             index=index,
             blocks=delta.space.block_count,
@@ -228,7 +215,7 @@ class RecoverySupervisor:
             self._states = [server.capture_handler_state()]
         self._since_snapshot = 0
 
-    def _restart(self, request: Optional[Request] = None, backoff: float = 0.0) -> None:
+    def _restart(self, request: Optional[Request] = None) -> None:
         """Restart from the boot image and emit its ``RollbackPerformed``.
 
         ``request`` is the fatal request a policy's loop degradation is
@@ -237,7 +224,6 @@ class RecoverySupervisor:
         the fresh image.
         """
         self.server.restart()
-        self.boot_restarts += 1
         self._consecutive_recoveries = 0
         if self.policy is not None and self.server.alive:
             self._new_stream(from_image=True)
@@ -247,24 +233,20 @@ class RecoverySupervisor:
             kind="" if request is None else request.kind,
             is_attack=request is not None and request.is_attack,
             to_boot_image=True,
-            backoff_virtual_seconds=backoff,
         ))
 
-    def _recover(self, request: Request, attempt: int) -> None:
+    def _recover(self, request: Request) -> None:
         """Bring the dead server back: snapshot rollback or boot-image restart.
 
         Emits exactly one :class:`RollbackPerformed` carrying the fatal
         request's id (its failed attempt is non-terminal — a retry or a
         quarantine is the terminal disposition).
         """
-        policy = self.policy
-        backoff = policy.backoff_base * policy.backoff_factor ** (attempt - 1)
-        self.virtual_backoff_seconds += backoff
         self._consecutive_recoveries += 1
-        if self._consecutive_recoveries >= policy.loop_threshold:
+        if self._consecutive_recoveries >= self.policy.loop_threshold:
             # Rollback loop: the last-good snapshot may itself be poisoned.
             # Degrade to the boot image and start a fresh stream from it.
-            self._restart(request, backoff)
+            self._restart(request)
             return
         index = self.stream.latest
         blocks = self.stream.restore(index)
@@ -272,7 +254,6 @@ class RecoverySupervisor:
         del self._states[index + 1 :]
         self.server.alive = True
         self.server.started = True
-        self.rollbacks += 1
         self.server.ctx.bus.emit(RollbackPerformed(
             snapshot_index=index,
             request_id=request.request_id,
@@ -280,5 +261,4 @@ class RecoverySupervisor:
             is_attack=request.is_attack,
             blocks_restored=blocks,
             to_boot_image=False,
-            backoff_virtual_seconds=backoff,
         ))

@@ -33,7 +33,6 @@ from repro.core.policy import AccessPolicy
 from repro.errors import RequestResult
 from repro.memory.shared_image import SharedImageStore
 from repro.servers.base import (
-    DEFAULT_HISTORY_LIMIT,
     Request,
     Response,
     Server,
@@ -258,8 +257,8 @@ class ChildProcessPool:
     a booted one — the restart equivalence suite proves it — but costs a
     memory restore instead of a full configuration parse.
 
-    A child serves for as long as the pool does, so its per-request history
-    is bounded like a fleet instance's (:data:`DEFAULT_HISTORY_LIMIT`).
+    A child keeps no per-request results, so one that serves for as long
+    as the pool does holds only its process state.
 
     The master reaps a dead child before forking its replacement: the dead
     child's context exits (:meth:`~repro.memory.context.MemoryContext.exit`),
@@ -295,8 +294,7 @@ class ChildProcessPool:
             self.children.append(self._fork_child())
 
     def _fork_child(self) -> ApacheServer:
-        child = ApacheServer(self.policy_factory, config=self.config,
-                             history_limit=DEFAULT_HISTORY_LIMIT)
+        child = ApacheServer(self.policy_factory, config=self.config)
         if self._template_image is None:
             # The template's boot image is captured straight into the shared
             # store, so the template child restarts from the shared copy too.

@@ -25,9 +25,8 @@ import copy
 import itertools
 import time
 from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policy import AccessPolicy
 from repro.errors import (
@@ -105,46 +104,6 @@ class ServerError(Exception):
     """
 
 
-#: Per-request history bound of the long-running harnesses: every fleet
-#: instance (``run_fleet``'s default) and every Apache pool child.
-DEFAULT_HISTORY_LIMIT = 256
-
-
-def bounded_history_limit(
-    limit: Optional[int],
-    allow_unbounded: bool = False,
-    harness: str = "this harness",
-) -> Optional[int]:
-    """Validate a soak-scale harness's per-request history bound.
-
-    The per-request :attr:`Server.history` is unbounded by default (short
-    experiment runs read it wholesale), which is exactly wrong for a
-    10^6-request soak or fleet run: one retained
-    :class:`~repro.errors.RequestResult` per request is an unbounded leak.
-    The long-running harnesses therefore refuse ``limit=None`` unless the
-    caller opts in explicitly with ``allow_unbounded=True``.
-
-    Returns the validated limit (as an ``int``, or ``None`` when unbounded
-    was explicitly allowed); raises :class:`ValueError` otherwise.
-    """
-    if limit is None:
-        if allow_unbounded:
-            return None
-        raise ValueError(
-            f"{harness} refuses an unbounded per-request history: a soak-scale "
-            "run would retain one RequestResult per request forever. Pass a "
-            "positive history_limit, or allow_unbounded_history=True to opt "
-            "in explicitly."
-        )
-    limit = int(limit)
-    if limit <= 0:
-        raise ValueError(
-            "history_limit must be positive (or None with "
-            "allow_unbounded_history=True)"
-        )
-    return limit
-
-
 @dataclass(frozen=True)
 class ProcessImage:
     """The post-boot checkpoint a server restarts (and pre-forks) from.
@@ -199,7 +158,7 @@ class Server(ABC):
     _IMAGE_EXCLUDED_FIELDS = frozenset({
         "policy_factory", "config", "_heap_size", "_stack_size", "policy",
         "ctx", "alive", "started", "requests_processed", "restarts",
-        "history", "_telemetry_sinks", "_image", "fault_hook",
+        "_telemetry_sinks", "_image", "fault_hook",
     })
 
     #: Optional fault-injection hook, called as ``hook(server, request,
@@ -216,7 +175,6 @@ class Server(ABC):
         config: Optional[Dict[str, object]] = None,
         heap_size: int = 4 * 1024 * 1024,
         stack_size: int = 256 * 1024,
-        history_limit: Optional[int] = None,
     ) -> None:
         self.policy_factory = policy_factory
         self.config: Dict[str, object] = dict(config or {})
@@ -230,11 +188,6 @@ class Server(ABC):
         self.started = False
         self.requests_processed = 0
         self.restarts = 0
-        #: Per-request results, newest last.  Unbounded by default (short
-        #: experiment runs read it wholesale); soak harnesses cap it via
-        #: ``history_limit`` / :meth:`limit_history` so a million-request run
-        #: does not retain one RequestResult per request forever.
-        self.history: Deque[RequestResult] = deque(maxlen=history_limit)
         #: The post-boot process image; captured by :meth:`start`, restored by
         #: :meth:`restart`.
         self._image: Optional[ProcessImage] = None
@@ -258,12 +211,12 @@ class Server(ABC):
         return sink
 
     def limit_history(self, limit: Optional[int]) -> None:
-        """Bound the per-request history to the newest ``limit`` results.
+        """Do nothing: a server keeps no per-request results to bound.
 
-        ``None`` removes the bound.  The retained tail is preserved; soak
-        harnesses call this before a long run so memory stays O(limit).
+        Each :meth:`process` result belongs to its caller alone, and the run
+        facts live in the telemetry event stream.  The serving benchmark
+        still calls this before a long run.
         """
-        self.history = deque(self.history, maxlen=limit)
 
     # -- subclass hooks -----------------------------------------------------------
 
@@ -374,16 +327,13 @@ class Server(ABC):
     def process(self, request: Request) -> RequestResult:
         """Handle one request, returning the classified outcome."""
         if not self.alive:
-            result = RequestResult(
+            return RequestResult(
                 outcome=RequestOutcome.CRASHED,
                 response=None,
                 error=RuntimeError(f"{self.name} is down"),
             )
-            self.history.append(result)
-            return result
         result = self._execute(request, self.handle)
         self.requests_processed += 1
-        self.history.append(result)
         return result
 
     def stop(self) -> None:

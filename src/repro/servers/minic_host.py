@@ -177,7 +177,11 @@ class MiniCServer(Server):
             return
         if "program" not in self.__dict__:
             self.program = self.compile()
+        # Re-binding the saved pointers is no program access, so the table
+        # lookups it makes are not charged.
+        lookups = self.ctx.table.lookups
         self.instance = self._thaw_instance(snapshot)
+        self.ctx.table.lookups = lookups
 
     def _thaw_value(self, frozen: tuple):
         tag = frozen[0]

@@ -227,7 +227,9 @@ class RollbackPerformed:
     the supervisor's monitor restart of a dead server before the next
     request (or at construction, for a boot-fatal image).
     ``to_boot_image`` distinguishes full boot-image restarts from snapshot
-    rollbacks.
+    rollbacks.  A request rolled back and then served ends with its served
+    :class:`RequestEnd`: that pair is how a consumer counts a retry that
+    succeeded.
     """
 
     snapshot_index: int
@@ -236,7 +238,6 @@ class RollbackPerformed:
     is_attack: bool = False
     blocks_restored: int = 0
     to_boot_image: bool = False
-    backoff_virtual_seconds: float = 0.0
 
 
 @frozen_record

@@ -14,7 +14,7 @@ from repro.servers.apache import (
     RewriteRule,
     VULNERABLE_RULE,
 )
-from repro.servers.base import DEFAULT_HISTORY_LIMIT, Request
+from repro.servers.base import Request
 from repro.workloads.attacks import apache_attack_request, apache_vulnerable_config
 
 
@@ -164,23 +164,6 @@ class TestChildProcessPool:
             pool.dispatch(apache_attack_request())
         assert pool.child_deaths == 0
         assert pool.restart_seconds == 0
-
-    def test_children_keep_a_bounded_history(self):
-        """A long-serving child keeps only its newest results, like a fleet
-        instance, and so does a replacement child."""
-        pool = ChildProcessPool(
-            BoundsCheckPolicy, pool_size=1, config=apache_vulnerable_config()
-        )
-        try:
-            requests = [Request(kind="get", payload={"url": "/index.html"})
-                        for _ in range(DEFAULT_HISTORY_LIMIT + 20)]
-            results = [pool.dispatch(request) for request in requests]
-            assert list(pool.children[0].history) == results[-DEFAULT_HISTORY_LIMIT:]
-            pool.dispatch(apache_attack_request())
-            pool.dispatch(requests[0])
-            assert pool.children[0].history.maxlen == DEFAULT_HISTORY_LIMIT
-        finally:
-            pool.close()
 
     def test_pool_error_accounting(self):
         pool = ChildProcessPool(

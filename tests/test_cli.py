@@ -1,9 +1,56 @@
 """Tests for the command-line interface."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 from repro.harness.experiments import EXPERIMENTS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+_REPRO = "python -m repro "
+
+
+def _readme_commands():
+    """The arguments of every ``python -m repro`` line in README's fenced
+    blocks, backslash continuations joined, comments and pipes cut."""
+    commands = []
+    in_block = False
+    pending = ""
+    for line in README.read_text().splitlines():
+        if line.lstrip().startswith("```"):
+            in_block, pending = not in_block, ""
+            continue
+        if not in_block:
+            continue
+        line = pending + line.strip()
+        if line.endswith("\\"):
+            pending = line[:-1] + " "
+            continue
+        pending = ""
+        if _REPRO in line:
+            argv = shlex.split(line.split(_REPRO, 1)[1], comments=True)
+            commands.append(argv[:argv.index("|")] if "|" in argv else argv)
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+class TestReadmeCommands:
+    """Every CLI line README shows parses, so a removed or renamed flag
+    fails here instead of leaving the README stale.  Nothing is run."""
+
+    def test_readme_shows_commands(self):
+        assert len(README_COMMANDS) >= 10
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+    def test_command_parses(self, argv):
+        try:
+            _build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: repro {shlex.join(argv)}")
 
 
 class TestList:

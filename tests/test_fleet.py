@@ -43,9 +43,8 @@ from repro.fleet.traffic import (
     split_by_weight,
 )
 from repro.harness.experiments import EXPERIMENTS, run_experiment
-from repro.harness.stability import run_stability_experiment
 from repro.recovery.supervisor import RecoveryPolicy
-from repro.servers.base import Request, bounded_history_limit
+from repro.servers.base import Request
 from repro.telemetry.events import RequestEnd, RollbackPerformed
 from repro.telemetry.session import TelemetrySession
 from repro.telemetry.summary import iter_records
@@ -284,43 +283,6 @@ class TestFleetScheduler:
             InstanceSpec("apache", "standard", weight=0.0)
         with pytest.raises(ValueError):
             run_fleet([], total_requests=10)
-
-
-class TestHistoryGuard:
-    def test_fleet_refuses_unbounded_history(self):
-        with pytest.raises(ValueError, match="unbounded"):
-            run_fleet(FLEET_SPECS, history_limit=None, **FLEET_KW)
-
-    def test_soak_refuses_unbounded_history(self):
-        with pytest.raises(ValueError, match="unbounded"):
-            run_stability_experiment(
-                "apache", "failure-oblivious", total_requests=20, shards=8,
-                history_limit=None,
-            )
-
-    def test_explicit_opt_in_is_honored(self):
-        result = run_stability_experiment(
-            "apache", "failure-oblivious", total_requests=12, shards=2,
-            history_limit=None, allow_unbounded_history=True,
-        )
-        assert result.total_requests == 12
-
-    def test_guard_validates_values(self):
-        assert bounded_history_limit(64) == 64
-        assert bounded_history_limit(None, allow_unbounded=True) is None
-        with pytest.raises(ValueError):
-            bounded_history_limit(0)
-        with pytest.raises(ValueError):
-            bounded_history_limit(-5)
-
-    def test_fleet_history_stays_bounded(self):
-        result = run_fleet(
-            [InstanceSpec("apache", "failure-oblivious")],
-            total_requests=100, seed=1, workers=0, history_limit=8,
-        )
-        # The tally proves 100 requests ran; the bound proves none of the
-        # instances retained more than history_limit results.
-        assert result.total_requests == 100
 
 
 class TestFleetTallySink:

@@ -4,9 +4,9 @@ Covers the recovery subsystem end to end:
 
 * :class:`RecoverySupervisor` unit semantics — snapshot cadence, transient
   retry, poison quarantine, rollback-loop degradation to the boot image,
-  virtual-time backoff, and the tally invariant (every fatal attempt's
-  ``RequestEnd`` is followed by exactly one ``RollbackPerformed`` carrying
-  that request id);
+  and the tally invariant (every fatal attempt's ``RequestEnd`` is followed
+  by exactly one ``RollbackPerformed`` carrying that request id), every
+  count read from the supervisor's events;
 * the monitor mode (no policy): deaths stand, restarts are lazy, and a
   boot-fatal server is restarted per request and its requests dropped;
 * :class:`FaultInjector` determinism and the retries-never-fault rule;
@@ -28,7 +28,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.policies import StandardPolicy
-from repro.errors import SegmentationFault
+from repro.errors import FATAL_OUTCOMES, SegmentationFault
 from repro.fleet.scheduler import DROPPED_OUTCOME, FleetTallySink, InstanceSpec, run_fleet
 from repro.harness.engine import ENGINE
 from repro.memory.address_space import AddressSpace
@@ -69,6 +69,37 @@ def _benign(profile, index):
     return profile.make_request(profile.figure_rows[0], index=index)
 
 
+_FATAL = {outcome.value for outcome in FATAL_OUTCOMES}
+
+
+def _recovery_counts(events):
+    """The supervisor's run facts, counted from its events alone.
+
+    ``snapshots``, ``rollbacks`` (to a snapshot), ``boot_restarts`` and
+    ``quarantined`` count ``SnapshotTaken``, ``RollbackPerformed`` and
+    ``RequestQuarantined`` events; ``retried_ok`` counts requests rolled
+    back and then served (a ``RollbackPerformed`` for the request followed
+    by its non-fatal ``RequestEnd``).
+    """
+    counts = dict.fromkeys(
+        ("snapshots", "rollbacks", "boot_restarts", "quarantined", "retried_ok"), 0)
+    rolled_back = set()
+    for event in events:
+        if isinstance(event, SnapshotTaken):
+            counts["snapshots"] += 1
+        elif isinstance(event, RequestQuarantined):
+            counts["quarantined"] += 1
+        elif isinstance(event, RollbackPerformed):
+            counts["boot_restarts" if event.to_boot_image else "rollbacks"] += 1
+            if event.request_id is not None:
+                rolled_back.add(event.request_id)
+        elif isinstance(event, RequestEnd) and event.request_id in rolled_back:
+            rolled_back.discard(event.request_id)
+            if event.outcome not in _FATAL:
+                counts["retried_ok"] += 1
+    return counts
+
+
 class TestSupervisorSemantics:
     def test_snapshot_cadence_counts_successes_only(self):
         server, sup, recorder = _supervised(
@@ -79,7 +110,7 @@ class TestSupervisorSemantics:
         for i in range(9):
             result = sup.submit(_benign(profile, i))
             assert result.acceptable
-        assert sup.snapshots_taken == 2
+        assert _recovery_counts(recorder.events)["snapshots"] == 2
         taken = [e for e in recorder.events if isinstance(e, SnapshotTaken)]
         assert [e.index for e in taken] == [1, 2]
         # Snapshots are deltas: each carries only the blocks dirtied since
@@ -101,9 +132,10 @@ class TestSupervisorSemantics:
             result = sup.submit(_benign(profile, i))
             assert result.acceptable and not result.fatal
         assert injector.injected == 5
-        assert sup.rollbacks == 5
-        assert sup.retried_ok == 5
-        assert sup.quarantined == 0
+        counts = _recovery_counts(recorder.events)
+        assert counts["rollbacks"] == 5
+        assert counts["retried_ok"] == 5
+        assert counts["quarantined"] == 0
         assert server.alive
 
     def test_poison_request_is_quarantined_and_server_keeps_serving(self):
@@ -119,8 +151,9 @@ class TestSupervisorSemantics:
             assert sup.submit(_benign(profile, i)).acceptable
         result = sup.submit(profile.make_attack_request())
         assert result.fatal  # the last attempt's result is returned verbatim
-        assert sup.quarantined == 1
-        assert sup.rollbacks == 2  # one per fatal attempt
+        counts = _recovery_counts(recorder.events)
+        assert counts["quarantined"] == 1
+        assert counts["rollbacks"] == 2  # one per fatal attempt
         quarantines = [e for e in recorder.events
                        if isinstance(e, RequestQuarantined)]
         assert len(quarantines) == 1 and quarantines[0].attempts == 2
@@ -143,10 +176,11 @@ class TestSupervisorSemantics:
         old_stream = sup.stream
         profile = ENGINE.profile("apache")
         result = sup.submit(profile.make_attack_request())
-        assert result.fatal and sup.quarantined == 1
+        counts = _recovery_counts(recorder.events)
+        assert result.fatal and counts["quarantined"] == 1
         # 6 fatal attempts with loop_threshold=3: recoveries 3 and 6 degrade.
-        assert sup.boot_restarts == 2
-        assert sup.rollbacks == 4
+        assert counts["boot_restarts"] == 2
+        assert counts["rollbacks"] == 4
         assert sup.stream is not old_stream and len(sup.stream) == 1
         boot_events = [e for e in recorder.events
                        if isinstance(e, RollbackPerformed) and e.to_boot_image]
@@ -166,11 +200,8 @@ class TestSupervisorSemantics:
         profile = ENGINE.profile("apache")
         for i in range(24):
             sup.submit(_benign(profile, i))
-        from repro.errors import FATAL_OUTCOMES
-
-        fatal = {outcome.value for outcome in FATAL_OUTCOMES}
         fatal_ends = [e for e in recorder.events
-                      if isinstance(e, RequestEnd) and e.outcome in fatal]
+                      if isinstance(e, RequestEnd) and e.outcome in _FATAL]
         rollbacks = [e for e in recorder.events
                      if isinstance(e, RollbackPerformed)]
         assert fatal_ends, "expected the injector to kill some attempts"
@@ -182,22 +213,10 @@ class TestSupervisorSemantics:
         stream = [e for e in recorder.events
                   if isinstance(e, (RequestEnd, RollbackPerformed))]
         for pos, event in enumerate(stream):
-            if isinstance(event, RequestEnd) and event.outcome in fatal:
+            if isinstance(event, RequestEnd) and event.outcome in _FATAL:
                 follower = stream[pos + 1]
                 assert isinstance(follower, RollbackPerformed)
                 assert follower.request_id == event.request_id
-
-    def test_virtual_backoff_is_exponential_and_never_sleeps(self):
-        server, sup, _ = _supervised(
-            "apache", "bounds-check",
-            recovery=RecoveryPolicy(snapshot_every=8, retry_budget=2,
-                                    backoff_base=0.5, backoff_factor=3.0),
-            plant_attack=True,
-        )
-        profile = ENGINE.profile("apache")
-        sup.submit(profile.make_attack_request())
-        # Attempts 1..3 fatal: 0.5 + 1.5 + 4.5 virtual seconds, no wall time.
-        assert sup.virtual_backoff_seconds == pytest.approx(6.5)
 
     def test_supervision_rejects_an_unbooted_server(self):
         server = ENGINE.build_server("apache", "failure-oblivious")
@@ -215,19 +234,16 @@ class TestSupervisorSemantics:
             sup.submit(_benign(profile, 0))
 
 
-def _comparable(image, lookups=None):
+def _comparable(image):
     """``image`` with its epoch dropped and payloads as bytes: what two
-    captures of the same state must agree on.  ``lookups`` replaces the
-    object table's lookup counter."""
+    captures of the same state must agree on."""
     space = dataclasses.replace(
         image.space,
         epoch=0,
         segments=tuple((name, base, bytes(payload))
                        for name, base, payload in image.space.segments),
     )
-    table = image.table if lookups is None else dataclasses.replace(
-        image.table, lookups=lookups)
-    return dataclasses.replace(image, space=space, table=table)
+    return dataclasses.replace(image, space=space)
 
 
 def _serving_image(server_name, policy_name, store):
@@ -264,13 +280,10 @@ class TestSnapshotZeroIsTheAdoptedImage:
     ])
     def test_stream_from_the_image_equals_one_from_a_full_checkpoint(
             self, server_name, policy_name):
-        """Equal but for one counter: the object table's ``lookups``, which
-        a full checkpoint taken after the adopt reads with the lookups the
-        handler-state thaw made after the image was restored (a compiled
-        mini-C server resolves its frozen pointers through the table).  An
-        image-based snapshot 0 is the state the adopt restored, before that
-        thaw, so it is lower by exactly those lookups (zero for the
-        hand-modeled servers)."""
+        """Equal on every field, the object table's ``lookups`` included: a
+        compiled mini-C server's handler-state thaw re-binds its frozen
+        pointers without charging a lookup, so a full checkpoint taken after
+        the adopt reads what the adopted image reads."""
         profile = ENGINE.profile(server_name)
         attack = profile.make_attack_request()
         requests = [attack, _benign(profile, 0), profile.make_attack_request()]
@@ -278,16 +291,14 @@ class TestSnapshotZeroIsTheAdoptedImage:
             image = _serving_image(server_name, policy_name, store)
             adopted = _clone(server_name, policy_name, image)
             checked = _clone(server_name, policy_name, image)
-            thaw_lookups = checked.ctx.table.lookups - image.ctx.table.lookups
-            assert thaw_lookups == (3 if server_name == "minic-sendmail" else 0)
+            assert checked.ctx.table.lookups == image.ctx.table.lookups
             from_image = CheckpointStream(adopted.ctx, base=image.ctx)
             from_checkpoint = CheckpointStream(checked.ctx)
             assert from_image.base is image.ctx
             assert from_checkpoint.base is not image.ctx
 
             def agree(ours, theirs):
-                assert ours.table.lookups + thaw_lookups == theirs.table.lookups
-                assert _comparable(ours, lookups=0) == _comparable(theirs, lookups=0)
+                assert _comparable(ours) == _comparable(theirs)
 
             agree(from_image.image_at(0), from_checkpoint.image_at(0))
             for server, stream in ((adopted, from_image), (checked, from_checkpoint)):
@@ -346,7 +357,7 @@ class TestSnapshotZeroIsTheAdoptedImage:
             return server, supervisor, recorder, results
 
         server, supervisor, recorder, results = serve()
-        assert supervisor.boot_restarts == 4
+        assert _recovery_counts(recorder.events)["boot_restarts"] == 4
         assert supervisor.stream.base is server.boot_image.ctx
         with monkeypatch.context() as patch:
             patch.setattr(AddressSpace, "clean_against", lambda space, cp: False)
@@ -354,8 +365,7 @@ class TestSnapshotZeroIsTheAdoptedImage:
         assert ref_supervisor.stream.base is not ref_server.boot_image.ctx
         assert results == ref_results
         assert _event_record(recorder.events) == _event_record(ref_recorder.events)
-        for counter in ("snapshots_taken", "rollbacks", "boot_restarts", "quarantined"):
-            assert getattr(supervisor, counter) == getattr(ref_supervisor, counter)
+        assert _recovery_counts(recorder.events) == _recovery_counts(ref_recorder.events)
         assert len(supervisor.stream) == len(ref_supervisor.stream)
         assert _comparable(supervisor.stream.image_at(0)) == _comparable(
             ref_supervisor.stream.image_at(0))
@@ -407,15 +417,15 @@ class TestMonitorMode:
         tally = sink.tally(0, "toy-crash", "standard")
         assert (tally.requests, tally.legitimate_served, tally.legitimate_failed) == (3, 2, 1)
         assert (tally.server_deaths, tally.restarts, tally.rollbacks) == (1, 1, 0)
-        assert sup.stream is None and sup.snapshots_taken == 0
+        assert sup.stream is None and _recovery_counts(recorder.events)["snapshots"] == 0
 
     def test_death_on_the_last_request_costs_no_restart(self):
-        sup, sink, _ = _monitored(CrashServer(StandardPolicy))
+        sup, sink, recorder = _monitored(CrashServer(StandardPolicy))
         sup.submit(Request(kind="ok"))
         sup.submit(Request(kind="crash"))
         tally = sink.tally(0, "toy-crash", "standard")
         assert (tally.server_deaths, tally.restarts) == (1, 0)
-        assert sup.boot_restarts == 0
+        assert not _boot_restarts(recorder)
 
     @pytest.mark.parametrize("policy", [None, RecoveryPolicy()], ids=["monitor", "policy"])
     def test_boot_fatal_server_restarts_then_drops_every_request(self, policy):
@@ -428,7 +438,7 @@ class TestMonitorMode:
         profile = ENGINE.profile("pine")
         for i in range(3):
             assert sup.submit(_benign(profile, i)) is None
-        assert len(_boot_restarts(recorder)) == sup.boot_restarts == 4
+        assert len(_boot_restarts(recorder)) == 4
         drops = [e for e in recorder.events
                  if isinstance(e, RequestEnd) and e.outcome == DROPPED_OUTCOME]
         assert len(drops) == 3
@@ -456,7 +466,7 @@ class TestFaultInjector:
 
     def test_alloc_fail_faults_are_fatal_then_recovered(self):
         injector = FaultInjector(seed=3, every=4, kinds=("alloc-fail",))
-        server, sup, _ = _supervised(
+        server, sup, recorder = _supervised(
             "apache", "failure-oblivious",
             recovery=RecoveryPolicy(snapshot_every=50),
             injector=injector,
@@ -465,11 +475,11 @@ class TestFaultInjector:
         for i in range(12):
             assert sup.submit(_benign(profile, i)).acceptable
         assert injector.injected == 3
-        assert sup.rollbacks == 3
+        assert _recovery_counts(recorder.events)["rollbacks"] == 3
 
     def test_corrupt_faults_are_caught_by_the_heap_walk(self):
         injector = FaultInjector(seed=5, every=4, kinds=("corrupt",))
-        server, sup, _ = _supervised(
+        server, sup, recorder = _supervised(
             "apache", "failure-oblivious",
             recovery=RecoveryPolicy(snapshot_every=50),
             injector=injector,
@@ -478,7 +488,7 @@ class TestFaultInjector:
         for i in range(12):
             assert sup.submit(_benign(profile, i)).acceptable
         assert injector.injected == 3
-        assert sup.rollbacks > 0
+        assert _recovery_counts(recorder.events)["rollbacks"] > 0
 
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kinds"):

@@ -1,5 +1,7 @@
 """Tests for the shared server lifecycle (boot, process, classify, restart)."""
 
+import weakref
+
 import pytest
 
 from repro.core.policies import (
@@ -10,6 +12,10 @@ from repro.core.policies import (
     StandardPolicy,
 )
 from repro.errors import RequestOutcome
+from repro.harness.engine import ENGINE
+from repro.memory.shared_image import SharedImageStore
+from repro.recovery.supervisor import RecoveryPolicy, RecoverySupervisor
+from repro.servers.apache import ChildProcessPool
 from repro.servers.base import Request, Response, Server, ServerError
 from repro.telemetry.events import RequestEnd
 from repro.telemetry.sinks import ListSink
@@ -122,13 +128,12 @@ class TestLifecycle:
         # fresh policy, fresh log; only the new boot's errors remain
         assert server.memory_error_count() == server.ctx.error_log.total_recorded
 
-    def test_history_and_counters(self):
+    def test_request_counter(self):
         server = EchoServer(FailureObliviousPolicy)
         server.start()
         server.process(Request(kind="echo"))
         server.process(Request(kind="reject"))
         assert server.requests_processed == 2
-        assert len(server.history) == 2
 
     def test_memory_errors_attached_to_result(self):
         server = EchoServer(FailureObliviousPolicy)
@@ -162,50 +167,53 @@ class TestLifecycle:
         assert "failure-oblivious" in server.describe()
 
 
-class TestHistoryBounding:
-    """Regression for the soak memory leak: history grew one RequestResult
-    per request forever; it is now a deque, cappable for long runs."""
+def _bare_server(serve):
+    server = EchoServer(FailureObliviousPolicy)
+    server.start()
+    serve(server.process, Request(kind="echo"))
 
-    def test_unbounded_by_default(self):
-        server = EchoServer(FailureObliviousPolicy)
-        server.start()
-        for _ in range(10):
-            server.process(Request(kind="echo"))
-        assert len(server.history) == 10
-        assert server.history.maxlen is None
 
-    def test_constructor_limit_caps_history(self):
-        server = EchoServer(FailureObliviousPolicy, history_limit=4)
-        server.start()
-        for index in range(10):
-            server.process(Request(kind="echo", payload={"data": bytes([index])}))
-        assert len(server.history) == 4
-        # The newest results are the ones retained.
-        assert [result.response.body for result in server.history] == [
-            bytes([6]), bytes([7]), bytes([8]), bytes([9])
-        ]
-        assert server.requests_processed == 10  # counters keep counting
+def _pool_child(serve):
+    pool = ChildProcessPool(FailureObliviousPolicy, pool_size=1)
+    try:
+        serve(pool.dispatch, Request(kind="get", payload={"url": "/index.html"}))
+    finally:
+        pool.close()
 
-    def test_limit_history_preserves_newest_tail(self):
-        server = EchoServer(FailureObliviousPolicy)
-        server.start()
-        for index in range(6):
-            server.process(Request(kind="echo", payload={"data": bytes([index])}))
-        server.limit_history(2)
-        assert [result.response.body for result in server.history] == [
-            bytes([4]), bytes([5])
-        ]
-        server.limit_history(None)
-        server.process(Request(kind="echo"))
-        assert len(server.history) == 3
 
-    def test_history_survives_checkpoint_restart(self):
-        server = EchoServer(FailureObliviousPolicy, history_limit=8)
-        server.start()
-        server.process(Request(kind="echo"))
-        server.restart()
-        # History is server-lifetime bookkeeping, not process-image state.
-        assert len(server.history) == 1
+def _fleet_clone(serve):
+    profile = ENGINE.profile("apache")
+    with SharedImageStore() as store:
+        template = ENGINE.build_server("apache", "failure-oblivious", scale=0.25)
+        template.start(setup=profile.make_follow_ups(), store=store)
+        clone = ENGINE.build_server("apache", "failure-oblivious", scale=0.25)
+        clone.adopt_image(template.boot_image)
+        supervisor = RecoverySupervisor(clone, RecoveryPolicy(snapshot_every=1))
+        serve(supervisor.submit, profile.make_request(profile.figure_rows[0], index=0))
+
+
+class TestServedResultsAreNotRetained:
+    """A server keeps no per-request results, so a long run holds none:
+    once the caller drops a served request's result, nothing else does."""
+
+    @pytest.mark.parametrize(
+        "host", [_bare_server, _pool_child, _fleet_clone],
+        ids=["bare-server", "pool-child", "fleet-clone"],
+    )
+    def test_served_result_dies_with_its_caller(self, host):
+        checked = []
+
+        def serve(submit, request):
+            # Checked while the server that served it is still alive.
+            result = submit(request)
+            assert result.outcome is RequestOutcome.SERVED
+            ref = weakref.ref(result)
+            del result
+            assert ref() is None
+            checked.append(request)
+
+        host(serve)
+        assert len(checked) == 1
 
 
 class TestRequestResponse:

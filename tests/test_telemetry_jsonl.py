@@ -98,8 +98,7 @@ events = st.one_of(
               request_id=request_ids),
     st.builds(RollbackPerformed, snapshot_index=counts, request_id=request_ids,
               kind=text, is_attack=st.booleans(), blocks_restored=counts,
-              to_boot_image=st.booleans(),
-              backoff_virtual_seconds=finite_floats),
+              to_boot_image=st.booleans()),
     st.builds(RequestQuarantined, request_id=counts, kind=text,
               is_attack=st.booleans(), attempts=run_counts),
     st.builds(FaultInjected, kind=st.sampled_from(["abort", "alloc-fail",
@@ -160,7 +159,7 @@ RECORD_FIELDS = {
     SnapshotTaken: ("index", ("blocks", 0), ("delta_bytes", 0), ("request_id", None)),
     RollbackPerformed: ("snapshot_index", ("request_id", None), ("kind", ""),
                         ("is_attack", False), ("blocks_restored", 0),
-                        ("to_boot_image", False), ("backoff_virtual_seconds", 0.0)),
+                        ("to_boot_image", False)),
     RequestQuarantined: ("request_id", "kind", ("is_attack", False), ("attempts", 0)),
     FaultInjected: ("kind", ("request_id", None), ("address", 0), ("length", 0),
                     ("point", "")),
